@@ -260,7 +260,10 @@ def ker_lambda_dims(L: LieAlgebra) -> KernelProfile:
 
 def eq3_consistency(L: LieAlgebra) -> bool:
     """dim M(L) = dim M(L/γ₂) + (n-m-1)m − Σ_i dim ker(λ_i), exactly."""
-    profile = ker_lambda_dims(L)
+    return _eq3_holds(ker_lambda_dims(L))
+
+
+def _eq3_holds(profile: KernelProfile) -> bool:
     n, m = profile.n, profile.m
     total_ker = sum(row.ker_lambda_i for row in profile.rows)
     abelian_part = comb(n - m, 2)
@@ -412,13 +415,13 @@ def verify_theorem(L: LieAlgebra) -> TheoremVerification:
     n, m, c = report.n, report.m, report.c
     witnesses = tuple(psi_witnesses(L, i) for i in range(2, min(n - m, c) + 1))
 
-    gamma_c = prof.gamma(c)
-    quotient, _ = quotient_algebra(L, gamma_c, name=f"{L.name}/g{c}")
-    step = (multiplier_dim(quotient).dim_M
-            + (n - gamma_c.dim) * gamma_c.dim - gamma_c.dim)
+    # The last kernel row is i = c, so it carries dim M(L/γ_c).
+    dim_gc = prof.gamma(c).dim
+    step = (kernel.rows[-1].dim_M_of_L_mod_gamma_i
+            + (n - dim_gc) * dim_gc - dim_gc)
     verification = TheoremVerification(
         report=report, kernel=kernel, witnesses=witnesses,
-        eq3_ok=eq3_consistency(L),
+        eq3_ok=_eq3_holds(kernel),
         yankosky_step_bound=step,
         yankosky_step_ok=report.dim_M <= step)
 

@@ -114,17 +114,18 @@ def _int_param(text: str, spec: str) -> int:
 def build(spec: str) -> LieAlgebra:
     """Construct the algebra named by a spec string."""
     spec = spec.strip()
-    if spec.startswith("file:"):
-        # never cached: the file may change between calls
-        return load_file(spec[len("file:"):])
+    if "file:" in spec:
+        # never cached, alone or as a summand: the file may change between calls
+        return _build(spec)
     return _build_cached(spec)
 
 
-@lru_cache(maxsize=None)
-def _build_cached(spec: str) -> LieAlgebra:
+def _build(spec: str) -> LieAlgebra:
     head, sep, rest = spec.partition(":")
     if not sep:
         raise SpecError(f"spec {spec!r} is missing ':'")
+    if head == "file":
+        return load_file(rest)
     if head == "abelian":
         return abelian(_int_param(rest, spec))
     if head == "heisenberg":
@@ -145,6 +146,9 @@ def _build_cached(spec: str) -> LieAlgebra:
             total = direct_sum(total, build(part))
         return LieAlgebra(total.dim, total.table, name=spec)
     raise SpecError(f"unknown family {head!r} in spec {spec!r}")
+
+
+_build_cached = lru_cache(maxsize=None)(_build)
 
 
 # -- corpus ---------------------------------------------------------------------

@@ -74,12 +74,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(basis_vector(n, i) for i in range(n)))
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
@@ -219,11 +213,6 @@ class Subspace:
             raise DimensionMismatch("ambient dimensions differ")
         stacked = self.annihilator().basis.vstack(other.annihilator().basis)
         return kernel_basis(stacked)
-
-    def quotient_pivots(self, sub: "Subspace") -> tuple[int, ...]:
-        """Pivot columns of self not used by the subspace sub."""
-        taken = set(sub.pivots)
-        return tuple(p for p in self.pivots if p not in taken)
 
     def quotient_basis_rows(self, sub: "Subspace") -> tuple[tuple[Fraction, ...], ...]:
         """Canonical lifts of a basis of self/sub (rows of self's RREF)."""

@@ -95,10 +95,6 @@ def right_normed(xs: Sequence) -> BracketExpr:
 
 # -- tensor-algebra representation ----------------------------------------
 
-def _tensor_scale(p: Mapping[Word, Fraction], c: Fraction) -> dict[Word, Fraction]:
-    return {w: c * a for w, a in p.items()} if c else {}
-
-
 def _tensor_add_into(acc: dict[Word, Fraction], p: Mapping[Word, Fraction],
                      c: Fraction = Fraction(1)) -> None:
     for w, a in p.items():

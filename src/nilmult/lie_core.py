@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactla import (
@@ -218,17 +219,14 @@ def _upper_series(L: LieAlgebra) -> tuple[Subspace, ...]:
     series = [Subspace.zero(L.dim)]
     current = series[0]
     while current.dim < L.dim:
-        # Z_{next} = {x : [x, e_j] in Z_current for all j}; each constraint
-        # row asks one quotient coordinate of [x, e_j] to vanish.
-        full = Subspace.full(L.dim)
+        # Z_{next} = {x : [x, e_j] in Z_current for all j}.  Reduction mod
+        # Z_current is linear, so for each j the residuals of [e_l, e_j] are
+        # the columns (indexed by l) of rows that must annihilate x.
         rows = []
         for j in range(L.dim):
-            images = [L.bracket_basis(l, j) for l in range(L.dim)]
-            coords = [full.coords_in_quotient(current, img) for img in images]
-            qdim = L.dim - current.dim
-            for t in range(qdim):
-                rows.append([coords[l][t] for l in range(L.dim)])
-        nxt = kernel_basis(Matrix.from_rows(rows, L.dim)) if rows else Subspace.full(L.dim)
+            residuals = [current.reduce(L.bracket_basis(l, j)) for l in range(L.dim)]
+            rows.extend(row for row in zip(*residuals) if not is_zero_vector(row))
+        nxt = kernel_basis(Matrix.from_rows(rows, L.dim))
         if nxt.dim <= current.dim:
             raise NotNilpotent(f"{L.name}: upper central series stabilises below L")
         series.append(nxt)
@@ -236,8 +234,13 @@ def _upper_series(L: LieAlgebra) -> tuple[Subspace, ...]:
     return tuple(series)
 
 
+@lru_cache(maxsize=None)
 def series_profile(L: LieAlgebra) -> SeriesProfile:
-    """Both central series plus the (n, m, c) bookkeeping."""
+    """Both central series plus the (n, m, c) bookkeeping.
+
+    Cached per algebra: LieAlgebra hashes by structure, and the profile
+    carries no name.
+    """
     lower = _lower_series(L)
     upper = _upper_series(L)
     c = len(lower) - 1

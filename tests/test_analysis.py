@@ -18,10 +18,12 @@ from nilmult.analysis import (
     yankosky_closed,
 )
 from nilmult.homology import multiplier_dim
-from nilmult.lie_core import series_profile
+from nilmult.lie_core import quotient_algebra, series_profile
 
 NONABELIAN_SMALL = [spec for spec in default_manifest(max_dim=6).specs
                     if not build(spec).is_abelian]
+NONABELIAN_CORPUS = [spec for spec in default_manifest().specs
+                     if not build(spec).is_abelian]
 
 
 @pytest.mark.parametrize("n,expected", [(0, 0), (3, 3), (5, 10)])
@@ -269,3 +271,23 @@ def test_yankosky_step_value_h3():
     verification = verify_theorem(build("heisenberg:1"))
     assert verification.yankosky_step_bound == 2
     assert multiplier_dim(build("heisenberg:1")).dim_M <= 2
+
+
+@pytest.mark.parametrize("spec", NONABELIAN_CORPUS)
+def test_verify_theorem_reuses_kernel_rows(spec):
+    L = build(spec)
+    verification = verify_theorem(L)
+    assert verification.eq3_ok == eq3_consistency(L), spec
+    prof = series_profile(L)
+    gamma_c = prof.gamma(prof.nilpotency_class)
+    quotient, _ = quotient_algebra(L, gamma_c)
+    g = gamma_c.dim
+    expected = multiplier_dim(quotient).dim_M + (L.dim - g) * g - g
+    assert verification.yankosky_step_bound == expected, spec
+
+
+def test_verify_theorem_computes_series_once():
+    L = build("freenil:3,3")
+    series_profile.cache_clear()
+    verify_theorem(L)
+    assert series_profile.cache_info().misses == 1

@@ -162,6 +162,18 @@ def test_file_spec_reads_from_disk():
     assert L.dim == 3
 
 
+def test_dirsum_file_summand_is_reread(tmp_path):
+    path = tmp_path / "x.lie"
+    spec = f"dirsum:file:{path}+abelian:1"
+    path.write_text(serialize(build("heisenberg:1")))
+    before = build(spec)
+    path.write_text(serialize(build("abelian:3")))
+    after = build(spec)
+    assert not before.is_abelian
+    assert after.is_abelian
+    assert after.dim == 4
+
+
 def test_file_spec_missing_path():
     with pytest.raises(SpecError):
         build("file:/nonexistent/nowhere.lie")

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from nilmult.catalog import build, default_manifest
 from nilmult.exactla import Subspace, basis_vector, is_zero_vector, vector
 from nilmult.lie_core import (
     JacobiViolation,
@@ -25,6 +27,15 @@ def h3():
 
 def filiform4():
     return LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}}, name="filiform:4")
+
+
+def sl2():
+    # [e,f]=h, [h,e]=2e, [h,f]=-2f
+    return LieAlgebra(3, {
+        (0, 1): {2: 1},          # [e, f] = h
+        (0, 2): {0: -2},         # [e, h] = -2e
+        (1, 2): {1: 2},          # [f, h] = 2f
+    })
 
 
 def test_abelian_table_is_valid():
@@ -131,13 +142,48 @@ def test_gamma_products_nest():
 
 
 def test_not_nilpotent_detected():
-    # sl2: [e,f]=h, [h,e]=2e, [h,f]=-2f
     with pytest.raises(NotNilpotent):
-        series_profile(LieAlgebra(3, {
-            (0, 1): {2: 1},          # [e, f] = h
-            (0, 2): {0: -2},         # [e, h] = -2e
-            (1, 2): {1: 2},          # [f, h] = 2f
-        }))
+        series_profile(sl2())
+
+
+def _sympy_rows(rows):
+    return sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+
+
+def _reversed_basis(L):
+    """The same algebra with e_k relabelled e_{n-1-k}."""
+    n = L.dim
+    table = {(n - 1 - j, n - 1 - i): {n - 1 - k: -c for k, c in entry.items()}
+             for (i, j), entry in L.table.items()}
+    return LieAlgebra(n, table, name=L.name)
+
+
+# Every family puts a central element last; the reversed copies put one
+# first, so neither end of the basis is exempt from the oracle.
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("spec", list(default_manifest().specs) + ["filiform:12", "freenil:2,5"])
+def test_upper_series_oracle(spec, reverse):
+    L = _reversed_basis(build(spec)) if reverse else build(spec)
+    n = L.dim
+    prof = series_profile(L)
+    c = prof.nilpotency_class
+    assert len(prof.upper) == c + 1
+    # ad(e_j) as a matrix acting on coordinate columns: column l is [e_l, e_j]
+    ads = [_sympy_rows(L.bracket_basis(l, j) for l in range(n)).T for j in range(n)]
+    for k in range(c):
+        zk, znext = prof.upper[k], prof.upper[k + 1]
+        for x in znext.basis.entries:
+            for j in range(n):
+                assert zk.contains(L.bracket_vector_basis(x, j)), (spec, k, j)
+        # x is in Z_{k+1} iff every functional vanishing on Z_k kills each [x, e_j]
+        if zk.is_zero:
+            ann = sympy.eye(n)
+        else:
+            ann = sympy.Matrix.hstack(*_sympy_rows(zk.basis.entries).nullspace()).T
+        stacked = sympy.Matrix.vstack(*(ann * ad for ad in ads))
+        assert znext.dim == n - stacked.rank(), (spec, k)
+    for k in range(c + 1):
+        assert prof.upper[k].contains_subspace(prof.gamma(c + 1 - k)), (spec, k)
 
 
 def test_quotient_by_derived_subalgebra():
@@ -190,6 +236,11 @@ def test_minimal_generators_h3():
 
 def test_minimal_generators_filiform():
     assert minimal_generators(filiform4()) == [basis_vector(4, 0), basis_vector(4, 1)]
+
+
+def test_minimal_generators_perfect_algebra():
+    # defined beyond nilpotent algebras: sl2 = [sl2, sl2] needs no lifts
+    assert minimal_generators(sl2()) == []
 
 
 def test_minimal_generators_regenerate():
