@@ -399,18 +399,21 @@ class TheoremVerification:
     yankosky_step_ok: bool
 
 
-def verify_theorem(L: LieAlgebra) -> TheoremVerification:
+def verify_theorem(L: LieAlgebra,
+                   report: BoundReport | None = None) -> TheoremVerification:
     """Check every asserted property on one nonabelian algebra.
 
     Raises VerificationFailure if dim M(L) exceeds the rai bound, a
     kernel row misses its required range, eq3 fails, the class-c
     quotient inequality fails, or a witness check fails.  A violated
-    refined bound is recorded in the report, never raised.
+    refined bound is recorded in the report, never raised.  ``report``
+    is ``bound_report(L)`` when the caller already holds it.
     """
     prof = series_profile(L)
     if prof.derived_dim == 0:
         raise RangeError("theorem applies to nonabelian algebras")
-    report = bound_report(L)
+    if report is None:
+        report = bound_report(L)
     kernel = ker_lambda_dims(L)
     n, m, c = report.n, report.m, report.c
     witnesses = tuple(psi_witnesses(L, i) for i in range(2, min(n - m, c) + 1))

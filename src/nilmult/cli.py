@@ -196,7 +196,7 @@ def _verify_spec(spec: str) -> dict:
             record["failure"] = (f"abelian multiplier {report.dim_M} != {expected}")
         return record
     try:
-        verification = verify_theorem(L)
+        verification = verify_theorem(L, report)
     except VerificationFailure as exc:
         record["ok"] = False
         record["failure"] = str(exc)

@@ -5,6 +5,10 @@ lowest terms, positive denominator), so no floating point ever enters a
 computation.  Matrices and subspaces are immutable; a subspace is stored
 as the reduced row-echelon basis of its span, which makes equality,
 membership and quotient coordinates canonical.
+
+All elimination (rank, RREF, subspace bases, kernels) runs through one
+sparse kernel, ``_echelon``, on rows held as ``{column: value}`` dicts,
+so its cost follows the nonzeros rather than the matrix shape.
 """
 
 from __future__ import annotations
@@ -103,44 +107,80 @@ class Matrix:
         return all(x == 0 for r in self.entries for x in r)
 
 
+def _sparse(v: Sequence[Fraction]) -> dict[int, Fraction]:
+    return {c: x for c, x in enumerate(v) if x}
+
+
+def _subtract(row: dict[int, Fraction], f: Fraction, prow: dict[int, Fraction]) -> None:
+    """row -= f * prow in place, dropping the entries that cancel."""
+    for c, y in prow.items():
+        x = row.get(c, _ZERO) - f * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def _echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Row echelon form of sparse rows, keyed by pivot column.
+
+    A row is a ``{col: value}`` dict without zero values; its pivot is its
+    smallest column.  Each row is reduced against the pivot rows held so
+    far until its pivot is new (it then joins them, scaled to a leading 1)
+    or nothing is left.  The input rows are not modified.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            p = min(row)
+            prow = pivots.get(p)
+            if prow is None:
+                lead = row[p]
+                if lead != 1:
+                    row = {c: x / lead for c, x in row.items()}
+                pivots[p] = row
+                break
+            _subtract(row, row[p], prow)
+    return pivots
+
+
+def _reduced(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
+    """(pivot, row) pairs of the reduced row-echelon form, pivots ascending.
+
+    Back-substitution on ``_echelon``: a pivot row only holds columns at or
+    right of its pivot, so clearing from the last pivot leftwards subtracts
+    rows that are already zero on every other pivot column.
+    """
+    pivots = _echelon(rows)
+    order = sorted(pivots)
+    for k in range(len(order) - 2, -1, -1):
+        row = pivots[order[k]]
+        for q in order[k + 1:]:
+            f = row.get(q)
+            if f:
+                _subtract(row, f, pivots[q])
+    return [(p, pivots[p]) for p in order]
+
+
+def _dense(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
+    return tuple(row.get(c, _ZERO) for c in range(n))
+
+
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank.
 
-    Plain rational Gauss-Jordan; pivots are normalised to 1 and cleared
-    above and below, so the result is the canonical RREF.
+    Pivots are normalised to 1 and cleared above and below, so the result
+    is the canonical RREF; zero rows come last.
     """
-    a = [list(r) for r in m.entries]
-    rank = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(rank, m.rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        lead = a[rank][c]
-        if lead != 1:
-            a[rank] = [x / lead for x in a[rank]]
-        prow = a[rank]
-        for i in range(m.rows):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], prow)]
-        rank += 1
-        if rank == m.rows:
-            break
-    return Matrix(m.rows, m.cols, tuple(tuple(r) for r in a)), rank
+    reduced = _reduced(map(_sparse, m.entries))
+    rows = [_dense(row, m.cols) for _, row in reduced]
+    rows += [zero_vector(m.cols)] * (m.rows - len(rows))
+    return Matrix(m.rows, m.cols, tuple(rows)), len(reduced)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
-
-
-def _pivot_cols(echelon: Matrix, nrows: int) -> tuple[int, ...]:
-    pivots = []
-    for i in range(nrows):
-        row = echelon.entries[i]
-        j = next(k for k, x in enumerate(row) if x != 0)
-        pivots.append(j)
-    return tuple(pivots)
+    return len(_echelon(map(_sparse, m.entries)))
 
 
 @dataclass(frozen=True)
@@ -156,11 +196,10 @@ class Subspace:
         rows = [vector(v) for v in vectors]
         if any(len(r) != ambient_dim for r in rows):
             raise DimensionMismatch("vector length does not match ambient dimension")
-        if not rows:
-            return cls.zero(ambient_dim)
-        echelon, rk = rref(Matrix.from_rows(rows, ambient_dim))
-        reduced = Matrix(rk, ambient_dim, echelon.entries[:rk])
-        return cls(ambient_dim, reduced, _pivot_cols(reduced, rk))
+        reduced = _reduced(map(_sparse, rows))
+        basis = tuple(_dense(row, ambient_dim) for _, row in reduced)
+        return cls(ambient_dim, Matrix(len(basis), ambient_dim, basis),
+                   tuple(p for p, _ in reduced))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -238,15 +277,13 @@ class Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Null space {x : m x = 0} as a subspace of Q^cols."""
-    echelon, rk = rref(m)
-    pivots = _pivot_cols(echelon, rk)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    reduced = _reduced(map(_sparse, m.entries))
+    free = sorted(set(range(m.cols)).difference(p for p, _ in reduced))
     rows = []
     for f in free:
         v = [_ZERO] * m.cols
         v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -echelon.entries[r][f]
+        for p, row in reduced:
+            v[p] = -row.get(f, _ZERO)
         rows.append(v)
     return Subspace.from_vectors(m.cols, rows)

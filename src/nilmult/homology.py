@@ -8,7 +8,9 @@ dimension of the second homology of the complex
 with trivial coefficients: dim M(L) = nullity(d2) - rank(d3).  Exterior
 power bases are index tuples in lexicographic order, and both boundary
 matrices are exact rational matrices, so the resulting dimensions are
-exact integers.
+exact integers.  Both boundaries are assembled once, as sparse columns,
+and ranked by the sparse elimination kernel of ``exactla``; the dense
+matrices are views of the same columns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactla import Matrix, rank
+from .exactla import Matrix, _echelon
 from .lie_core import LieAlgebra
 
 
@@ -42,45 +44,62 @@ class MultiplierResult:
             raise ValueError("inconsistent multiplier bookkeeping")
 
 
+_Columns = dict[int, dict[int, Fraction]]
+
+
+def _d2_columns(L: LieAlgebra) -> _Columns:
+    """Nonzero columns of d2, e_i ∧ e_j ↦ [e_i, e_j], keyed by pair index."""
+    pair_index = {p: t for t, p in enumerate(exterior_basis(L.dim, 2))}
+    return {pair_index[pair]: image for pair, image in L.table.items()}
+
+
+def _d3_columns(L: LieAlgebra) -> _Columns:
+    """Nonzero columns of d3, x∧y∧z ↦ [x,y]∧z − [x,z]∧y + [y,z]∧x.
+
+    Built from the nonzero brackets only: [e_a, e_b] with a < b enters the
+    column of the triple {a, b, t} as ±[e_a, e_b] ∧ e_t, negated when t
+    lies between a and b.
+    """
+    n = L.dim
+    pair_index = {p: t for t, p in enumerate(exterior_basis(n, 2))}
+    triple_index = {p: t for t, p in enumerate(exterior_basis(n, 3))}
+    columns: _Columns = {}
+    for (a, b), image in L.table.items():
+        for t in range(n):
+            if t == a or t == b:
+                continue
+            sign = -1 if a < t < b else 1
+            col = columns.setdefault(triple_index[tuple(sorted((a, b, t)))], {})
+            for s, x in image.items():
+                if s != t:  # e_s ∧ e_t = −e_t ∧ e_s in the pair basis
+                    key = pair_index[(min(s, t), max(s, t))]
+                    col[key] = col.get(key, 0) + (sign * x if s < t else -sign * x)
+    columns = {c: {r: x for r, x in col.items() if x} for c, col in columns.items()}
+    return {c: col for c, col in columns.items() if col}
+
+
+def _dense_view(columns: _Columns, rows: int, cols: int) -> Matrix:
+    entries = [[Fraction(0)] * cols for _ in range(rows)]
+    for c, col in columns.items():
+        for r, x in col.items():
+            entries[r][c] = x
+    return Matrix(rows, cols, tuple(map(tuple, entries)))
+
+
 def d2_matrix(L: LieAlgebra) -> Matrix:
-    """Boundary Λ²L → L, e_i ∧ e_j ↦ [e_i, e_j]; columns follow the pair basis."""
-    pairs = exterior_basis(L.dim, 2)
-    columns = [L.bracket_basis(i, j) for i, j in pairs]
-    rows = [[col[r] for col in columns] for r in range(L.dim)]
-    return Matrix.from_rows(rows, cols=len(pairs))
+    """Boundary Λ²L → L as a dense matrix; columns follow the pair basis."""
+    return _dense_view(_d2_columns(L), L.dim, comb(L.dim, 2))
 
 
 def d3_matrix(L: LieAlgebra) -> Matrix:
-    """Boundary Λ³L → Λ²L, x∧y∧z ↦ [x,y]∧z − [x,z]∧y + [y,z]∧x."""
-    pairs = exterior_basis(L.dim, 2)
-    triples = exterior_basis(L.dim, 3)
-    pair_index = {p: t for t, p in enumerate(pairs)}
-
-    def wedge_into(col: list[Fraction], v, t: int, sign: int):
-        # v ∧ e_t expanded over the pair basis
-        for s, x in enumerate(v):
-            if not x or s == t:
-                continue
-            if s < t:
-                col[pair_index[(s, t)]] += sign * x
-            else:
-                col[pair_index[(t, s)]] -= sign * x
-
-    columns = []
-    for i, j, k in triples:
-        col = [Fraction(0)] * len(pairs)
-        wedge_into(col, L.bracket_basis(i, j), k, 1)
-        wedge_into(col, L.bracket_basis(i, k), j, -1)
-        wedge_into(col, L.bracket_basis(j, k), i, 1)
-        columns.append(col)
-    rows = [[col[r] for col in columns] for r in range(len(pairs))]
-    return Matrix.from_rows(rows, cols=len(triples))
+    """Boundary Λ³L → Λ²L as a dense matrix; columns follow the triple basis."""
+    return _dense_view(_d3_columns(L), comb(L.dim, 2), comb(L.dim, 3))
 
 
 @lru_cache(maxsize=None)
 def multiplier_dim(L: LieAlgebra) -> MultiplierResult:
     """dim M(L) = C(n,2) − rank(d2) − rank(d3), all exact."""
-    r2 = rank(d2_matrix(L))
-    r3 = rank(d3_matrix(L))
+    r2 = len(_echelon(_d2_columns(L).values()))
+    r3 = len(_echelon(_d3_columns(L).values()))
     return MultiplierResult(n=L.dim, rank_d2=r2, rank_d3=r3,
                             dim_M=comb(L.dim, 2) - r2 - r3)

@@ -19,6 +19,7 @@ from .exactla import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _echelon,
     basis_vector,
     is_zero_vector,
     kernel_basis,
@@ -148,13 +149,29 @@ class LieAlgebra:
     # -- validation ------------------------------------------------------
 
     def _check_jacobi(self):
+        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for i < j < k.
+
+        Walks only nonzero table entries: [e_a, e_b] = Σ x_q e_q, then
+        [e_q, e_t].  Triples are tried in lexicographic order, so the
+        first failing one is the one reported.
+        """
+        table, zero = self._table, Fraction(0)
         for i, j, k in itertools.combinations(range(self.dim), 3):
-            res = [a + b + c for a, b, c in zip(
-                self.bracket_vector_basis(self.bracket_basis(i, j), k),
-                self.bracket_vector_basis(self.bracket_basis(j, k), i),
-                self.bracket_vector_basis(self.bracket_basis(k, i), j))]
-            if not is_zero_vector(res):
-                raise JacobiViolation(i, j, k, tuple(res))
+            res: dict[int, Fraction] = {}
+            # [[e_k, e_i], e_j] = -[[e_i, e_k], e_j]
+            for pair, t, negate in (((i, j), k, False), ((j, k), i, False),
+                                    ((i, k), j, True)):
+                for q, x in table.get(pair, ()):
+                    if q == t:
+                        continue
+                    inner = table.get((q, t) if q < t else (t, q), ())
+                    if inner and negate != (q > t):  # [e_q, e_t] = -[e_t, e_q]
+                        x = -x
+                    for m, c in inner:
+                        res[m] = res.get(m, zero) + x * c
+            if any(res.values()):
+                raise JacobiViolation(
+                    i, j, k, tuple(res.get(m, zero) for m in range(self.dim)))
 
 
 def validate(dim: int, table, name: str = "L") -> LieAlgebra:
@@ -250,9 +267,12 @@ def series_profile(L: LieAlgebra) -> SeriesProfile:
 
 
 def minimal_generators(L: LieAlgebra) -> list[Vector]:
-    """Lifts of a basis of L/gamma_2: the non-pivot coordinate vectors."""
-    gamma2 = product_space(L, Subspace.full(L.dim), Subspace.full(L.dim))
-    taken = set(gamma2.pivots)
+    """Lifts of a basis of L/gamma_2: the non-pivot coordinate vectors.
+
+    gamma_2 is spanned by the nonzero table entries [e_i, e_j], i < j (the
+    columns of d2), so its pivots come from echelonising those alone.
+    """
+    taken = _echelon(dict(entry) for entry in L._table.values())
     return [basis_vector(L.dim, k) for k in range(L.dim) if k not in taken]
 
 

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from nilmult import analysis, cli
+from nilmult.analysis import VerificationFailure, bound_report
+from nilmult.catalog import build, default_manifest
 from nilmult.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -166,6 +169,44 @@ def test_verify_corpus_parallel_matches_serial(capsys):
                              "--parallel")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_corpus_builds_one_bound_report_per_algebra(capsys, monkeypatch):
+    calls = []
+
+    def counted(L):
+        calls.append(L.name)
+        return bound_report(L)
+
+    monkeypatch.setattr(analysis, "bound_report", counted)
+    monkeypatch.setattr(cli, "bound_report", counted)
+    code, _, _ = run_cli(capsys, "verify", "corpus")
+    assert code == 0
+    assert sorted(calls) == sorted(build(spec).name for spec in default_manifest().specs)
+
+
+def _raise_witness_failure(L, i):
+    raise VerificationFailure(f"{L.name}: Ψ_{i} witness for z=1 escapes the kernel")
+
+
+@pytest.mark.parametrize("target,patch,failure", [
+    ("_eq3_holds", lambda profile: False, "heisenberg:2: telescoping identity fails"),
+    ("psi_witnesses", _raise_witness_failure,
+     "heisenberg:2: Ψ_2 witness for z=1 escapes the kernel"),
+])
+def test_verify_corpus_failure_record(capsys, monkeypatch, target, patch, failure):
+    # one check made to fail, with and without a verification payload
+    report = bound_report(build("heisenberg:2"))
+    monkeypatch.setattr(analysis, target, patch)
+    expected = {"name": "heisenberg:2", "abelian": False, "ok": False,
+                "failure": failure, "report": report.to_dict(), "kernel": [],
+                "witness_ranks": [], "eq3_ok": None, "yankosky_step_ok": None,
+                "refined_ok": report.refined_holds}
+    assert json.dumps(cli._verify_spec("heisenberg:2")) == json.dumps(expected)
+    code, out, err = run_cli(capsys, "verify", "corpus", "--max-dim", "5", "--json")
+    assert code == 1
+    assert expected in json.loads(out)
+    assert f"check failed: {failure}" in err
 
 
 def test_info_malformed_file_exit_two(capsys):

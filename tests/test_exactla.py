@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,51 @@ def matrices(draw, max_dim=5):
     entries = draw(st.lists(st.lists(rationals, min_size=cols, max_size=cols),
                             min_size=rows, max_size=rows))
     return Matrix.from_rows(entries, cols=cols)
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Shapes from 0x0 to 6x6: dense or mostly-zero p/q entries, with some
+    rows repeated at a rational multiple so the rank falls short."""
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = draw(st.integers(min_value=0, max_value=6))
+    values = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    if draw(st.booleans()):
+        values = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                           st.just(Fraction(0)), values)
+    base = draw(st.integers(min_value=0, max_value=rows))
+    entries = draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                            min_size=base, max_size=base))
+    while len(entries) < rows:
+        source = (entries[draw(st.integers(0, len(entries) - 1))] if entries
+                  else [Fraction(0)] * cols)
+        factor = draw(rationals)
+        entries.append([factor * x for x in source])
+    order = draw(st.permutations(range(rows)))
+    return Matrix(rows, cols, tuple(tuple(entries[i]) for i in order))
+
+
+def _sympy(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in m.entries for x in row])
+
+
+@given(oracle_matrices())
+@settings(max_examples=300)
+def test_rref_and_rank_match_sympy(m):
+    expected, pivots = _sympy(m).rref()
+    echelon, r = rref(m)
+    assert (echelon.rows, echelon.cols) == (m.rows, m.cols)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            x = expected[i, j]
+            assert echelon.entries[i][j] == Fraction(int(x.p), int(x.q)), (i, j)
+    assert r == rank(m) == _sympy(m).rank() == len(pivots)
+    assert Subspace.from_vectors(m.cols, m.entries).pivots == tuple(pivots)
+    kernel = kernel_basis(m)
+    assert kernel.dim == m.cols - r
+    for row in kernel.basis.entries:
+        assert all(x == 0 for x in m.apply(row))
 
 
 @st.composite

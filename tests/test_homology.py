@@ -4,7 +4,7 @@ from math import comb
 import pytest
 import sympy
 
-from nilmult.catalog import build, default_manifest
+from nilmult.catalog import DIM_GUARD, build, default_manifest
 from nilmult.homology import d2_matrix, d3_matrix, exterior_basis, multiplier_dim
 from nilmult.lie_core import direct_sum, series_profile, validate
 
@@ -56,6 +56,31 @@ def test_chain_complex_property(spec):
     L = build(spec)
     composite = d2_matrix(L) @ d3_matrix(L)
     assert composite.is_zero
+
+
+def _reference_boundaries(L):
+    """Dense d2 and d3 assembled triple by triple from bracket_basis."""
+    n = L.dim
+    pairs, triples = exterior_basis(n, 2), exterior_basis(n, 3)
+    pair_index = {p: t for t, p in enumerate(pairs)}
+    d2 = [[L.bracket_basis(i, j)[r] for i, j in pairs] for r in range(n)]
+    d3 = [[0] * len(triples) for _ in pairs]
+    for col, (i, j, k) in enumerate(triples):
+        for (a, b), t, sign in (((i, j), k, 1), ((i, k), j, -1), ((j, k), i, 1)):
+            for s, x in enumerate(L.bracket_basis(a, b)):
+                if x and s != t:
+                    row, value = (pair_index[(s, t)], sign * x) if s < t \
+                        else (pair_index[(t, s)], -sign * x)
+                    d3[row][col] += value
+    return d2, d3
+
+
+@pytest.mark.parametrize("spec", SMALL_CORPUS + ["freenil:3,3"])
+def test_boundaries_match_reference_assembly(spec):
+    L = build(spec)
+    d2, d3 = _reference_boundaries(L)
+    assert [list(row) for row in d2_matrix(L).entries] == d2
+    assert [list(row) for row in d3_matrix(L).entries] == d3
 
 
 @pytest.mark.parametrize("spec", SMALL_CORPUS)
@@ -111,3 +136,34 @@ def test_direct_sum_multiplier_formula(a, b):
     g1 = series_profile(L1).gen_count
     g2 = series_profile(L2).gen_count
     assert total == multiplier_dim(L1).dim_M + multiplier_dim(L2).dim_M + g1 * g2
+
+
+def _witt(d, k):
+    """Number of Lyndon words of length k over d letters."""
+    def moebius(n):
+        result, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                result = -result
+            p += 1
+        return -result if n > 1 else result
+    return sum(moebius(k // e) * d ** e for e in range(1, k + 1) if k % e == 0) // k
+
+
+FREENIL_WITHIN_GUARD = [
+    (d, c) for d in range(2, DIM_GUARD + 1) for c in range(2, DIM_GUARD + 1)
+    if sum(_witt(d, k) for k in range(1, c + 1)) <= DIM_GUARD]
+
+
+@pytest.mark.parametrize("d,c", FREENIL_WITHIN_GUARD)
+def test_freenil_multiplier_is_witt_number(d, c):
+    # Hopf's formula: M(F/γ_{c+1}F) ≅ γ_{c+1}F/γ_{c+2}F, of dimension W(d, c+1)
+    assert multiplier_dim(build(f"freenil:{d},{c}")).dim_M == _witt(d, c + 1)
+
+
+@pytest.mark.parametrize("k", range(2, 32))
+def test_heisenberg_multiplier_closed_form(k):
+    assert multiplier_dim(build(f"heisenberg:{k}")).dim_M == 2 * k * k - k - 1

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilmult.catalog import build, default_manifest
 from nilmult.exactla import Subspace, basis_vector, is_zero_vector, vector
@@ -56,6 +58,99 @@ def test_jacobi_violation_detected():
         validate(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
     assert info.value.triple == (0, 1, 2)
     assert info.value.residual == vector([0, 0, -1])
+
+
+def test_jacobi_violation_away_from_first_triple():
+    # the table above shifted onto e_1..e_3; e_0 is central
+    table = {(1, 2): {3: 1}, (1, 3): {1: 1}}
+    with pytest.raises(JacobiViolation) as info:
+        validate(4, table)
+    assert info.value.triple == (1, 2, 3)
+    assert info.value.residual == vector([0, 0, 0, -1])
+    assert _reference_jacobi(4, table) == ((1, 2, 3), vector([0, 0, 0, -1]))
+
+
+def _reference_jacobi(dim, table):
+    """The dense triple loop: (triple, residual) of the first failure, or None.
+
+    ``table`` maps (i, j), i < j, to {k: coefficient}.
+    """
+    def bracket(x, y):
+        acc = [Fraction(0)] * dim
+        for (i, j), entry in table.items():
+            w = x[i] * y[j] - x[j] * y[i]
+            for k, c in entry.items():
+                acc[k] += w * c
+        return acc
+
+    e = [basis_vector(dim, k) for k in range(dim)]
+    for i, j, k in itertools.combinations(range(dim), 3):
+        res = [a + b + c for a, b, c in zip(bracket(bracket(e[i], e[j]), e[k]),
+                                            bracket(bracket(e[j], e[k]), e[i]),
+                                            bracket(bracket(e[k], e[i]), e[j]))]
+        if not is_zero_vector(res):
+            return (i, j, k), tuple(res)
+    return None
+
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=5)
+JACOBI_SOURCES = ["heisenberg:1", "heisenberg:2", "filiform:5", "filiform:7",
+                  "freenil:2,3", "freenil:2,4", "freenil:3,2",
+                  "dirsum:heisenberg:1+filiform:4"]
+
+
+@st.composite
+def valid_tables(draw):
+    """A family member, a quotient of it by a random central subspace, or
+    either with its basis reversed."""
+    L = build(draw(st.sampled_from(JACOBI_SOURCES)))
+    center = series_profile(L).center
+    count = draw(st.integers(min_value=0, max_value=center.dim))
+    if count:
+        combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=center.dim,
+                                        max_size=center.dim),
+                               min_size=count, max_size=count))
+        vecs = [[sum(a * row[k] for a, row in zip(combo, center.basis.entries))
+                 for k in range(L.dim)] for combo in combos]
+        L, _ = quotient_algebra(L, Subspace.from_vectors(L.dim, vecs))
+    if draw(st.booleans()):
+        L = _reversed_basis(L)
+    return L.dim, L.table
+
+
+@st.composite
+def random_tables(draw):
+    dim = draw(st.integers(min_value=3, max_value=5))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(dim), 2))),
+                          unique=True, max_size=4))
+    return dim, {pair: draw(st.dictionaries(st.integers(0, dim - 1), coefficients,
+                                            min_size=1, max_size=2))
+                 for pair in pairs}
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A valid table with one coefficient changed or added."""
+    dim, table = draw(valid_tables())
+    pair = draw(st.sampled_from(list(itertools.combinations(range(dim), 2))))
+    k = draw(st.integers(0, dim - 1))
+    entry = dict(table.get(pair, {}))
+    entry[k] = entry.get(k, Fraction(0)) + draw(coefficients.filter(bool))
+    table[pair] = entry
+    return dim, table
+
+
+@given(st.one_of(valid_tables(), random_tables(), perturbed_tables()))
+@settings(max_examples=300, deadline=None)
+def test_jacobi_check_matches_dense_reference(case):
+    dim, table = case
+    expected = _reference_jacobi(dim, table)
+    if expected is None:
+        assert LieAlgebra(dim, table).dim == dim
+        return
+    with pytest.raises(JacobiViolation) as info:
+        LieAlgebra(dim, table)
+    assert (info.value.triple, info.value.residual) == expected
 
 
 def test_bracket_table_entry():
@@ -236,6 +331,16 @@ def test_minimal_generators_h3():
 
 def test_minimal_generators_filiform():
     assert minimal_generators(filiform4()) == [basis_vector(4, 0), basis_vector(4, 1)]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("spec", default_manifest().specs)
+def test_minimal_generators_match_product_space(spec, reverse):
+    L = _reversed_basis(build(spec)) if reverse else build(spec)
+    full = Subspace.full(L.dim)
+    taken = set(product_space(L, full, full).pivots)
+    assert minimal_generators(L) == [basis_vector(L.dim, k)
+                                     for k in range(L.dim) if k not in taken]
 
 
 def test_minimal_generators_perfect_algebra():
