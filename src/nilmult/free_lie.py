@@ -1,11 +1,12 @@
 """Symbolic free Lie algebra over numbered generators.
 
 Elements are handled in two forms.  A ``BracketExpr`` is a formal
-bracket tree; expanding it into the tensor algebra (words with rational
+bracket tree; expanding it into the tensor algebra (words with integer
 coefficients, bracket = xy - yx on concatenation products) gives a
 faithful representation, and rewriting against the standard bracketings
 of Lyndon words produces the unique Lyndon-basis normal form
-(``FreeLieElement``).  On top of this the module builds the
+(``FreeLieElement``, with ``Fraction`` coefficients; the rational edge
+is ``expand_to_lyndon``).  On top of this the module builds the
 degree-(i+1) commutator identity used for kernel witnesses, and the
 free-nilpotent algebras of given rank and class.
 """
@@ -13,6 +14,7 @@ free-nilpotent algebras of given rank and class.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -95,24 +97,23 @@ def right_normed(xs: Sequence) -> BracketExpr:
 
 # -- tensor-algebra representation ----------------------------------------
 
-def _tensor_add_into(acc: dict[Word, Fraction], p: Mapping[Word, Fraction],
-                     c: Fraction = Fraction(1)) -> None:
+def _tensor_add_into(acc: dict[Word, int], p: Mapping[Word, int], c: int = 1) -> None:
     for w, a in p.items():
-        v = acc.get(w, Fraction(0)) + c * a
+        v = acc.get(w, 0) + c * a
         if v:
             acc[w] = v
         else:
             acc.pop(w, None)
 
 
-def _tensor_bracket(p: Mapping[Word, Fraction], q: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
+def _tensor_bracket(p: Mapping[Word, int], q: Mapping[Word, int]) -> dict[Word, int]:
     """pq - qp on concatenation products."""
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, int] = {}
     for wp, cp in p.items():
         for wq, cq in q.items():
             c = cp * cq
             for w, s in ((wp + wq, c), (wq + wp, -c)):
-                v = out.get(w, Fraction(0)) + s
+                v = out.get(w, 0) + s
                 if v:
                     out[w] = v
                 else:
@@ -120,10 +121,10 @@ def _tensor_bracket(p: Mapping[Word, Fraction], q: Mapping[Word, Fraction]) -> d
     return out
 
 
-def tensor_expansion(e: BracketExpr) -> dict[Word, Fraction]:
-    """Image of the expression in the tensor algebra."""
+def tensor_expansion(e: BracketExpr) -> dict[Word, int]:
+    """Image of the expression in the tensor algebra (integer coefficients)."""
     if e.is_generator:
-        return {(e.symbol,): Fraction(1)}
+        return {(e.symbol,): 1}
     return _tensor_bracket(tensor_expansion(e.left), tensor_expansion(e.right))
 
 
@@ -180,24 +181,25 @@ def lyndon_bracketing(w: Word) -> BracketExpr:
 
 
 @lru_cache(maxsize=None)
-def _lyndon_tensor(w: Word) -> dict[Word, Fraction]:
-    """Tensor expansion of P_w.  Cached; callers must not mutate."""
+def _lyndon_tensor(w: Word) -> dict[Word, int]:
+    """Integer tensor expansion of P_w.  Cached; callers must not mutate."""
     if len(w) == 1:
-        return {w: Fraction(1)}
+        return {w: 1}
     u, v = std_factorization(w)
     return _tensor_bracket(_lyndon_tensor(u), _lyndon_tensor(v))
 
 
-def _lyndonize(tensor: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
+def _lyndonize(tensor: Mapping[Word, int]) -> dict[Word, int]:
     """Rewrite a Lie-element tensor polynomial in the Lyndon basis.
 
     Within each degree, P_w = w + (lexicographically larger words), so
     repeatedly stripping the smallest surviving word is triangular and
-    terminates.  A smallest word that is not Lyndon certifies that the
-    input was not a Lie element.
+    terminates; as P_w is integral with leading coefficient 1, an integer
+    tensor has integer Lyndon coordinates.  A smallest word that is not
+    Lyndon certifies that the input was not a Lie element.
     """
-    coords: dict[Word, Fraction] = {}
-    by_degree: dict[int, dict[Word, Fraction]] = {}
+    coords: dict[Word, int] = {}
+    by_degree: dict[int, dict[Word, int]] = {}
     for w, c in tensor.items():
         if c:
             by_degree.setdefault(len(w), {})[w] = c
@@ -248,15 +250,19 @@ Combination = Iterable[tuple[Fraction, BracketExpr]]
 
 
 def expand_to_lyndon(e: "BracketExpr | Combination") -> FreeLieElement:
-    """Lyndon normal form of a bracket expression or linear combination."""
-    if isinstance(e, BracketExpr):
-        combination: Combination = [(Fraction(1), e)]
-    else:
-        combination = e
-    tensor: dict[Word, Fraction] = {}
+    """Lyndon normal form of a bracket expression or linear combination.
+
+    The tensor sum is taken over the coefficients' common denominator
+    ``scale``, so it stays integral."""
+    combination = [(Fraction(1), e)] if isinstance(e, BracketExpr) else [
+        (rational(coeff), expr) for coeff, expr in e]
+    scale = math.lcm(*(coeff.denominator for coeff, _ in combination))
+    tensor: dict[Word, int] = {}
     for coeff, expr in combination:
-        _tensor_add_into(tensor, tensor_expansion(expr), rational(coeff))
-    return FreeLieElement.from_dict(_lyndonize(tensor))
+        _tensor_add_into(tensor, tensor_expansion(expr),
+                         coeff.numerator * (scale // coeff.denominator))
+    return FreeLieElement.from_dict(
+        {w: Fraction(c, scale) for w, c in _lyndonize(tensor).items()})
 
 
 # -- the degree-(i+1) commutator identity ----------------------------------
@@ -323,7 +329,7 @@ def free_nilpotent(d: int, c: int, name: str | None = None) -> LieAlgebra:
         raise ValueError("free_nilpotent requires d >= 1 and c >= 1")
     basis = lyndon_words(d, c)
     index = {w: t for t, w in enumerate(basis)}
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, int]] = {}
     for a, b in itertools.combinations(range(len(basis)), 2):
         u, v = basis[a], basis[b]
         if len(u) + len(v) > c:

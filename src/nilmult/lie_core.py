@@ -135,15 +135,16 @@ class LieAlgebra:
         return tuple(acc)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        """Bilinear antisymmetric extension of the table."""
+        """Bilinear antisymmetric extension of the table: the sum of
+        y_j [x, e_j] over the support of y, each walking the support of x."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match algebra dimension")
         acc = [Fraction(0)] * self.dim
-        for (i, j), entry in self._table.items():
-            w = x[i] * y[j] - x[j] * y[i]
-            if w:
-                for k, c in entry:
-                    acc[k] += w * c
+        for j, b in enumerate(y):
+            if b:
+                for k, c in enumerate(self.bracket_vector_basis(x, j)):
+                    if c:
+                        acc[k] += b * c
         return tuple(acc)
 
     # -- validation ------------------------------------------------------
@@ -285,7 +286,9 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
     """
     if ideal.ambient_dim != L.dim:
         raise DimensionMismatch("ideal ambient dimension does not match algebra")
-    if not ideal.contains_subspace(product_space(L, Subspace.full(L.dim), ideal)):
+    # [L, I] is spanned by the [v, e_j] over I's basis rows v and all j.
+    if not all(ideal.contains(L.bracket_vector_basis(row, j))
+               for row in ideal.basis.entries for j in range(L.dim)):
         raise NotAnIdeal(f"{L.name}: subspace is not an ideal")
     taken = set(ideal.pivots)
     complement = [k for k in range(L.dim) if k not in taken]

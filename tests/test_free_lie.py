@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilmult.exactla import is_zero_vector
 from nilmult.free_lie import (
@@ -10,6 +12,7 @@ from nilmult.free_lie import (
     FreeLieElement,
     NotALieElement,
     _lyndonize,
+    _tensor_add_into,
     br,
     evaluate_in,
     expand_to_lyndon,
@@ -211,11 +214,42 @@ def test_expression_arity_below_three_rejected():
         lemma31_term_pairs(1)
 
 
-@pytest.mark.parametrize("i", [3, 4, 5, 6])
+@pytest.mark.parametrize("i", range(3, 12))
 def test_identity_holds(i):
     residual = verify_lemma31(i)
     assert residual.is_zero
     assert str(residual) == "0"
+
+
+def _broken_identities(i):
+    """(dropped, doubled) for each term: the identity without it, and with
+    its coefficient doubled."""
+    terms = lemma31_expression(i)
+    for k, (coeff, expr) in enumerate(terms):
+        yield terms[:k] + terms[k + 1:], terms[:k] + [(2 * coeff, expr)] + terms[k + 1:]
+
+
+# The zero residuals are not vacuous: each term is a nonzero Lie element, so
+# a broken identity leaves the term's negative (dropped) or the term itself
+# (doubled) behind.  At i = 8 one term's Lyndon form has 40320 coordinates
+# (the full check took 102 s, and the P_w cache grows with every one), so
+# past i = 6 the check stops at the integer tensor sum that expand_to_lyndon
+# hands to _lyndonize, which never maps a nonzero tensor to zero.
+@pytest.mark.parametrize("i", range(3, 7))
+def test_identity_residual_detects_a_broken_term(i):
+    for k, (dropped, doubled) in enumerate(_broken_identities(i)):
+        residual = expand_to_lyndon(dropped)
+        assert not residual.is_zero, (i, k)
+        assert residual.terms == tuple((w, -c) for w, c in expand_to_lyndon(doubled).terms)
+
+
+@pytest.mark.parametrize("i", range(3, 9))
+def test_identity_tensor_detects_a_broken_term(i):
+    for k, broken in enumerate(itertools.chain(*_broken_identities(i))):
+        tensor = {}
+        for coeff, expr in broken:
+            _tensor_add_into(tensor, tensor_expansion(expr), int(coeff))
+        assert tensor, (i, k)
 
 
 @pytest.mark.parametrize("i", [2, 3])
@@ -283,3 +317,111 @@ def test_bracket_expr_guards():
         BracketExpr(symbol=1, left=gen(1), right=gen(2))
     with pytest.raises(ValueError):
         BracketExpr(symbol=None, left=gen(1), right=None)
+
+
+# -- the integer tensor core against the rational reference -----------------
+#
+# The reference does every bracket, sum and Lyndon rewrite in Fraction, so
+# it shares no arithmetic with the integer tensor core.
+
+def _ref_add_into(acc, p, c=Fraction(1)):
+    for w, a in p.items():
+        v = acc.get(w, Fraction(0)) + c * a
+        if v:
+            acc[w] = v
+        else:
+            acc.pop(w, None)
+
+
+def _ref_bracket(p, q):
+    out = {}
+    for wp, cp in p.items():
+        for wq, cq in q.items():
+            _ref_add_into(out, {wp + wq: cp * cq})
+            _ref_add_into(out, {wq + wp: -cp * cq})
+    return out
+
+
+def _ref_expansion(e):
+    if e.is_generator:
+        return {(e.symbol,): Fraction(1)}
+    return _ref_bracket(_ref_expansion(e.left), _ref_expansion(e.right))
+
+
+def _ref_lyndon_tensor(w):
+    if len(w) == 1:
+        return {w: Fraction(1)}
+    u, v = std_factorization(w)
+    return _ref_bracket(_ref_lyndon_tensor(u), _ref_lyndon_tensor(v))
+
+
+def _ref_lyndon_form(combination):
+    tensor = {}
+    for coeff, expr in combination:
+        _ref_add_into(tensor, _ref_expansion(expr), Fraction(coeff))
+    coords = {}
+    for degree in sorted({len(w) for w in tensor}):
+        work = {w: c for w, c in tensor.items() if len(w) == degree}
+        while work:
+            w = min(work)
+            assert is_lyndon(w), "reference input is a Lie element"
+            coords[w] = work[w]
+            _ref_add_into(work, _ref_lyndon_tensor(w), -work[w])
+    return tuple(sorted(coords.items(), key=lambda t: (len(t[0]), t[0])))
+
+
+@st.composite
+def bracket_trees(draw, max_degree=7):
+    """A bracket tree over x1..x_d (d <= 4) of degree <= max_degree."""
+    d = draw(st.integers(1, 4))
+
+    def tree(degree):
+        if degree == 1:
+            return gen(draw(st.integers(1, d)))
+        split = draw(st.integers(1, degree - 1))
+        return br(tree(split), tree(degree - split))
+
+    return tree(draw(st.integers(1, max_degree)))
+
+
+scalars = st.one_of(st.integers(-4, 4), st.just(0), st.just(Fraction(0)),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=7))
+
+
+@given(st.one_of(bracket_trees(), st.lists(st.tuples(scalars, bracket_trees()), max_size=4)))
+@settings(max_examples=300, deadline=None)
+def test_expand_to_lyndon_matches_rational_reference(e):
+    combination = [(1, e)] if isinstance(e, BracketExpr) else e
+    result = expand_to_lyndon(e)
+    assert result.terms == _ref_lyndon_form(combination)
+    assert all(type(c) is Fraction for _, c in result.terms)
+    for _, expr in combination:
+        t = tensor_expansion(expr)
+        assert t == _ref_expansion(expr)
+        assert all(type(c) is int for c in t.values())
+
+
+def test_expand_empty_combination_is_zero():
+    assert expand_to_lyndon([]).is_zero
+    assert expand_to_lyndon(iter([])).is_zero
+
+
+def test_expand_keeps_rational_coefficients():
+    e = expand_to_lyndon([(Fraction(1, 2), br(gen(1), gen(2))),
+                          (Fraction(1, 3), br(gen(2), gen(1))),
+                          (Fraction(-3, 4), br(gen(1), br(gen(1), gen(2))))])
+    assert e.terms == (((1, 2), Fraction(1, 6)), ((1, 1, 2), Fraction(-3, 4)))
+
+
+@given(bracket_trees().filter(lambda e: e.degree >= 2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lyndonize_rejects_perturbed_lie_element(e, data):
+    # a homogeneous Lie polynomial of degree >= 2 has coefficient sum 0
+    # (send every generator to one commuting variable), so adding c*w with
+    # c != 0 and len(w) = degree leaves the free Lie algebra
+    tensor = tensor_expansion(e)
+    w = tuple(data.draw(st.lists(st.integers(1, 4), min_size=e.degree, max_size=e.degree)))
+    c = data.draw(st.integers(-3, 3).filter(bool))
+    tensor[w] = tensor.get(w, 0) + c
+    with pytest.raises(NotALieElement):
+        _lyndonize(tensor)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilmult.catalog import build, default_manifest
-from nilmult.exactla import Subspace, basis_vector, is_zero_vector, vector
+from nilmult.exactla import DimensionMismatch, Subspace, basis_vector, is_zero_vector, vector
 from nilmult.lie_core import (
     JacobiViolation,
     LieAlgebra,
@@ -99,20 +100,24 @@ JACOBI_SOURCES = ["heisenberg:1", "heisenberg:2", "filiform:5", "filiform:7",
                   "dirsum:heisenberg:1+filiform:4"]
 
 
+def _central_vectors(draw, L, count):
+    """count random integer combinations of the centre's basis rows."""
+    center = series_profile(L).center
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=center.dim,
+                                    max_size=center.dim),
+                           min_size=count, max_size=count))
+    return [[sum(a * row[k] for a, row in zip(combo, center.basis.entries))
+             for k in range(L.dim)] for combo in combos]
+
+
 @st.composite
 def valid_tables(draw):
     """A family member, a quotient of it by a random central subspace, or
     either with its basis reversed."""
     L = build(draw(st.sampled_from(JACOBI_SOURCES)))
-    center = series_profile(L).center
-    count = draw(st.integers(min_value=0, max_value=center.dim))
+    count = draw(st.integers(min_value=0, max_value=series_profile(L).center.dim))
     if count:
-        combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=center.dim,
-                                        max_size=center.dim),
-                               min_size=count, max_size=count))
-        vecs = [[sum(a * row[k] for a, row in zip(combo, center.basis.entries))
-                 for k in range(L.dim)] for combo in combos]
-        L, _ = quotient_algebra(L, Subspace.from_vectors(L.dim, vecs))
+        L, _ = quotient_algebra(L, Subspace.from_vectors(L.dim, _central_vectors(draw, L, count)))
     if draw(st.booleans()):
         L = _reversed_basis(L)
     return L.dim, L.table
@@ -171,6 +176,48 @@ def test_bracket_alternating_on_random_vectors():
         xy = L.bracket(x, y)
         yx = L.bracket(y, x)
         assert all(a == -b for a, b in zip(xy, yx))
+
+
+def _reference_bracket(L, x, y):
+    """The whole-table walk: sum over (i, j), i < j, of (x_i y_j - x_j y_i) [e_i, e_j]."""
+    if len(x) != L.dim or len(y) != L.dim:
+        raise DimensionMismatch("vector length does not match algebra dimension")
+    acc = [Fraction(0)] * L.dim
+    for (i, j), entry in L.table.items():
+        w = x[i] * y[j] - x[j] * y[i]
+        if w:
+            for k, c in entry.items():
+                acc[k] += w * c
+    return tuple(acc)
+
+
+def vectors(n):
+    """Sparse, dense (integer or p/q entries) and basis vectors of length n."""
+    sparse = st.dictionaries(st.integers(0, n - 1), coefficients.filter(bool),
+                             max_size=3).map(lambda d: [d.get(k, Fraction(0)) for k in range(n)])
+    dense = st.lists(st.one_of(st.integers(-3, 3).map(Fraction), coefficients),
+                     min_size=n, max_size=n)
+    basis = st.integers(0, n - 1).map(lambda k: basis_vector(n, k))
+    return st.one_of(sparse, dense, basis).map(tuple)
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_algebra(spec, reverse):
+    return _reversed_basis(build(spec)) if reverse else build(spec)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("spec", default_manifest().specs)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_bracket_matches_table_walk(spec, reverse, data):
+    L = _corpus_algebra(spec, reverse)
+    x = data.draw(vectors(L.dim), label="x")
+    y = data.draw(vectors(L.dim), label="y")
+    assert L.bracket(x, y) == _reference_bracket(L, x, y)
+    for bad in ((x[:-1], y), (x, y + (Fraction(1),))):
+        with pytest.raises(DimensionMismatch):
+            L.bracket(*bad)
 
 
 def test_product_space_of_h3():
@@ -308,6 +355,38 @@ def test_quotient_requires_ideal():
     L = h3()
     with pytest.raises(NotAnIdeal):
         quotient_algebra(L, Subspace.from_vectors(3, [[1, 0, 0]]))
+
+
+@st.composite
+def candidate_ideals(draw):
+    """(L, I): I central (always an ideal), a series term plus random
+    vectors, or a random span (mostly not an ideal)."""
+    L = _corpus_algebra(draw(st.sampled_from(JACOBI_SOURCES)), draw(st.booleans()))
+    prof = series_profile(L)
+    kind = draw(st.sampled_from(["central", "series", "random"]))
+    ints = st.lists(st.integers(-2, 2), min_size=L.dim, max_size=L.dim)
+    if kind == "central":
+        vecs = _central_vectors(draw, L, draw(st.integers(0, 3)))
+    elif kind == "series":
+        term = draw(st.sampled_from(prof.lower + prof.upper))
+        vecs = list(term.basis.entries) + draw(st.lists(ints, max_size=2))
+    else:
+        vecs = draw(st.lists(ints, min_size=1, max_size=L.dim))
+    return L, kind, Subspace.from_vectors(L.dim, vecs)
+
+
+@given(candidate_ideals())
+@settings(max_examples=300, deadline=None)
+def test_quotient_ideal_check_matches_product_space(case):
+    L, kind, ideal = case
+    is_ideal = ideal.contains_subspace(product_space(L, Subspace.full(L.dim), ideal))
+    assert is_ideal or kind != "central"
+    if is_ideal:
+        Q, _ = quotient_algebra(L, ideal)
+        assert Q.dim == L.dim - ideal.dim
+    else:
+        with pytest.raises(NotAnIdeal):
+            quotient_algebra(L, ideal)
 
 
 def test_quotient_class_drops_by_one():
