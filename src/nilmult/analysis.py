@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactla import Matrix, Subspace, is_zero_vector, rank
+from .exactla import Matrix, is_zero_vector, rank
 from .free_lie import BracketExpr, evaluate_in, left_normed, lemma31_term_pairs
 from .homology import multiplier_dim
 from .lie_core import (
@@ -97,8 +97,8 @@ def rai_refined(L: LieAlgebra) -> int:
     prof = series_profile(L)
     n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
     gamma2 = prof.gamma(2)
-    center = prof.center
-    central_gens = center.dim - gamma2.intersect(center).dim
+    # dim Z − dim(Z ∩ γ₂) = dim(Z + γ₂) − dim γ₂ (Grassmann).
+    central_gens = prof.center.sum(gamma2).dim - gamma2.dim
     return rai_bound(n, m, c) - central_gens * m
 
 
@@ -239,7 +239,7 @@ def ker_lambda_dims(L: LieAlgebra) -> KernelProfile:
     prof = series_profile(L)
     n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
     if m == 0:
-        raise ValueError("kernel bookkeeping requires a nonabelian algebra")
+        raise RangeError("kernel bookkeeping requires a nonabelian algebra")
     quotient_dims = _quotient_multipliers(L, prof)
     rows = []
     for i in range(2, c + 1):
@@ -339,26 +339,24 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
     _, _, y = _witness_tuple(L, i, prof, gens)
     z = tuple(g for g in range(1, len(gens) + 1) if g not in set(y))[:n - m - i]
 
-    full = Subspace.full(n)
-    gamma2 = prof.gamma(2)
     gi, gi1, gi2 = prof.gamma(i), prof.gamma(i + 1), prof.gamma(i + 2)
     q = gi.dim - gi1.dim
     pairs = lemma31_term_pairs(i)
 
+    # The minimal generators are the unit vectors off γ₂'s pivots, so they
+    # are their own L/γ₂ representatives and x_t's L/γ₂ coordinates are
+    # the unit vector at its generator slot.
     tensors = []
     for zj in z:
-        values = {k + 1: gens[yk - 1] for k, yk in enumerate(y)}
-        values[i + 1] = gens[zj - 1]
+        slots = dict(enumerate(y, start=1))
+        slots[i + 1] = zj
+        values = {k: gens[g - 1] for k, g in slots.items()}
         tensor = [Fraction(0)] * ((n - m) * q)
         for w_expr, t_sym in pairs:
             w_val = evaluate_in(w_expr, L.bracket, values)
-            u_coords = full.coords_in_quotient(gamma2, values[t_sym])
-            w_coords = gi.coords_in_quotient(gi1, w_val)
-            for a, ua in enumerate(u_coords):
-                if not ua:
-                    continue
-                for b, wb in enumerate(w_coords):
-                    tensor[a * q + b] += ua * wb
+            base = (slots[t_sym] - 1) * q
+            for b, wb in enumerate(gi.coords_in_quotient(gi1, w_val)):
+                tensor[base + b] += wb
         if is_zero_vector(tensor):
             raise VerificationFailure(f"{L.name}: Ψ_{i} tensor for z={zj} is zero")
         tensors.append(tuple(tensor))
@@ -368,21 +366,23 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
         raise VerificationFailure(
             f"{L.name}: Ψ_{i} witnesses have rank {independence}, expected {len(z)}")
 
-    reps_u = full.quotient_basis_rows(gamma2)
+    # β sends u̅ ⊗ w̅ (column a·q + b) to [w_b, u_a] mod γ_{i+2}.
     reps_w = gi.quotient_basis_rows(gi1)
-    beta_cols = [gi1.coords_in_quotient(gi2, L.bracket(reps_w[b], reps_u[a]))
-                 for a in range(n - m) for b in range(q)]
-    out_dim = gi1.dim - gi2.dim
-    beta = Matrix.from_rows(
-        [[col[r] for col in beta_cols] for r in range(out_dim)],
-        cols=(n - m) * q)
-    images = tuple(beta.apply(t) for t in tensors)
-    for zj, image in zip(z, images):
+    beta_cols = [gi1.coords_in_quotient(gi2, L.bracket(w, u))
+                 for u in gens for w in reps_w]
+    images = []
+    for zj, tensor in zip(z, tensors):
+        image = [Fraction(0)] * (gi1.dim - gi2.dim)
+        for col, x in zip(beta_cols, tensor):
+            if x:
+                for r, v in enumerate(col):
+                    image[r] += v * x
         if not is_zero_vector(image):
             raise VerificationFailure(
                 f"{L.name}: Ψ_{i} witness for z={zj} escapes the kernel")
+        images.append(tuple(image))
     return PsiWitness(i=i, y=y, z=z, tensors=tuple(tensors),
-                      independence_rank=independence, bracket_images=images)
+                      independence_rank=independence, bracket_images=tuple(images))
 
 
 # -- full verification --------------------------------------------------------

@@ -9,6 +9,9 @@ Spec strings name algebras:
     dirsum:<spec>+<spec>       direct sum of two or more non-sum specs
     file:<path>                .lie file on disk
 
+A dirsum splits only at a ``+`` that starts a family name and ``:``, so a
+``file:`` summand's path may itself contain ``+``.
+
 The .lie text format is line-oriented, with ``#`` starting a comment:
 
     algebra <name>
@@ -23,6 +26,7 @@ Unlisted pairs bracket to zero; coefficients are rationals written as
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -111,6 +115,10 @@ def _int_param(text: str, spec: str) -> int:
         raise SpecError(f"bad integer {text!r} in spec {spec!r}") from None
 
 
+_SUMMAND_START = re.compile(
+    r"\+(?=(?:abelian|heisenberg|filiform|freenil|dirsum|file):)")
+
+
 def build(spec: str) -> LieAlgebra:
     """Construct the algebra named by a spec string."""
     spec = spec.strip()
@@ -138,7 +146,7 @@ def _build(spec: str) -> LieAlgebra:
             raise SpecError(f"freenil spec {spec!r} needs d,c")
         return freenil(_int_param(d, spec), _int_param(c, spec))
     if head == "dirsum":
-        parts = rest.split("+")
+        parts = _SUMMAND_START.split(rest)
         if len(parts) < 2:
             raise SpecError(f"dirsum spec {spec!r} needs at least two summands")
         total = build(parts[0])
@@ -224,7 +232,10 @@ def parse_file(text: str) -> LieAlgebra:
                 raise ParseError(lineno, "duplicate 'dim' line")
             if len(fields) != 2 or not fields[1].isdigit():
                 raise ParseError(lineno, "'dim' needs one nonnegative integer")
-            dim = int(fields[1])
+            try:
+                dim = int(fields[1])
+            except ValueError:  # past int()'s digit limit
+                raise ParseError(lineno, f"'dim' value has {len(fields[1])} digits") from None
             if dim > DIM_GUARD:
                 raise ParseError(lineno, f"dimension {dim} exceeds guard {DIM_GUARD}")
         elif keyword == "bracket":
@@ -299,6 +310,6 @@ def load_file(path: str) -> LieAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise SpecError(f"cannot read {path}: {exc}") from None
     return parse_file(text)

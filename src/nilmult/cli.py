@@ -9,7 +9,8 @@
 
 Every subcommand accepts ``--format table|json|csv`` and
 ``--strict-remark``.  Exit codes: 0 all checks pass, 1 a checked
-property failed, 2 bad input (spec string, file, or flags).
+property failed, 2 bad input (spec string, file, or flags), 3 an
+internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .homology import multiplier_dim
 from .lie_core import JacobiViolation, NotAnIdeal, NotNilpotent, series_profile
 
 INPUT_ERRORS = (SpecError, ParseError, JacobiViolation, NotNilpotent,
-                NotAnIdeal, RangeError, ValueError)
+                NotAnIdeal, RangeError)
 
 
 def _print_table(headers: list[str], rows: list[list], stream=None) -> None:
@@ -320,6 +321,9 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

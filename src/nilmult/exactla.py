@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -71,40 +69,8 @@ class Matrix:
         return cls(len(data), cols, data)
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple((_ZERO,) * cols for _ in range(rows)))
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(basis_vector(n, i) for i in range(n)))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("column counts differ")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length does not match columns")
-        return tuple(sum((a * b for a, b in zip(row, v) if b), _ZERO) for row in self.entries)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions differ")
-        tcols = other.transpose().entries
-        data = tuple(tuple(sum((a * b for a, b in zip(row, col) if a and b), _ZERO)
-                           for col in tcols)
-                     for row in self.entries)
-        return Matrix(self.rows, other.cols, data)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
 
 
 def _sparse(v: Sequence[Fraction]) -> dict[int, Fraction]:
@@ -241,17 +207,6 @@ class Subspace:
         return Subspace.from_vectors(
             self.ambient_dim,
             itertools.chain(self.basis.entries, other.basis.entries))
-
-    def annihilator(self) -> "Subspace":
-        """Functionals vanishing on this subspace (rows of the result)."""
-        return kernel_basis(self.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # Kernel of the stacked annihilator system.
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        stacked = self.annihilator().basis.vstack(other.annihilator().basis)
-        return kernel_basis(stacked)
 
     def quotient_basis_rows(self, sub: "Subspace") -> tuple[tuple[Fraction, ...], ...]:
         """Canonical lifts of a basis of self/sub (rows of self's RREF)."""

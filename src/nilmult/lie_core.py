@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exactla import (
     DimensionMismatch,
@@ -24,7 +24,6 @@ from .exactla import (
     is_zero_vector,
     kernel_basis,
     rational,
-    vector,
     zero_vector,
 )
 
@@ -173,11 +172,6 @@ class LieAlgebra:
             if any(res.values()):
                 raise JacobiViolation(
                     i, j, k, tuple(res.get(m, zero) for m in range(self.dim)))
-
-
-def validate(dim: int, table, name: str = "L") -> LieAlgebra:
-    """Build a LieAlgebra, raising JacobiViolation on a bad table."""
-    return LieAlgebra(dim, table, name=name)
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ def test_kernel_rows_heisenberg2():
 
 
 def test_kernel_requires_nonabelian():
-    with pytest.raises(ValueError):
+    with pytest.raises(RangeError):
         ker_lambda_dims(build("abelian:3"))
 
 

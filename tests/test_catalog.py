@@ -16,7 +16,7 @@ from nilmult.catalog import (
     parse_file,
     serialize,
 )
-from nilmult.lie_core import JacobiViolation, series_profile
+from nilmult.lie_core import JacobiViolation, direct_sum, series_profile
 
 DATA = Path(__file__).parent / "data"
 
@@ -174,9 +174,36 @@ def test_dirsum_file_summand_is_reread(tmp_path):
     assert after.dim == 4
 
 
+def test_dirsum_file_path_with_plus(tmp_path):
+    folder = tmp_path / "a+b"
+    folder.mkdir()
+    path = folder / "h.lie"
+    path.write_text(serialize(build("filiform:4")))
+    spec = f"dirsum:file:{path}+abelian:1+heisenberg:1"
+    L = build(spec)
+    parts = direct_sum(direct_sum(build("filiform:4"), build("abelian:1")),
+                       build("heisenberg:1"))
+    assert L == parts
+    assert L.name == spec
+
+
 def test_file_spec_missing_path():
     with pytest.raises(SpecError):
         build("file:/nonexistent/nowhere.lie")
+
+
+def test_binary_file_is_spec_error(tmp_path):
+    path = tmp_path / "binary.lie"
+    path.write_bytes(b"\x9c\xff\x00algebra")
+    with pytest.raises(SpecError, match="cannot read"):
+        load_file(str(path))
+
+
+def test_dim_past_int_digit_limit():
+    text = f"algebra big\ndim {'9' * 5000}\nend\n"
+    with pytest.raises(ParseError) as info:
+        parse_file(text)
+    assert info.value.line == 2
 
 
 def test_trailing_newline_optional():

@@ -99,7 +99,7 @@ def test_kernel_command(capsys):
 def test_kernel_rejects_abelian(capsys):
     code, _, err = run_cli(capsys, "kernel", "abelian:3")
     assert code == 2
-    assert "error" in err
+    assert err == "error: kernel bookkeeping requires a nonabelian algebra\n"
 
 
 def test_verify_lemma_output(capsys):
@@ -219,6 +219,33 @@ def test_unknown_spec_exit_two(capsys):
     code, _, err = run_cli(capsys, "bounds", "nonsense:9")
     assert code == 2
     assert "error" in err
+
+
+def test_binary_file_exit_two(capsys, tmp_path):
+    path = tmp_path / "binary.lie"
+    path.write_bytes(b"\x9c\xff\x00algebra")
+    code, _, err = run_cli(capsys, "info", f"file:{path}")
+    assert code == 2
+    assert err.startswith(f"error: cannot read {path}")
+
+
+def test_huge_dim_exit_two(capsys, tmp_path):
+    path = tmp_path / "huge.lie"
+    path.write_text(f"algebra big\ndim {'9' * 5000}\nend\n")
+    code, _, err = run_cli(capsys, "multiplier", f"file:{path}")
+    assert code == 2
+    assert err.startswith("error: line 2:")
+
+
+def test_internal_error_exit_three(capsys, monkeypatch):
+    def broken(L):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "multiplier_dim", broken)
+    code, out, err = run_cli(capsys, "multiplier", "heisenberg:1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ValueError: boom\n"
 
 
 def test_unknown_flag_rejected():

@@ -20,7 +20,6 @@ from nilmult.lie_core import (
     product_space,
     quotient_algebra,
     series_profile,
-    validate,
 )
 
 
@@ -42,7 +41,7 @@ def sl2():
 
 
 def test_abelian_table_is_valid():
-    L = validate(4, {})
+    L = LieAlgebra(4, {})
     assert L.is_abelian
     assert L.dim == 4
 
@@ -56,7 +55,7 @@ def test_heisenberg_is_valid():
 def test_jacobi_violation_detected():
     # [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = 0 + 0 - e3
     with pytest.raises(JacobiViolation) as info:
-        validate(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
+        LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
     assert info.value.triple == (0, 1, 2)
     assert info.value.residual == vector([0, 0, -1])
 
@@ -65,7 +64,7 @@ def test_jacobi_violation_away_from_first_triple():
     # the table above shifted onto e_1..e_3; e_0 is central
     table = {(1, 2): {3: 1}, (1, 3): {1: 1}}
     with pytest.raises(JacobiViolation) as info:
-        validate(4, table)
+        LieAlgebra(4, table)
     assert info.value.triple == (1, 2, 3)
     assert info.value.residual == vector([0, 0, 0, -1])
     assert _reference_jacobi(4, table) == ((1, 2, 3), vector([0, 0, 0, -1]))
@@ -232,13 +231,13 @@ def test_product_space_with_zero():
 
 
 def test_product_space_abelian():
-    L = validate(3, {})
+    L = LieAlgebra(3, {})
     full = Subspace.full(3)
     assert product_space(L, full, full).is_zero
 
 
 def test_series_profile_abelian():
-    prof = series_profile(validate(4, {}))
+    prof = series_profile(LieAlgebra(4, {}))
     assert prof.nilpotency_class == 1
     assert prof.derived_dim == 0
     assert prof.gen_count == 4
@@ -260,7 +259,7 @@ def test_series_profile_filiform4():
 
 
 def test_upper_series_matches_lower_length():
-    for L in (h3(), filiform4(), validate(5, {})):
+    for L in (h3(), filiform4(), LieAlgebra(5, {})):
         prof = series_profile(L)
         assert len(prof.upper) == len(prof.lower)
         assert prof.upper[-1].dim == L.dim
@@ -400,7 +399,7 @@ def test_quotient_class_drops_by_one():
 
 
 def test_minimal_generators_abelian():
-    gens = minimal_generators(validate(3, {}))
+    gens = minimal_generators(LieAlgebra(3, {}))
     assert gens == [basis_vector(3, k) for k in range(3)]
 
 
@@ -442,13 +441,13 @@ def test_minimal_generators_regenerate():
 
 
 def test_direct_sum_h3_abelian():
-    S = direct_sum(h3(), validate(1, {}))
+    S = direct_sum(h3(), LieAlgebra(1, {}))
     prof = series_profile(S)
     assert (S.dim, prof.derived_dim, prof.nilpotency_class) == (4, 1, 2)
 
 
 def test_direct_sum_abelian_abelian():
-    S = direct_sum(validate(2, {}), validate(3, {}))
+    S = direct_sum(LieAlgebra(2, {}), LieAlgebra(3, {}))
     assert S.is_abelian
     assert S.dim == 5
 
