@@ -100,6 +100,9 @@ def _moebius(n: int) -> int:
 def freenil(d: int, c: int) -> LieAlgebra:
     if d < 1 or c < 1:
         raise SpecError("freenil needs d >= 1 and c >= 1")
+    # The dimension is at least d, and at least c once d >= 2.
+    if d > DIM_GUARD or (d > 1 and c > DIM_GUARD):
+        raise SpecError(f"freenil:{d},{c} has dimension > {DIM_GUARD}")
     total = sum(_witt_dimension(d, k) for k in range(1, c + 1))
     if total > DIM_GUARD:
         raise SpecError(f"freenil:{d},{c} has dimension {total} > {DIM_GUARD}")
@@ -230,7 +233,7 @@ def parse_file(text: str) -> LieAlgebra:
                 raise ParseError(lineno, "'dim' before 'algebra'")
             if dim is not None:
                 raise ParseError(lineno, "duplicate 'dim' line")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise ParseError(lineno, "'dim' needs one nonnegative integer")
             try:
                 dim = int(fields[1])

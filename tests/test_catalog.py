@@ -47,7 +47,7 @@ def test_build_nested_sum_of_three():
 @pytest.mark.parametrize("bad", [
     "abelian", "abelian:x", "heisenberg:0", "filiform:2", "unknown:3",
     "freenil:2", "freenil:0,2", "dirsum:abelian:1", "abelian:200",
-    "freenil:4,4",
+    "freenil:4,4", "freenil:70,1", "freenil:2,16000", f"freenil:2,{10 ** 40}",
 ])
 def test_bad_specs_rejected(bad):
     with pytest.raises(SpecError):
@@ -135,6 +135,7 @@ def test_parse_rejects_jacobi_failure():
      "duplicate bracket pair"),
     ("algebra a\ndim 3\nwibble\nend\n", "unknown keyword"),
     ("algebra a\ndim 3\nbracket 1 2 -> 1/0*3\nend\n", "non-rational"),
+    ("algebra a\ndim ²\nend\n", "'dim' needs one nonnegative integer"),
 ])
 def test_more_malformed_cases(text, fragment):
     with pytest.raises(ParseError) as info:
