@@ -37,9 +37,9 @@ from .free_lie import BracketExpr, evaluate_in, left_normed, lemma31_term_pairs
 from .homology import multiplier_dim
 from .lie_core import (
     LieAlgebra,
+    NotAnIdeal,
     SeriesProfile,
     minimal_generators,
-    quotient_algebra,
     series_profile,
 )
 
@@ -153,7 +153,7 @@ def bound_report(L: LieAlgebra) -> BoundReport:
     """Assemble the full bound comparison for one algebra."""
     prof = series_profile(L)
     n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
-    dim_m = multiplier_dim(L).dim_M
+    dim_m = multiplier_dim(prof.adapted).dim_M
     values: dict[str, int | None] = {
         "batten": batten(n),
         "hardy_stitzinger": hardy_stitzinger(n, m),
@@ -218,15 +218,33 @@ class KernelProfile:
         return all(row.satisfied for row in self.rows)
 
 
+def _truncation(A: LieAlgebra, k: int, name: str) -> LieAlgebra:
+    """A/span(e_k, ..., e_{n-1}): the brackets of e_0..e_{k-1}, cut to
+    their first k coordinates.  Raises NotAnIdeal unless that span is an
+    ideal, which it is for the γ_i of an adapted table."""
+    table = {}
+    for (a, b), entry in A.table.items():
+        if b < k:
+            table[(a, b)] = {t: x for t, x in entry.items() if t < k}
+        elif any(t < k for t in entry):
+            raise NotAnIdeal(f"{name}: the last {A.dim - k} basis vectors "
+                             f"do not span an ideal")
+    return LieAlgebra(k, table, name=name)
+
+
 def _quotient_multipliers(L: LieAlgebra, prof: SeriesProfile) -> list[int]:
-    """dim M(L/γ_i) for i = 2..c+1 (the last entry is dim M(L))."""
+    """dim M(L/γ_i) for i = 2..c+1 (the last entry is dim M(L)).
+
+    Each L/γ_i is a truncation of the adapted table, which is isomorphic
+    to L, and dim M is an isomorphism invariant.
+    """
     dims = []
     for i in range(2, prof.nilpotency_class + 2):
         gamma = prof.gamma(i)
         if gamma.is_zero:
-            dims.append(multiplier_dim(L).dim_M)
+            dims.append(multiplier_dim(prof.adapted).dim_M)
         else:
-            quotient, _ = quotient_algebra(L, gamma, name=f"{L.name}/g{i}")
+            quotient = _truncation(prof.adapted, L.dim - gamma.dim, f"{L.name}/g{i}")
             dims.append(multiplier_dim(quotient).dim_M)
     return dims
 
@@ -255,7 +273,7 @@ def ker_lambda_dims(L: LieAlgebra) -> KernelProfile:
             domain_bound=domain,
             satisfied=required <= ker <= domain))
     return KernelProfile(name=L.name, n=n, m=m, c=c,
-                         dim_M=multiplier_dim(L).dim_M, rows=tuple(rows))
+                         dim_M=quotient_dims[-1], rows=tuple(rows))
 
 
 def eq3_consistency(L: LieAlgebra) -> bool:

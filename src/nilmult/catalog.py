@@ -100,9 +100,12 @@ def _moebius(n: int) -> int:
 def freenil(d: int, c: int) -> LieAlgebra:
     if d < 1 or c < 1:
         raise SpecError("freenil needs d >= 1 and c >= 1")
-    # The dimension is at least d, and at least c once d >= 2.
-    if d > DIM_GUARD or (d > 1 and c > DIM_GUARD):
-        raise SpecError(f"freenil:{d},{c} has dimension > {DIM_GUARD}")
+    # The dimension is at least d, and at least c once d >= 2.  freenil:1,c
+    # is one-dimensional, but the Witt sum below still runs over every
+    # k <= c, so c is bounded for every d.
+    if d > DIM_GUARD or c > DIM_GUARD:
+        bounded = "dimension" if d > 1 else "class"
+        raise SpecError(f"freenil:{d},{c} has {bounded} > {DIM_GUARD}")
     total = sum(_witt_dimension(d, k) for k in range(1, c + 1))
     if total > DIM_GUARD:
         raise SpecError(f"freenil:{d},{c} has dimension {total} > {DIM_GUARD}")

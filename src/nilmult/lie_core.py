@@ -20,6 +20,8 @@ from .exactla import (
     Matrix,
     Subspace,
     _echelon,
+    _sparse,
+    _subtract,
     basis_vector,
     is_zero_vector,
     kernel_basis,
@@ -181,7 +183,10 @@ class SeriesProfile:
     ``lower`` is (gamma_1, ..., gamma_{c+1}) ending at the zero subspace;
     ``upper`` is (Z_0, ..., Z_c) starting at zero and ending at the whole
     space.  ``derived_dim`` is dim gamma_2 and ``gen_count`` the size of a
-    minimal generating set.
+    minimal generating set.  ``adapted`` is the algebra rewritten in a
+    basis adapted to the lower series: gamma_i is spanned by its last
+    dim gamma_i basis vectors, so L/gamma_i is its table truncated to the
+    first n - dim gamma_i indices.
     """
 
     lower: tuple[Subspace, ...]
@@ -189,6 +194,7 @@ class SeriesProfile:
     nilpotency_class: int
     derived_dim: int
     gen_count: int
+    adapted: LieAlgebra
 
     def gamma(self, i: int) -> Subspace:
         """gamma_i, extended by zero past the nilpotency class."""
@@ -246,9 +252,40 @@ def _upper_series(L: LieAlgebra) -> tuple[Subspace, ...]:
     return tuple(series)
 
 
+def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
+    """L rewritten in the basis of the RREF rows of each gamma_i lying off
+    gamma_{i+1}'s pivots, layer by layer from i = 1.
+
+    A subspace's pivots lie among the pivots of any space containing it,
+    so the n rows have distinct pivots, each a leading 1: coordinates come
+    from one sweep in pivot order.  The constructor checks Jacobi again
+    on the rewritten table.
+    """
+    rows = [_sparse(row) for outer, inner in zip(lower, lower[1:])
+            for row in outer.quotient_basis_rows(inner)]
+    slot = {min(row): t for t, row in enumerate(rows)}
+    dense = [tuple(row.get(k, Fraction(0)) for k in range(L.dim)) for row in rows]
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for a in range(L.dim):
+        # [f_a, e_j] for every j, reused across the f_b.
+        ad = [_sparse(L.bracket_vector_basis(dense[a], j)) for j in range(L.dim)]
+        for b in range(a + 1, L.dim):
+            image: dict[int, Fraction] = {}
+            for j, y in rows[b].items():
+                _subtract(image, -y, ad[j])
+            entry = {}
+            while image:
+                p = min(image)
+                t, x = slot[p], image[p]
+                entry[t] = x
+                _subtract(image, x, rows[t])
+            table[(a, b)] = entry
+    return LieAlgebra(L.dim, table, name="adapted")
+
+
 @lru_cache(maxsize=None)
 def series_profile(L: LieAlgebra) -> SeriesProfile:
-    """Both central series plus the (n, m, c) bookkeeping.
+    """Both central series, the (n, m, c) bookkeeping and the adapted table.
 
     Cached per algebra: LieAlgebra hashes by structure, and the profile
     carries no name.
@@ -258,7 +295,8 @@ def series_profile(L: LieAlgebra) -> SeriesProfile:
     c = len(lower) - 1
     m = lower[1].dim if len(lower) > 1 else 0
     return SeriesProfile(lower=lower, upper=upper, nilpotency_class=c,
-                         derived_dim=m, gen_count=L.dim - m)
+                         derived_dim=m, gen_count=L.dim - m,
+                         adapted=_adapted(L, lower))
 
 
 def minimal_generators(L: LieAlgebra) -> list[Vector]:

@@ -48,10 +48,18 @@ def test_build_nested_sum_of_three():
     "abelian", "abelian:x", "heisenberg:0", "filiform:2", "unknown:3",
     "freenil:2", "freenil:0,2", "dirsum:abelian:1", "abelian:200",
     "freenil:4,4", "freenil:70,1", "freenil:2,16000", f"freenil:2,{10 ** 40}",
+    "freenil:1,65", f"freenil:1,{10 ** 40}",
 ])
 def test_bad_specs_rejected(bad):
     with pytest.raises(SpecError):
         build(bad)
+
+
+def test_freenil_rank_one_class_guard():
+    # freenil:1,c is one-dimensional for every c; only its class is bounded.
+    assert build("freenil:1,64") == abelian(1)
+    with pytest.raises(SpecError, match="class > 64"):
+        build("freenil:1,65")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

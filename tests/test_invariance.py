@@ -5,6 +5,13 @@ vectors, so the corpus alone never puts γ₂'s pivots or the minimal
 generators in general position.  Here the corpus is rewritten in random
 unimodular bases (lower- times upper-unitriangular, entries in {-1, 0, 1})
 and in reversed bases, and every invariant is compared with the source's.
+
+The quotient multipliers dim M(L/γ_i) are computed on the table adapted
+to the lower central series (``SeriesProfile.adapted``), truncated; the
+reference is ``quotient_algebra`` on the input table.  Generated algebras,
+quotients of free nilpotent algebras by random central subspaces in a
+random basis, give that path non-graded tables with pivots in general
+position.
 """
 
 import itertools
@@ -15,10 +22,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilmult.analysis import rai_bound, rai_refined, verify_theorem
-from nilmult.catalog import build, default_manifest
+from test_lie_core import _central_vectors
+
+from nilmult.analysis import (
+    _quotient_multipliers,
+    _truncation,
+    rai_bound,
+    rai_refined,
+    verify_theorem,
+)
+from nilmult.catalog import build, default_manifest, parse_file, serialize
+from nilmult.exactla import Subspace, basis_vector
 from nilmult.homology import multiplier_dim
-from nilmult.lie_core import LieAlgebra, series_profile
+from nilmult.lie_core import LieAlgebra, NotAnIdeal, quotient_algebra, series_profile
 
 SMALL_CORPUS = default_manifest(max_dim=8).specs
 NONABELIAN_CORPUS = [spec for spec in default_manifest().specs
@@ -82,11 +98,75 @@ def _invariants(L):
     return out
 
 
+def _check_adapted(L):
+    """The adapted table against L itself and against quotient_algebra."""
+    prof = series_profile(L)
+    n, c = L.dim, prof.nilpotency_class
+    adapted, aprof = prof.adapted, series_profile(prof.adapted)
+    source, result = multiplier_dim(L), multiplier_dim(adapted)
+    assert ((adapted.dim, aprof.derived_dim, aprof.nilpotency_class,
+             result.rank_d2, result.rank_d3, result.dim_M)
+            == (n, prof.derived_dim, c, source.rank_d2, source.rank_d3,
+                source.dim_M))
+    for i in range(1, c + 2):
+        gamma = aprof.gamma(i)
+        trailing = range(n - prof.gamma(i).dim, n)
+        assert gamma.pivots == tuple(trailing)
+        assert gamma.basis.entries == tuple(basis_vector(n, k) for k in trailing)
+    reference = [multiplier_dim(quotient_algebra(L, prof.gamma(i))[0]).dim_M
+                 for i in range(2, c + 2)]
+    assert _quotient_multipliers(L, prof) == reference
+
+
 @given(basis_changes())
 @settings(max_examples=100, deadline=None)
 def test_invariants_under_unimodular_basis_change(pair):
     source, copy = pair
     assert _invariants(copy) == _invariants(source)
+    _check_adapted(copy)
+
+
+@pytest.mark.parametrize("spec", NONABELIAN_CORPUS + ["filiform:12", "freenil:2,5"])
+def test_adapted_table_oracle(spec):
+    _check_adapted(build(spec))
+
+
+def test_truncation_rejects_a_non_ideal():
+    # In the reversed basis of filiform:5 the first basis vector spans γ₄
+    # and the last is a generator, so cutting the last one off is no
+    # quotient; in the adapted basis the same cut is L/γ₄.
+    L = _change_basis(build("filiform:5"), _reversal(5))
+    assert _truncation(series_profile(L).adapted, 4, "L/g4").dim == 4
+    with pytest.raises(NotAnIdeal):
+        _truncation(L, 4, "L/g4")
+
+
+GENERATED_SOURCES = ("freenil:2,3", "freenil:2,4", "freenil:3,2")
+
+
+@st.composite
+def generated_algebras(draw):
+    """A free nilpotent algebra modulo a random central subspace, in a
+    random unimodular basis, round-tripped through the .lie format."""
+    L = build(draw(st.sampled_from(GENERATED_SOURCES)))
+    count = draw(st.integers(0, series_profile(L).center.dim))
+    if count:
+        ideal = Subspace.from_vectors(L.dim, _central_vectors(draw, L, count))
+        L, _ = quotient_algebra(L, ideal, name=f"{L.name}/Z{ideal.dim}")
+    L = _change_basis(L, draw(unimodular(L.dim)))
+    return parse_file(serialize(L))
+
+
+@given(generated_algebras())
+@settings(max_examples=100, deadline=None)
+def test_generated_algebras(L):
+    _check_adapted(L)
+    if L.is_abelian:
+        return
+    verification = verify_theorem(L)
+    assert verification.report.theorem_holds
+    assert verification.kernel.all_satisfied
+    assert verification.eq3_ok
 
 
 def test_basis_change_leaves_graded_layout():
