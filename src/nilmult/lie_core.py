@@ -261,10 +261,10 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
     from one sweep in pivot order.  The constructor checks Jacobi again
     on the rewritten table.
     """
-    rows = [_sparse(row) for outer, inner in zip(lower, lower[1:])
-            for row in outer.quotient_basis_rows(inner)]
+    dense = [row for outer, inner in zip(lower, lower[1:])
+             for row in outer.quotient_basis_rows(inner)]
+    rows = [_sparse(row) for row in dense]
     slot = {min(row): t for t, row in enumerate(rows)}
-    dense = [tuple(row.get(k, Fraction(0)) for k in range(L.dim)) for row in rows]
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(L.dim):
         # [f_a, e_j] for every j, reused across the f_b.
