@@ -27,12 +27,11 @@ degree-(i+1) commutator identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
-from .exactla import Matrix, is_zero_vector, rank
+from .exactla import Matrix, basis_vector, is_zero_vector, rank
 from .free_lie import BracketExpr, evaluate_in, left_normed, lemma31_term_pairs
 from .homology import multiplier_dim
 from .lie_core import (
@@ -133,20 +132,7 @@ class BoundReport:
     refined_holds: bool | None
 
     def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "n": self.n, "m": self.m, "c": self.c,
-                     "dim_M": self.dim_M}
-        for key in _SLACK_KEYS[:-1]:
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.rai_refined is not None:
-            out["rai_refined"] = self.rai_refined
-        out["slack"] = dict(self.slack)
-        if self.theorem_holds is not None:
-            out["theorem_holds"] = self.theorem_holds
-        if self.refined_holds is not None:
-            out["refined_holds"] = self.refined_holds
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def bound_report(L: LieAlgebra) -> BoundReport:
@@ -300,6 +286,11 @@ class PsiWitness:
     tensor coordinates are flattened with the L/γ₂ index major.  Each
     bracket image is the image of the corresponding tensor under the
     induced map into γ_{i+1}/γ_{i+2} and must be the zero vector.
+
+    Everything is computed on ``series_profile(L).adapted``, whose first
+    n-m basis vectors are minimal_generators(L) and whose layer-i vectors
+    are the RREF rows of γ_i off γ_{i+1}'s pivots, so the fields are the
+    same as on L's own basis with those rows as quotient lifts.
     """
 
     i: int
@@ -315,24 +306,31 @@ def witness_commutator(L: LieAlgebra, i: int) -> tuple[BracketExpr, Vector]:
 
     Symbols in the returned expression are 1-based positions into
     minimal_generators(L); repeats are allowed.  Tuples are searched in
-    lexicographic order and the first hit is returned.
+    lexicographic order and the first hit is returned, with its value
+    in L's basis.
     """
-    expr, value, _ = _witness_tuple(L, i, series_profile(L), minimal_generators(L))
-    return expr, value
+    expr = left_normed(_witness_tuple(L, i, series_profile(L)))
+    gens = minimal_generators(L)
+    return expr, evaluate_in(expr, L.bracket, dict(enumerate(gens, start=1)))
 
 
-def _witness_tuple(L: LieAlgebra, i: int, prof: SeriesProfile,
-                   gens: Sequence[Vector]) -> tuple[BracketExpr, Vector, tuple[int, ...]]:
+def _witness_tuple(L: LieAlgebra, i: int, prof: SeriesProfile) -> tuple[int, ...]:
+    """The first generator tuple whose left-normed bracket leaves γ_{i+1},
+    searched on the adapted table: there the generators are the first
+    n-m unit vectors and γ_{i+1} is spanned by the last dim γ_{i+1}."""
     if not 2 <= i <= prof.nilpotency_class:
         raise RangeError(f"witness weight {i} outside 2..{prof.nilpotency_class}")
-    next_term = prof.gamma(i + 1)
-    for tup in itertools.product(range(1, len(gens) + 1), repeat=i):
-        value = gens[tup[0] - 1]
+    A = prof.adapted
+    mid = A.dim - prof.gamma(i + 1).dim
+    for tup in itertools.product(range(prof.gen_count), repeat=i):
+        value = basis_vector(A.dim, tup[0])
         for t in tup[1:]:
-            value = L.bracket(value, gens[t - 1])
-        if not next_term.contains(value):
-            return left_normed(tup), value, tup
-    raise RangeError(f"no weight-{i} generator bracket found outside γ_{i + 1}")
+            value = A.bracket_vector_basis(value, t)
+        if any(value[:mid]):
+            return tuple(t + 1 for t in tup)
+    # For i <= c, γ_i/γ_{i+1} is nonzero and spanned by these brackets.
+    raise VerificationFailure(
+        f"{L.name}: no weight-{i} generator bracket found outside γ_{i + 1}")
 
 
 def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
@@ -353,27 +351,28 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
     if not 2 <= i <= min(n - m, c):
         raise RangeError(f"witness index {i} outside 2..min(n-m, c) = "
                          f"2..{min(n - m, c)}")
-    gens = minimal_generators(L)
-    _, _, y = _witness_tuple(L, i, prof, gens)
-    z = tuple(g for g in range(1, len(gens) + 1) if g not in set(y))[:n - m - i]
+    y = _witness_tuple(L, i, prof)
+    z = tuple(g for g in range(1, n - m + 1) if g not in set(y))[:n - m - i]
 
-    gi, gi1, gi2 = prof.gamma(i), prof.gamma(i + 1), prof.gamma(i + 2)
-    q = gi.dim - gi1.dim
+    # In the adapted basis γ_k is spanned by e_{n - dim γ_k}, ..., e_{n-1},
+    # so γ_i/γ_{i+1} is the coordinate block lo..mid-1 and γ_{i+1}/γ_{i+2}
+    # the block mid..hi-1; generator g is the unit vector e_{g-1}, its own
+    # L/γ₂ representative.
+    A = prof.adapted
+    lo, mid, hi = (n - prof.gamma(k).dim for k in (i, i + 1, i + 2))
+    q = mid - lo
     pairs = lemma31_term_pairs(i)
 
-    # The minimal generators are the unit vectors off γ₂'s pivots, so they
-    # are their own L/γ₂ representatives and x_t's L/γ₂ coordinates are
-    # the unit vector at its generator slot.
     tensors = []
     for zj in z:
         slots = dict(enumerate(y, start=1))
         slots[i + 1] = zj
-        values = {k: gens[g - 1] for k, g in slots.items()}
+        values = {k: basis_vector(n, g - 1) for k, g in slots.items()}
         tensor = [Fraction(0)] * ((n - m) * q)
         for w_expr, t_sym in pairs:
-            w_val = evaluate_in(w_expr, L.bracket, values)
+            w_val = evaluate_in(w_expr, A.bracket, values)
             base = (slots[t_sym] - 1) * q
-            for b, wb in enumerate(gi.coords_in_quotient(gi1, w_val)):
+            for b, wb in enumerate(w_val[lo:mid]):
                 tensor[base + b] += wb
         if is_zero_vector(tensor):
             raise VerificationFailure(f"{L.name}: Ψ_{i} tensor for z={zj} is zero")
@@ -385,12 +384,11 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
             f"{L.name}: Ψ_{i} witnesses have rank {independence}, expected {len(z)}")
 
     # β sends u̅ ⊗ w̅ (column a·q + b) to [w_b, u_a] mod γ_{i+2}.
-    reps_w = gi.quotient_basis_rows(gi1)
-    beta_cols = [gi1.coords_in_quotient(gi2, L.bracket(w, u))
-                 for u in gens for w in reps_w]
+    beta_cols = [A.bracket_basis(lo + b, a)[mid:hi]
+                 for a in range(n - m) for b in range(q)]
     images = []
     for zj, tensor in zip(z, tensors):
-        image = [Fraction(0)] * (gi1.dim - gi2.dim)
+        image = [Fraction(0)] * (hi - mid)
         for col, x in zip(beta_cols, tensor):
             if x:
                 for r, v in enumerate(col):

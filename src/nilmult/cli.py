@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import sys
 
@@ -88,8 +89,7 @@ def cmd_multiplier(args) -> int:
     result = multiplier_dim(L)
     headers = ["name", "n", "rank_d2", "rank_d3", "dim_M"]
     rows = [[L.name, result.n, result.rank_d2, result.rank_d3, result.dim_M]]
-    payload = {"name": L.name, "n": result.n, "rank_d2": result.rank_d2,
-               "rank_d3": result.rank_d3, "dim_M": result.dim_M}
+    payload = {"name": L.name, **dataclasses.asdict(result)}
     _emit(args.format, headers, rows, payload)
     return 0
 
@@ -139,15 +139,7 @@ def cmd_kernel(args) -> int:
              row.dim_M_of_L_mod_gamma_i, row.ker_lambda_i,
              row.required_lower_bound, row.domain_bound,
              "yes" if row.satisfied else "NO"] for row in profile.rows]
-    payload = {"name": profile.name, "n": profile.n, "m": profile.m,
-               "c": profile.c, "dim_M": profile.dim_M,
-               "rows": [{"i": r.i,
-                         "dim_gamma_i_mod_next": r.dim_gamma_i_mod_next,
-                         "dim_M_of_L_mod_gamma_i": r.dim_M_of_L_mod_gamma_i,
-                         "ker_lambda_i": r.ker_lambda_i,
-                         "required_lower_bound": r.required_lower_bound,
-                         "domain_bound": r.domain_bound,
-                         "satisfied": r.satisfied} for r in profile.rows]}
+    payload = dataclasses.asdict(profile)
     _emit(args.format, headers, rows, payload)
     if not profile.all_satisfied:
         bad = [r.i for r in profile.rows if not r.satisfied]
@@ -158,9 +150,17 @@ def cmd_kernel(args) -> int:
 
 # -- verify lemma ----------------------------------------------------------------
 
+# Arity 18 takes about 10 s and 240 MB (2-vCPU VM, Python 3.11); each
+# further arity costs about 2.4x the time and 1.9x the memory.
+ARITY_MAX = 18
+
+
 def cmd_verify_lemma(args) -> int:
     if args.arity_max < 3:
         print("error: --arity-max must be at least 3", file=sys.stderr)
+        return 2
+    if args.arity_max > ARITY_MAX:
+        print(f"error: --arity-max must be at most {ARITY_MAX}", file=sys.stderr)
         return 2
     failures = 0
     records = []

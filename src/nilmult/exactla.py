@@ -4,7 +4,7 @@ Every scalar is a ``fractions.Fraction`` (arbitrary precision, always in
 lowest terms, positive denominator), so no floating point ever enters a
 computation.  Matrices and subspaces are immutable; a subspace is stored
 as the reduced row-echelon basis of its span, which makes equality,
-membership and quotient coordinates canonical.
+membership and quotient lifts canonical.
 
 All elimination (rank, RREF, subspace bases, kernels) runs through one
 sparse kernel, ``_echelon``, on rows held as ``{column: value}`` dicts,
@@ -213,21 +213,6 @@ class Subspace:
         taken = set(sub.pivots)
         return tuple(r for r, p in zip(self.basis.entries, self.pivots)
                      if p not in taken)
-
-    def coords_in_quotient(self, sub: "Subspace", v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of v + sub in self/sub.
-
-        Requires sub <= self and v in self.  The coordinates refer to the
-        canonical complement: the RREF rows of self whose pivots are not
-        pivots of sub.
-        """
-        if not self.contains_subspace(sub):
-            raise DimensionMismatch("quotient by a non-subspace")
-        if not self.contains(v):
-            raise DimensionMismatch("vector outside the space being quotiented")
-        residual = sub.reduce(v)
-        taken = set(sub.pivots)
-        return tuple(residual[p] for p in self.pivots if p not in taken)
 
 
 def kernel_basis(m: Matrix) -> Subspace:

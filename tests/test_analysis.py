@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
 from nilmult.catalog import build, default_manifest
 from nilmult.exactla import is_zero_vector, vector
 from nilmult.analysis import (
     RangeError,
+    VerificationFailure,
+    _witness_tuple,
     batten,
     bound_report,
     eq3_consistency,
@@ -18,7 +22,7 @@ from nilmult.analysis import (
     yankosky_closed,
 )
 from nilmult.homology import multiplier_dim
-from nilmult.lie_core import quotient_algebra, series_profile
+from nilmult.lie_core import LieAlgebra, quotient_algebra, series_profile
 
 NONABELIAN_SMALL = [spec for spec in default_manifest(max_dim=6).specs
                     if not build(spec).is_abelian]
@@ -202,6 +206,16 @@ def test_witness_commutator_range():
         witness_commutator(build("heisenberg:1"), 3)
     with pytest.raises(RangeError):
         witness_commutator(build("heisenberg:1"), 1)
+
+
+def test_witness_search_failure_is_a_check_failure():
+    # An abelian adapted table has no bracket outside γ₃; only a bug in
+    # the profile can get there, so it is a failed check, not bad input.
+    L = build("heisenberg:2")
+    prof = dataclasses.replace(series_profile(L), adapted=LieAlgebra(5, {}))
+    with pytest.raises(VerificationFailure,
+                       match="^heisenberg:2: no weight-2 generator bracket"):
+        _witness_tuple(L, 2, prof)
 
 
 def test_psi_witnesses_heisenberg2():

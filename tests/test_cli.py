@@ -128,6 +128,14 @@ def test_verify_lemma_rejects_small_arity(capsys):
     assert code == 2
 
 
+def test_verify_lemma_rejects_large_arity(capsys):
+    # Rejected before any expansion: nothing reaches stdout.
+    code, out, err = run_cli(capsys, "verify", "lemma", "--arity-max", "19")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --arity-max must be at most 18\n"
+
+
 def test_verify_corpus_small(capsys):
     code, out, err = run_cli(capsys, "verify", "corpus", "--max-dim", "5")
     assert code == 0

@@ -154,30 +154,6 @@ def test_subspace_sum_of_axes():
     assert x.sum(y).dim == 2
 
 
-def test_quotient_coords_single_vector():
-    line = Subspace.from_vectors(3, [basis_vector(3, 2)])
-    coords = line.coords_in_quotient(Subspace.zero(3), basis_vector(3, 2))
-    assert coords == (Fraction(1),)
-
-
-def test_quotient_coords_reference_rows():
-    # coordinates must reconstruct the vector against the quotient rows
-    space = Subspace.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-    sub = Subspace.from_vectors(4, [[0, 1, 0, 0]])
-    v = vector([2, 3, 2, -1])
-    coords = space.coords_in_quotient(sub, v)
-    rows = space.quotient_basis_rows(sub)
-    recombined = [sum(c * row[k] for c, row in zip(coords, rows))
-                  for k in range(4)]
-    assert sub.reduce(v) == sub.reduce(recombined)
-
-
-def test_quotient_requires_containment():
-    space = Subspace.from_vectors(3, [[1, 0, 0]])
-    with pytest.raises(DimensionMismatch):
-        space.coords_in_quotient(Subspace.zero(3), vector([0, 1, 0]))
-
-
 @given(subspaces(), subspaces())
 @settings(max_examples=60)
 def test_grassmann_identity(a, b):

@@ -8,7 +8,9 @@ and in reversed bases, and every invariant is compared with the source's.
 
 The quotient multipliers dim M(L/γ_i) are computed on the table adapted
 to the lower central series (``SeriesProfile.adapted``), truncated; the
-reference is ``quotient_algebra`` on the input table.  Generated algebras,
+reference is ``quotient_algebra`` on the input table.  The Ψ_i witnesses
+are computed on the adapted table too; the reference builds them on the
+input basis with RREF quotient coordinates.  Generated algebras,
 quotients of free nilpotent algebras by random central subspaces in a
 random basis, give that path non-graded tables with pivots in general
 position.
@@ -25,16 +27,26 @@ from hypothesis import strategies as st
 from test_lie_core import _central_vectors
 
 from nilmult.analysis import (
+    PsiWitness,
     _quotient_multipliers,
     _truncation,
+    psi_witnesses,
     rai_bound,
     rai_refined,
     verify_theorem,
+    witness_commutator,
 )
 from nilmult.catalog import build, default_manifest, parse_file, serialize
-from nilmult.exactla import Subspace, basis_vector
+from nilmult.exactla import Matrix, Subspace, basis_vector, rank
+from nilmult.free_lie import evaluate_in, left_normed, lemma31_term_pairs
 from nilmult.homology import multiplier_dim
-from nilmult.lie_core import LieAlgebra, NotAnIdeal, quotient_algebra, series_profile
+from nilmult.lie_core import (
+    LieAlgebra,
+    NotAnIdeal,
+    minimal_generators,
+    quotient_algebra,
+    series_profile,
+)
 
 SMALL_CORPUS = default_manifest(max_dim=8).specs
 NONABELIAN_CORPUS = [spec for spec in default_manifest().specs
@@ -118,12 +130,87 @@ def _check_adapted(L):
     assert _quotient_multipliers(L, prof) == reference
 
 
+def _coords_in_quotient(space, sub, v):
+    """Coordinates of v + sub in space/sub against space's RREF rows off
+    sub's pivots."""
+    assert space.contains_subspace(sub) and space.contains(v)
+    residual = sub.reduce(v)
+    taken = set(sub.pivots)
+    return tuple(residual[p] for p in space.pivots if p not in taken)
+
+
+def _reference_witness_tuple(L, i, prof, gens):
+    for tup in itertools.product(range(1, len(gens) + 1), repeat=i):
+        value = gens[tup[0] - 1]
+        for t in tup[1:]:
+            value = L.bracket(value, gens[t - 1])
+        if not prof.gamma(i + 1).contains(value):
+            return left_normed(tup), value, tup
+    raise AssertionError(f"{L.name}: no weight-{i} witness commutator")
+
+
+def _reference_psi_witnesses(L, i):
+    """Ψ_i on L's own basis: minimal_generators(L) as generators and
+    RREF quotient coordinates for every class."""
+    prof = series_profile(L)
+    n, m = L.dim, prof.derived_dim
+    gens = minimal_generators(L)
+    _, _, y = _reference_witness_tuple(L, i, prof, gens)
+    z = tuple(g for g in range(1, len(gens) + 1) if g not in set(y))[:n - m - i]
+    gi, gi1, gi2 = prof.gamma(i), prof.gamma(i + 1), prof.gamma(i + 2)
+    q = gi.dim - gi1.dim
+    tensors = []
+    for zj in z:
+        slots = dict(enumerate(y, start=1))
+        slots[i + 1] = zj
+        values = {k: gens[g - 1] for k, g in slots.items()}
+        tensor = [Fraction(0)] * ((n - m) * q)
+        for w_expr, t_sym in lemma31_term_pairs(i):
+            w_val = evaluate_in(w_expr, L.bracket, values)
+            base = (slots[t_sym] - 1) * q
+            for b, wb in enumerate(_coords_in_quotient(gi, gi1, w_val)):
+                tensor[base + b] += wb
+        tensors.append(tuple(tensor))
+    beta_cols = [_coords_in_quotient(gi1, gi2, L.bracket(w, u))
+                 for u in gens for w in gi.quotient_basis_rows(gi1)]
+    images = tuple(tuple(sum((col[r] * x for col, x in zip(beta_cols, tensor)),
+                             Fraction(0))
+                         for r in range(gi1.dim - gi2.dim))
+                   for tensor in tensors)
+    independence = rank(Matrix.from_rows(tensors, cols=(n - m) * q)) if tensors else 0
+    return PsiWitness(i=i, y=y, z=z, tensors=tuple(tensors),
+                      independence_rank=independence, bracket_images=images)
+
+
+def _check_witnesses(L):
+    """The adapted-table witnesses against the input-basis reference."""
+    prof = series_profile(L)
+    n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
+    gens = minimal_generators(L)
+    for i in range(2, c + 1):
+        expr, value, _ = _reference_witness_tuple(L, i, prof, gens)
+        assert witness_commutator(L, i) == (expr, value)
+    for i in range(2, min(n - m, c) + 1):
+        assert psi_witnesses(L, i) == _reference_psi_witnesses(L, i)
+
+
 @given(basis_changes())
 @settings(max_examples=100, deadline=None)
 def test_invariants_under_unimodular_basis_change(pair):
     source, copy = pair
     assert _invariants(copy) == _invariants(source)
     _check_adapted(copy)
+    if not copy.is_abelian:
+        _check_witnesses(copy)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("spec", NONABELIAN_CORPUS)
+def test_witnesses_match_input_basis_reference(spec, reverse):
+    L = build(spec)
+    if reverse:
+        L = _change_basis(L, _reversal(L.dim))
+    _check_witnesses(L)
 
 
 @pytest.mark.parametrize("spec", NONABELIAN_CORPUS + ["filiform:12", "freenil:2,5"])
@@ -167,6 +254,7 @@ def test_generated_algebras(L):
     assert verification.report.theorem_holds
     assert verification.kernel.all_satisfied
     assert verification.eq3_ok
+    _check_witnesses(L)
 
 
 def test_basis_change_leaves_graded_layout():
