@@ -155,14 +155,7 @@ def bound_report(L: LieAlgebra) -> BoundReport:
     slack = {key: values[key] - dim_m for key in _SLACK_KEYS
              if values[key] is not None}
     return BoundReport(
-        name=L.name, n=n, m=m, c=c, dim_M=dim_m,
-        batten=values["batten"],
-        hardy_stitzinger=values["hardy_stitzinger"],
-        yankosky_closed=values["yankosky_closed"],
-        niroomand_russo=values["niroomand_russo"],
-        rai=values["rai"],
-        rai_refined=values["rai_refined"],
-        slack=slack,
+        name=L.name, n=n, m=m, c=c, dim_M=dim_m, **values, slack=slack,
         theorem_holds=None if m == 0 else dim_m <= values["rai"],
         refined_holds=None if m == 0 else dim_m <= values["rai_refined"],
     )

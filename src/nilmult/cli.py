@@ -99,16 +99,19 @@ _BOUND_HEADERS = ["name", "n", "m", "c", "dim_M", "batten", "hardy_stitzinger",
                   "theorem"]
 
 
+def _refined_cell(value, holds) -> str:
+    """The rai_refined cell: '-' when undefined, '!' marks a failed value."""
+    if value is None:
+        return "-"
+    return f"{value}{'!' if holds is False else ''}"
+
+
 def _bound_row(report) -> list:
-    refined = "-"
-    if report.rai_refined is not None:
-        mark = "!" if report.refined_holds is False else ""
-        refined = f"{report.rai_refined}{mark}"
     return [report.name, report.n, report.m, report.c, report.dim_M,
             report.batten, report.hardy_stitzinger, report.yankosky_closed,
             "-" if report.niroomand_russo is None else report.niroomand_russo,
             "-" if report.rai is None else report.rai,
-            refined,
+            _refined_cell(report.rai_refined, report.refined_holds),
             "-" if report.theorem_holds is None else
             ("holds" if report.theorem_holds else "FAILS")]
 
@@ -228,11 +231,9 @@ def cmd_verify_corpus(args) -> int:
     rows = []
     for r in results:
         rep = r["report"]
-        refined = "-"
-        if "rai_refined" in rep:
-            refined = f"{rep['rai_refined']}{'!' if r['refined_ok'] is False else ''}"
         rows.append([r["name"], rep["n"], rep["m"], rep["c"], rep["dim_M"],
-                     rep.get("rai", "-"), refined,
+                     rep.get("rai", "-"),
+                     _refined_cell(rep.get("rai_refined"), r["refined_ok"]),
                      "ok" if r["ok"] else "FAIL"])
     _emit(fmt, headers, rows, results)
 

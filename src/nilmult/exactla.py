@@ -13,9 +13,9 @@ so its cost follows the nonzeros rather than the matrix shape.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
@@ -67,10 +67,6 @@ class Matrix:
                 raise DimensionMismatch("cannot infer column count of empty matrix")
             cols = len(data[0])
         return cls(len(data), cols, data)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(basis_vector(n, i) for i in range(n)))
 
 
 def _sparse(v: Sequence[Fraction]) -> dict[int, Fraction]:
@@ -130,7 +126,10 @@ def _reduced(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, F
 
 
 def _dense(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
-    return tuple(row.get(c, _ZERO) for c in range(n))
+    out = [_ZERO] * n
+    for c, x in row.items():
+        out[c] = x
+    return tuple(out)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -151,79 +150,108 @@ def rank(m: Matrix) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, held as an RREF basis (no zero rows)."""
+    """A subspace of Q^n, held as the sparse rows of its RREF basis.
+
+    ``rows`` are ``{column: value}`` dicts without zero values, one per
+    pivot, in ascending pivot order; they are shared, not copied, so
+    callers must not modify them.  ``basis`` is their dense view.
+    """
 
     ambient_dim: int
-    basis: Matrix
+    rows: tuple[dict[int, Fraction], ...]
     pivots: tuple[int, ...]
+
+    # Equal subspaces have equal pivots; the rows are unhashable dicts.
+    def __hash__(self):
+        return hash((self.ambient_dim, self.pivots))
+
+    @classmethod
+    def from_rows(cls, ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
+        """Span of sparse rows whose columns lie below ``ambient_dim``."""
+        reduced = _reduced(rows)
+        return cls(ambient_dim, tuple(row for _, row in reduced),
+                   tuple(p for p, _ in reduced))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Iterable]) -> "Subspace":
         rows = [vector(v) for v in vectors]
         if any(len(r) != ambient_dim for r in rows):
             raise DimensionMismatch("vector length does not match ambient dimension")
-        reduced = _reduced(map(_sparse, rows))
-        basis = tuple(_dense(row, ambient_dim) for _, row in reduced)
-        return cls(ambient_dim, Matrix(len(basis), ambient_dim, basis),
-                   tuple(p for p, _ in reduced))
+        return cls.from_rows(ambient_dim, map(_sparse, rows))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix(0, ambient_dim, ()), ())
+        return cls(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim),
+        return cls(ambient_dim, tuple({k: _ONE} for k in range(ambient_dim)),
                    tuple(range(ambient_dim)))
+
+    @cached_property
+    def basis(self) -> Matrix:
+        return Matrix(self.dim, self.ambient_dim,
+                      tuple(_dense(row, self.ambient_dim) for row in self.rows))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
 
     @property
     def is_zero(self) -> bool:
         return self.dim == 0
 
+    def residual(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+        """A copy of the sparse row with this subspace's pivot coordinates
+        cleared; each RREF row is zero on the other pivots."""
+        w = dict(row)
+        for p, prow in zip(self.pivots, self.rows):
+            if p in w:
+                _subtract(w, w[p], prow)
+        return w
+
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Residual of v after clearing this subspace's pivot coordinates."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        w = list(vector(v))
-        for row, p in zip(self.basis.entries, self.pivots):
-            f = w[p]
-            if f:
-                w = [x - f * y if y else x for x, y in zip(w, row)]
-        return tuple(w)
+        return _dense(self.residual(_sparse(vector(v))), self.ambient_dim)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vector(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
+        return not any(self.residual(row) for row in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return Subspace.from_vectors(
-            self.ambient_dim,
-            itertools.chain(self.basis.entries, other.basis.entries))
+        return Subspace.from_rows(self.ambient_dim, self.rows + other.rows)
 
-    def quotient_basis_rows(self, sub: "Subspace") -> tuple[tuple[Fraction, ...], ...]:
-        """Canonical lifts of a basis of self/sub (rows of self's RREF)."""
+    def quotient_basis_rows(self, sub: "Subspace") -> tuple[dict[int, Fraction], ...]:
+        """Canonical lifts of a basis of self/sub: the rows of self's RREF
+        off sub's pivots, sparse."""
         taken = set(sub.pivots)
-        return tuple(r for r, p in zip(self.basis.entries, self.pivots)
-                     if p not in taken)
+        return tuple(r for r, p in zip(self.rows, self.pivots) if p not in taken)
+
+
+def _null_rows(rows: Iterable[dict[int, Fraction]], cols: int) -> list[dict[int, Fraction]]:
+    """Sparse rows spanning {x in Q^cols : row . x = 0 for every row}: one
+    per free column f of the RREF, with 1 at f and minus column f of the
+    pivot rows at their pivots."""
+    reduced = _reduced(rows)
+    taken = {p for p, _ in reduced}
+    out = []
+    for f in range(cols):
+        if f not in taken:
+            v = {f: _ONE}
+            for p, row in reduced:
+                x = row.get(f)
+                if x:
+                    v[p] = -x
+            out.append(v)
+    return out
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Null space {x : m x = 0} as a subspace of Q^cols."""
-    reduced = _reduced(map(_sparse, m.entries))
-    free = sorted(set(range(m.cols)).difference(p for p, _ in reduced))
-    rows = []
-    for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for p, row in reduced:
-            v[p] = -row.get(f, _ZERO)
-        rows.append(v)
-    return Subspace.from_vectors(m.cols, rows)
+    return Subspace.from_rows(m.cols, _null_rows(map(_sparse, m.entries), m.cols))

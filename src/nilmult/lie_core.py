@@ -16,17 +16,17 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .exactla import (
+    _ONE,
+    _ZERO,
     DimensionMismatch,
-    Matrix,
     Subspace,
+    _dense,
     _echelon,
+    _null_rows,
     _sparse,
     _subtract,
     basis_vector,
-    is_zero_vector,
-    kernel_basis,
     rational,
-    zero_vector,
 )
 
 Vector = tuple[Fraction, ...]
@@ -107,46 +107,33 @@ class LieAlgebra:
 
     # -- bracket ---------------------------------------------------------
 
+    def _bracket(self, x: Mapping[int, Fraction],
+                 y: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """[x, y] on sparse {index: value} vectors: the table entries
+        [e_i, e_j] for i in the support of x and j in that of y."""
+        table, acc = self._table, {}
+        for i, a in x.items():
+            for j, b in y.items():
+                entry = table.get((i, j) if i < j else (j, i))  # none for i == j
+                if entry:
+                    f = a * b if i < j else -a * b
+                    for k, c in entry:
+                        acc[k] = acc.get(k, _ZERO) + f * c
+        return {k: c for k, c in acc.items() if c}
+
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a dense vector."""
-        if i == j:
-            return zero_vector(self.dim)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        acc = [Fraction(0)] * self.dim
-        for k, c in self._table.get((i, j), ()):
-            acc[k] = sign * c
-        return tuple(acc)
+        return _dense(self._bracket({i: _ONE}, {j: _ONE}), self.dim)
 
     def bracket_vector_basis(self, v: Sequence[Fraction], j: int) -> Vector:
-        """[v, e_j], exploiting sparsity of the table."""
-        acc = [Fraction(0)] * self.dim
-        for i, x in enumerate(v):
-            if not x:
-                continue
-            if i == j:
-                continue
-            if i < j:
-                for k, c in self._table.get((i, j), ()):
-                    acc[k] += x * c
-            else:
-                for k, c in self._table.get((j, i), ()):
-                    acc[k] -= x * c
-        return tuple(acc)
+        """[v, e_j] as a dense vector."""
+        return _dense(self._bracket(_sparse(v), {j: _ONE}), self.dim)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        """Bilinear antisymmetric extension of the table: the sum of
-        y_j [x, e_j] over the support of y, each walking the support of x."""
+        """Bilinear antisymmetric extension of the table, dense."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match algebra dimension")
-        acc = [Fraction(0)] * self.dim
-        for j, b in enumerate(y):
-            if b:
-                for k, c in enumerate(self.bracket_vector_basis(x, j)):
-                    if c:
-                        acc[k] += b * c
-        return tuple(acc)
+        return _dense(self._bracket(_sparse(x), _sparse(y)), self.dim)
 
     # -- validation ------------------------------------------------------
 
@@ -213,42 +200,39 @@ def product_space(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """Span of all [a, b] with a in A, b in B."""
     if A.ambient_dim != L.dim or B.ambient_dim != L.dim:
         raise DimensionMismatch("subspace ambient dimension does not match algebra")
-    vecs = [L.bracket(a, b) for a in A.basis.entries for b in B.basis.entries]
-    return Subspace.from_vectors(L.dim, vecs)
+    return Subspace.from_rows(L.dim, (L._bracket(a, b) for a in A.rows for b in B.rows))
 
 
 def _lower_series(L: LieAlgebra) -> tuple[Subspace, ...]:
     full = Subspace.full(L.dim)
     series = [full]
-    current = full
-    while not current.is_zero:
-        vecs = [L.bracket_vector_basis(row, j)
-                for row in current.basis.entries for j in range(L.dim)]
-        nxt = Subspace.from_vectors(L.dim, vecs)
-        if nxt.dim >= current.dim and not current.is_zero:
+    while not series[-1].is_zero:
+        current = series[-1]
+        nxt = product_space(L, current, full)
+        if nxt.dim >= current.dim:
             raise NotNilpotent(
                 f"{L.name}: lower central series stabilises at dimension {current.dim}")
         series.append(nxt)
-        current = nxt
     return tuple(series)
 
 
 def _upper_series(L: LieAlgebra) -> tuple[Subspace, ...]:
     series = [Subspace.zero(L.dim)]
-    current = series[0]
-    while current.dim < L.dim:
+    while series[-1].dim < L.dim:
+        current = series[-1]
         # Z_{next} = {x : [x, e_j] in Z_current for all j}.  Reduction mod
-        # Z_current is linear, so for each j the residuals of [e_l, e_j] are
-        # the columns (indexed by l) of rows that must annihilate x.
-        rows = []
-        for j in range(L.dim):
-            residuals = [current.reduce(L.bracket_basis(l, j)) for l in range(L.dim)]
-            rows.extend(row for row in zip(*residuals) if not is_zero_vector(row))
-        nxt = kernel_basis(Matrix.from_rows(rows, L.dim))
+        # Z_current is linear, so coordinate r of the residual of
+        # [x, e_j] = sum_l x_l [e_l, e_j] is a row (j, r) in the x_l that
+        # must vanish; only the nonzero table entries contribute.
+        constraints: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (l, j), entry in L._table.items():
+            for r, x in current.residual(entry).items():
+                constraints.setdefault((j, r), {})[l] = x
+                constraints.setdefault((l, r), {})[j] = -x
+        nxt = Subspace.from_rows(L.dim, _null_rows(constraints.values(), L.dim))
         if nxt.dim <= current.dim:
             raise NotNilpotent(f"{L.name}: upper central series stabilises below L")
         series.append(nxt)
-        current = nxt
     return tuple(series)
 
 
@@ -261,25 +245,19 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
     from one sweep in pivot order.  The constructor checks Jacobi again
     on the rewritten table.
     """
-    dense = [row for outer, inner in zip(lower, lower[1:])
-             for row in outer.quotient_basis_rows(inner)]
-    rows = [_sparse(row) for row in dense]
+    rows = [row for outer, inner in zip(lower, lower[1:])
+            for row in outer.quotient_basis_rows(inner)]
     slot = {min(row): t for t, row in enumerate(rows)}
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(L.dim):
-        # [f_a, e_j] for every j, reused across the f_b.
-        ad = [_sparse(L.bracket_vector_basis(dense[a], j)) for j in range(L.dim)]
-        for b in range(a + 1, L.dim):
-            image: dict[int, Fraction] = {}
-            for j, y in rows[b].items():
-                _subtract(image, -y, ad[j])
-            entry = {}
-            while image:
-                p = min(image)
-                t, x = slot[p], image[p]
-                entry[t] = x
-                _subtract(image, x, rows[t])
-            table[(a, b)] = entry
+    for a, b in itertools.combinations(range(L.dim), 2):
+        image = L._bracket(rows[a], rows[b])
+        entry = {}
+        while image:
+            p = min(image)
+            t, x = slot[p], image[p]
+            entry[t] = x
+            _subtract(image, x, rows[t])
+        table[(a, b)] = entry
     return LieAlgebra(L.dim, table, name="adapted")
 
 
@@ -319,8 +297,8 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
     if ideal.ambient_dim != L.dim:
         raise DimensionMismatch("ideal ambient dimension does not match algebra")
     # [L, I] is spanned by the [v, e_j] over I's basis rows v and all j.
-    if not all(ideal.contains(L.bracket_vector_basis(row, j))
-               for row in ideal.basis.entries for j in range(L.dim)):
+    if any(ideal.residual(L._bracket(row, {j: _ONE}))
+           for row in ideal.rows for j in range(L.dim)):
         raise NotAnIdeal(f"{L.name}: subspace is not an ideal")
     taken = set(ideal.pivots)
     complement = [k for k in range(L.dim) if k not in taken]
@@ -332,10 +310,9 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
 
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a, b in itertools.combinations(complement, 2):
-        img = project(L.bracket_basis(a, b))
-        entry = {t: c for t, c in enumerate(img) if c}
-        if entry:
-            table[(pos[a], pos[b])] = entry
+        # A residual mod I lives on the complement's coordinates.
+        image = ideal.residual(L._bracket({a: _ONE}, {b: _ONE}))
+        table[(pos[a], pos[b])] = {pos[k]: c for k, c in image.items()}
     qname = name if name is not None else f"{L.name}/I"
     return LieAlgebra(len(complement), table, name=qname), project
 

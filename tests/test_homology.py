@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from test_invariance import generated_algebras
 
 from nilmult.catalog import DIM_GUARD, build, default_manifest
 from nilmult.homology import d2_matrix, d3_matrix, exterior_basis, multiplier_dim
@@ -145,6 +147,14 @@ def test_direct_sum_multiplier_formula(a, b):
     g1 = series_profile(L1).gen_count
     g2 = series_profile(L2).gen_count
     assert total == multiplier_dim(L1).dim_M + multiplier_dim(L2).dim_M + g1 * g2
+
+
+@given(generated_algebras(), generated_algebras())
+@settings(max_examples=30, deadline=None)
+def test_direct_sum_multiplier_formula_on_generated_pairs(A, B):
+    total = multiplier_dim(direct_sum(A, B)).dim_M
+    gens = series_profile(A).gen_count * series_profile(B).gen_count
+    assert total == multiplier_dim(A).dim_M + multiplier_dim(B).dim_M + gens
 
 
 def _witt(d, k):

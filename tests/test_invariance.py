@@ -24,7 +24,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_lie_core import _central_vectors
+from test_lie_core import _central_vectors, _change_basis
 
 from nilmult.analysis import (
     PsiWitness,
@@ -41,7 +41,6 @@ from nilmult.exactla import Matrix, Subspace, basis_vector, rank
 from nilmult.free_lie import evaluate_in, left_normed, lemma31_term_pairs
 from nilmult.homology import multiplier_dim
 from nilmult.lie_core import (
-    LieAlgebra,
     NotAnIdeal,
     minimal_generators,
     quotient_algebra,
@@ -51,25 +50,6 @@ from nilmult.lie_core import (
 SMALL_CORPUS = default_manifest(max_dim=8).specs
 NONABELIAN_CORPUS = [spec for spec in default_manifest().specs
                      if not build(spec).is_abelian]
-
-
-def _change_basis(L, p):
-    """L rewritten in the basis f_a = Σ_i p[a][i] e_i, p unimodular."""
-    n = L.dim
-    # A row vector v over the e_i is v·p⁻¹ over the f_a.
-    q = [[int(x) for x in row] for row in sympy.Matrix(p).inv().tolist()]
-    table = {}
-    for a, b in itertools.combinations(range(n), 2):
-        image = [Fraction(0)] * n  # [f_a, f_b] over the e_i
-        for (i, j), entry in L.table.items():
-            w = p[a][i] * p[b][j] - p[a][j] * p[b][i]
-            for k, c in entry.items():
-                image[k] += w * c
-        coords = {t: sum(image[k] * q[k][t] for k in range(n)) for t in range(n)}
-        entry = {t: c for t, c in coords.items() if c}
-        if entry:
-            table[(a, b)] = entry
-    return LieAlgebra(n, table, name=L.name)
 
 
 def _reversal(n):
@@ -171,8 +151,9 @@ def _reference_psi_witnesses(L, i):
             for b, wb in enumerate(_coords_in_quotient(gi, gi1, w_val)):
                 tensor[base + b] += wb
         tensors.append(tuple(tensor))
+    lifts = [w for w, p in zip(gi.basis.entries, gi.pivots) if p not in gi1.pivots]
     beta_cols = [_coords_in_quotient(gi1, gi2, L.bracket(w, u))
-                 for u in gens for w in gi.quotient_basis_rows(gi1)]
+                 for u in gens for w in lifts]
     images = tuple(tuple(sum((col[r] * x for col, x in zip(beta_cols, tensor)),
                              Fraction(0))
                          for r in range(gi1.dim - gi2.dim))

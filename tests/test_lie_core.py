@@ -214,6 +214,12 @@ def test_bracket_matches_table_walk(spec, reverse, data):
     x = data.draw(vectors(L.dim), label="x")
     y = data.draw(vectors(L.dim), label="y")
     assert L.bracket(x, y) == _reference_bracket(L, x, y)
+    i = data.draw(st.integers(0, L.dim - 1), label="i")
+    j = data.draw(st.integers(0, L.dim - 1), label="j")
+    e = functools.partial(basis_vector, L.dim)
+    assert L.bracket_vector_basis(x, j) == _reference_bracket(L, x, e(j))
+    for a, b in ((i, j), (j, i), (i, i)):
+        assert L.bracket_basis(a, b) == _reference_bracket(L, e(a), e(b))
     for bad in ((x[:-1], y), (x, y + (Fraction(1),))):
         with pytest.raises(DimensionMismatch):
             L.bracket(*bad)
@@ -299,32 +305,74 @@ def _reversed_basis(L):
     return LieAlgebra(n, table, name=L.name)
 
 
+def _change_basis(L, p):
+    """L rewritten in the basis f_a = Σ_i p[a][i] e_i, p unimodular."""
+    n = L.dim
+    # A row vector v over the e_i is v·p⁻¹ over the f_a.
+    q = [[int(x) for x in row] for row in sympy.Matrix(p).inv().tolist()]
+    table = {}
+    for a, b in itertools.combinations(range(n), 2):
+        image = [Fraction(0)] * n  # [f_a, f_b] over the e_i
+        for (i, j), entry in L.table.items():
+            w = p[a][i] * p[b][j] - p[a][j] * p[b][i]
+            for k, c in entry.items():
+                image[k] += w * c
+        coords = {t: sum(image[k] * q[k][t] for k in range(n)) for t in range(n)}
+        entry = {t: c for t, c in coords.items() if c}
+        if entry:
+            table[(a, b)] = entry
+    return LieAlgebra(n, table, name=L.name)
+
+
+def _seeded_unimodular(n, rng):
+    """A unimodular integer matrix: the product of random unitriangular
+    lower and upper factors with entries in -1..1."""
+    lower = [[1 if i == j else rng.randint(-1, 1) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
 # Every family puts a central element last; the reversed copies put one
-# first, so neither end of the basis is exempt from the oracle.
+# first, so neither end of the basis is exempt from the oracle.  Each
+# input is also checked in a seeded dense basis.
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("spec", list(default_manifest().specs) + ["filiform:12", "freenil:2,5"])
 def test_upper_series_oracle(spec, reverse):
     L = _reversed_basis(build(spec)) if reverse else build(spec)
+    _check_upper_series(L)
+    p = _seeded_unimodular(L.dim, random.Random(f"{spec}:{reverse}"))
+    _check_upper_series(_change_basis(L, p))
+
+
+def _check_upper_series(L):
     n = L.dim
     prof = series_profile(L)
     c = prof.nilpotency_class
     assert len(prof.upper) == c + 1
-    # ad(e_j) as a matrix acting on coordinate columns: column l is [e_l, e_j]
-    ads = [_sympy_rows(L.bracket_basis(l, j) for l in range(n)).T for j in range(n)]
+    # ad(e_j) as a matrix acting on coordinate columns: column l is [e_l, e_j],
+    # read straight from the table.
+    ads = [sympy.zeros(n, n) for _ in range(n)]
+    for (a, b), entry in L.table.items():
+        for k, x in entry.items():
+            ads[b][k, a] = sympy.Rational(x)
+            ads[a][k, b] = -sympy.Rational(x)
     for k in range(c):
         zk, znext = prof.upper[k], prof.upper[k + 1]
         for x in znext.basis.entries:
             for j in range(n):
-                assert zk.contains(L.bracket_vector_basis(x, j)), (spec, k, j)
+                assert zk.contains(L.bracket_vector_basis(x, j)), (L.name, k, j)
         # x is in Z_{k+1} iff every functional vanishing on Z_k kills each [x, e_j]
         if zk.is_zero:
             ann = sympy.eye(n)
         else:
             ann = sympy.Matrix.hstack(*_sympy_rows(zk.basis.entries).nullspace()).T
         stacked = sympy.Matrix.vstack(*(ann * ad for ad in ads))
-        assert znext.dim == n - stacked.rank(), (spec, k)
+        assert znext.dim == n - stacked.rank(), (L.name, k)
     for k in range(c + 1):
-        assert prof.upper[k].contains_subspace(prof.gamma(c + 1 - k)), (spec, k)
+        assert prof.upper[k].contains_subspace(prof.gamma(c + 1 - k)), (L.name, k)
 
 
 def test_quotient_by_derived_subalgebra():
