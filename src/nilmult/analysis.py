@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactla import Matrix, basis_vector, is_zero_vector, rank
+from .exactla import _ONE, Matrix, is_zero_vector, rank
 from .free_lie import BracketExpr, evaluate_in, left_normed, lemma31_term_pairs
 from .homology import multiplier_dim
 from .lie_core import (
@@ -316,10 +316,10 @@ def _witness_tuple(L: LieAlgebra, i: int, prof: SeriesProfile) -> tuple[int, ...
     A = prof.adapted
     mid = A.dim - prof.gamma(i + 1).dim
     for tup in itertools.product(range(prof.gen_count), repeat=i):
-        value = basis_vector(A.dim, tup[0])
+        value = {tup[0]: _ONE}
         for t in tup[1:]:
-            value = A.bracket_vector_basis(value, t)
-        if any(value[:mid]):
+            value = A._bracket(value, {t: _ONE})
+        if any(k < mid for k in value):
             return tuple(t + 1 for t in tup)
     # For i <= c, γ_i/γ_{i+1} is nonzero and spanned by these brackets.
     raise VerificationFailure(
@@ -360,13 +360,14 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
     for zj in z:
         slots = dict(enumerate(y, start=1))
         slots[i + 1] = zj
-        values = {k: basis_vector(n, g - 1) for k, g in slots.items()}
+        values = {k: {g - 1: _ONE} for k, g in slots.items()}
         tensor = [Fraction(0)] * ((n - m) * q)
         for w_expr, t_sym in pairs:
-            w_val = evaluate_in(w_expr, A.bracket, values)
-            base = (slots[t_sym] - 1) * q
-            for b, wb in enumerate(w_val[lo:mid]):
-                tensor[base + b] += wb
+            w_val = evaluate_in(w_expr, A._bracket, values)
+            base = (slots[t_sym] - 1) * q - lo
+            for k, wb in w_val.items():
+                if lo <= k < mid:
+                    tensor[base + k] += wb
         if is_zero_vector(tensor):
             raise VerificationFailure(f"{L.name}: Ψ_{i} tensor for z={zj} is zero")
         tensors.append(tuple(tensor))

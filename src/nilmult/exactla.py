@@ -27,6 +27,10 @@ class DimensionMismatch(ValueError):
 
 
 def rational(x) -> Fraction:
+    """x as a Fraction; a float is refused, since Fraction(0.1) would be
+    its binary approximation, not 1/10."""
+    if isinstance(x, float):
+        raise TypeError(f"float coefficient {x!r}: pass an int, Fraction or string")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

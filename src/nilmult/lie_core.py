@@ -3,13 +3,15 @@
 A bracket table stores [e_i, e_j] for i < j only; the diagonal and the
 lower triangle follow from antisymmetry.  The Jacobi identity is checked
 on construction, so every live ``LieAlgebra`` value is an actual Lie
-algebra.  All derived objects (series, quotients, direct sums) stay in
-exact rational arithmetic.
+algebra; the check walks integer numerators over the common denominator
+of the constants.  All derived objects (series, quotients, direct sums)
+stay in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,15 +63,13 @@ def _canonical_table(dim: int, table) -> dict[tuple[int, int], tuple[tuple[int, 
             items = entry.items()
         else:
             items = entry
-        cleaned = []
+        summed: dict[int, Fraction] = {}  # a pair list may repeat a target
         for k, c in items:
             if not 0 <= k < dim:
                 raise DimensionMismatch(f"bracket target index {k} outside basis")
-            c = rational(c)
-            if c:
-                cleaned.append((k, c))
+            summed[k] = summed.get(k, _ZERO) + rational(c)
+        cleaned = sorted((k, c) for k, c in summed.items() if c)
         if cleaned:
-            cleaned.sort()
             out[(i, j)] = tuple(cleaned)
     return out
 
@@ -141,12 +141,19 @@ class LieAlgebra:
         """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for i < j < k.
 
         Walks only nonzero table entries: [e_a, e_b] = Σ x_q e_q, then
-        [e_q, e_t].  Triples are tried in lexicographic order, so the
+        [e_q, e_t].  The walk runs on integers: every constant is scaled
+        by D, the lcm of their denominators, and the residual is
+        quadratic in the constants, so its integer value is D² times the
+        rational one.  Triples are tried in lexicographic order, so the
         first failing one is the one reported.
         """
-        table, zero = self._table, Fraction(0)
+        scale = math.lcm(*(c.denominator for entry in self._table.values()
+                           for _, c in entry))
+        table = {pair: tuple((q, c.numerator * (scale // c.denominator))
+                             for q, c in entry)
+                 for pair, entry in self._table.items()}
         for i, j, k in itertools.combinations(range(self.dim), 3):
-            res: dict[int, Fraction] = {}
+            res: dict[int, int] = {}
             # [[e_k, e_i], e_j] = -[[e_i, e_k], e_j]
             for pair, t, negate in (((i, j), k, False), ((j, k), i, False),
                                     ((i, k), j, True)):
@@ -157,10 +164,10 @@ class LieAlgebra:
                     if inner and negate != (q > t):  # [e_q, e_t] = -[e_t, e_q]
                         x = -x
                     for m, c in inner:
-                        res[m] = res.get(m, zero) + x * c
+                        res[m] = res.get(m, 0) + x * c
             if any(res.values()):
-                raise JacobiViolation(
-                    i, j, k, tuple(res.get(m, zero) for m in range(self.dim)))
+                raise JacobiViolation(i, j, k, tuple(
+                    Fraction(res.get(m, 0), scale * scale) for m in range(self.dim)))
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,15 @@ def test_kernel_vectors_annihilate():
         assert all(_dot(r, row) == 0 for r in m.entries)
 
 
+def test_float_entries_are_refused():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
+    with pytest.raises(TypeError):
+        Subspace.from_vectors(2, [[1, 0.1]])
+    with pytest.raises(TypeError):
+        vector([0.5])
+    assert Subspace.from_vectors(2, [[1, "0.1"]]).rows == ({0: 1, 1: Fraction(1, 10)},)
+
+
 def test_subspace_sum_of_axes():
     x = Subspace.from_vectors(3, [basis_vector(3, 0)])
     y = Subspace.from_vectors(3, [basis_vector(3, 1)])

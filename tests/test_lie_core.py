@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nilmult.catalog import build, default_manifest
 from nilmult.exactla import DimensionMismatch, Subspace, basis_vector, is_zero_vector, vector
+from nilmult.homology import d2_matrix, d3_matrix
 from nilmult.lie_core import (
     JacobiViolation,
     LieAlgebra,
@@ -68,6 +69,42 @@ def test_jacobi_violation_away_from_first_triple():
     assert info.value.triple == (1, 2, 3)
     assert info.value.residual == vector([0, 0, 0, -1])
     assert _reference_jacobi(4, table) == ((1, 2, 3), vector([0, 0, 0, -1]))
+
+
+def test_jacobi_residual_keeps_its_denominator():
+    # test_jacobi_violation_detected's table with constants 1/2 and 1/3:
+    # the check scales them to integers over D = 6, so its integer
+    # residual is 36 times the true one.
+    with pytest.raises(JacobiViolation) as info:
+        LieAlgebra(3, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {0: Fraction(1, 3)}})
+    assert info.value.triple == (0, 1, 2)
+    assert info.value.residual == vector([0, 0, Fraction(-1, 6)])
+    assert str(info.value).endswith("residual (0, 0, -1/6)")
+
+
+def test_pair_list_sums_repeated_targets():
+    listed = LieAlgebra(4, {(0, 1): [(2, 1), (3, 2), (2, Fraction(1, 2))], (0, 2): [(3, 1)]})
+    summed = LieAlgebra(4, {(0, 1): {2: Fraction(3, 2), 3: 2}, (0, 2): {3: 1}})
+    assert listed == summed and hash(listed) == hash(summed)
+    assert listed.table == summed.table
+    assert listed.bracket_basis(0, 1) == vector([0, 0, Fraction(3, 2), 2])
+    assert d2_matrix(listed) == d2_matrix(summed)
+    assert d3_matrix(listed) == d3_matrix(summed)
+
+
+def test_pair_list_cancelling_to_abelian():
+    L = LieAlgebra(3, {(0, 1): [(2, 1), (2, -1)]})
+    assert L.is_abelian and L.table == {}
+    assert L == LieAlgebra(3, {}) and hash(L) == hash(LieAlgebra(3, {}))
+    assert L.bracket_basis(0, 1) == vector([0, 0, 0])
+    assert d2_matrix(L) == d2_matrix(LieAlgebra(3, {}))
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        LieAlgebra(3, {(0, 1): {2: 0.5}})
+    with pytest.raises(TypeError):
+        LieAlgebra(3, {(0, 1): [(2, 1.0)]})
 
 
 def _reference_jacobi(dim, table):
@@ -133,9 +170,31 @@ def random_tables(draw):
 
 
 @st.composite
+def dense_tables(draw):
+    """A JACOBI_SOURCES member in a seeded dense unimodular basis."""
+    L = build(draw(st.sampled_from(JACOBI_SOURCES)))
+    p = _seeded_unimodular(L.dim, random.Random(draw(st.integers(0, 2**16))))
+    return L.dim, _change_basis(L, p).table
+
+
+SCALES = [Fraction(a, b) for a in (1, -1, 2, 3, 5) for b in (1, 2, 3, 5)]
+
+
+@st.composite
+def rescaled_tables(draw):
+    """A valid or dense table in the basis f_a = s_a e_a, so that its
+    entries s_a s_b c / s_k carry different denominators."""
+    dim, table = draw(st.one_of(valid_tables(), dense_tables()))
+    s = draw(st.lists(st.sampled_from(SCALES), min_size=dim, max_size=dim))
+    return dim, {(a, b): {k: s[a] * s[b] * c / s[k] for k, c in entry.items()}
+                 for (a, b), entry in table.items()}
+
+
+@st.composite
 def perturbed_tables(draw):
-    """A valid table with one coefficient changed or added."""
-    dim, table = draw(valid_tables())
+    """A valid table, possibly dense or rescaled, with one coefficient
+    changed or added."""
+    dim, table = draw(st.one_of(valid_tables(), dense_tables(), rescaled_tables()))
     pair = draw(st.sampled_from(list(itertools.combinations(range(dim), 2))))
     k = draw(st.integers(0, dim - 1))
     entry = dict(table.get(pair, {}))
@@ -144,7 +203,8 @@ def perturbed_tables(draw):
     return dim, table
 
 
-@given(st.one_of(valid_tables(), random_tables(), perturbed_tables()))
+@given(st.one_of(valid_tables(), dense_tables(), rescaled_tables(), random_tables(),
+                 perturbed_tables()))
 @settings(max_examples=300, deadline=None)
 def test_jacobi_check_matches_dense_reference(case):
     dim, table = case
