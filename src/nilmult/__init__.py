@@ -55,6 +55,7 @@ from .lie_core import (
     product_space,
     quotient_algebra,
     series_profile,
+    upper_series,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +72,7 @@ __all__ = [
     "lemma31_expression", "load_file", "lyndon_words", "minimal_generators",
     "multiplier_dim", "niroomand_russo", "parse_file", "product_space",
     "psi_witnesses", "quotient_algebra", "rai_bound", "rai_refined", "rank",
-    "right_normed", "rref", "serialize", "series_profile",
+    "right_normed", "rref", "serialize", "series_profile", "upper_series",
     "verify_lemma31", "verify_theorem", "witness_commutator",
     "yankosky_closed",
 ]

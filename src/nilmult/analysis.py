@@ -31,13 +31,14 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactla import _ONE, Matrix, is_zero_vector, rank
+from .exactla import _ONE, Matrix, Subspace, is_zero_vector, rank
 from .free_lie import BracketExpr, evaluate_in, left_normed, lemma31_term_pairs
 from .homology import multiplier_dim
 from .lie_core import (
     LieAlgebra,
     NotAnIdeal,
     SeriesProfile,
+    _upper_step,
     minimal_generators,
     series_profile,
 )
@@ -95,9 +96,10 @@ def rai_refined(L: LieAlgebra) -> int:
     """rai_bound minus dim(Z/(γ₂ ∩ Z))·m.  Informational only."""
     prof = series_profile(L)
     n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
-    gamma2 = prof.gamma(2)
-    # dim Z − dim(Z ∩ γ₂) = dim(Z + γ₂) − dim γ₂ (Grassmann).
-    central_gens = prof.center.sum(gamma2).dim - gamma2.dim
+    # On the adapted table γ₂ is the last m coordinates, so the RREF rows
+    # of the centre with pivots below n − m span a complement of Z ∩ γ₂.
+    center = _upper_step(prof.adapted, Subspace.zero(n))
+    central_gens = sum(p < n - m for p in center.pivots)
     return rai_bound(n, m, c) - central_gens * m
 
 

@@ -16,7 +16,6 @@ internal error (any other exception).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -32,7 +31,8 @@ from .analysis import (
 from .catalog import ParseError, SpecError, build, default_manifest
 from .free_lie import lemma31_expression, verify_lemma31
 from .homology import multiplier_dim
-from .lie_core import JacobiViolation, NotAnIdeal, NotNilpotent, series_profile
+from .lie_core import (JacobiViolation, NotAnIdeal, NotNilpotent,
+                       series_profile, upper_series)
 
 INPUT_ERRORS = (SpecError, ParseError, JacobiViolation, NotNilpotent,
                 NotAnIdeal, RangeError)
@@ -66,7 +66,7 @@ def cmd_info(args) -> int:
     L = build(args.spec)
     prof = series_profile(L)
     lower = [s.dim for s in prof.lower]
-    upper = [s.dim for s in prof.upper]
+    upper = [s.dim for s in upper_series(L)]
     payload = {
         "name": L.name, "dim": L.dim, "abelian": L.is_abelian,
         "class": prof.nilpotency_class, "m": prof.derived_dim,
@@ -221,6 +221,7 @@ def cmd_verify_corpus(args) -> int:
     fmt = "json" if args.json else args.format
     manifest = default_manifest(args.max_dim)
     if args.parallel:
+        import concurrent.futures  # here, so no other command pays for its import
         with concurrent.futures.ProcessPoolExecutor() as pool:
             results = list(pool.map(_verify_spec, manifest.specs))
     else:

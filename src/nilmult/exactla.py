@@ -226,11 +226,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return not any(self.residual(row) for row in other.rows)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return Subspace.from_rows(self.ambient_dim, self.rows + other.rows)
-
     def quotient_basis_rows(self, sub: "Subspace") -> tuple[dict[int, Fraction], ...]:
         """Canonical lifts of a basis of self/sub: the rows of self's RREF
         off sub's pivots, sparse."""

@@ -125,10 +125,6 @@ class LieAlgebra:
         """[e_i, e_j] as a dense vector."""
         return _dense(self._bracket({i: _ONE}, {j: _ONE}), self.dim)
 
-    def bracket_vector_basis(self, v: Sequence[Fraction], j: int) -> Vector:
-        """[v, e_j] as a dense vector."""
-        return _dense(self._bracket(_sparse(v), {j: _ONE}), self.dim)
-
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """Bilinear antisymmetric extension of the table, dense."""
         if len(x) != self.dim or len(y) != self.dim:
@@ -172,11 +168,10 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class SeriesProfile:
-    """Lower/upper central series data of a nilpotent algebra.
+    """Lower central series data of a nilpotent algebra.
 
-    ``lower`` is (gamma_1, ..., gamma_{c+1}) ending at the zero subspace;
-    ``upper`` is (Z_0, ..., Z_c) starting at zero and ending at the whole
-    space.  ``derived_dim`` is dim gamma_2 and ``gen_count`` the size of a
+    ``lower`` is (gamma_1, ..., gamma_{c+1}) ending at the zero subspace.
+    ``derived_dim`` is dim gamma_2 and ``gen_count`` the size of a
     minimal generating set.  ``adapted`` is the algebra rewritten in a
     basis adapted to the lower series: gamma_i is spanned by its last
     dim gamma_i basis vectors, so L/gamma_i is its table truncated to the
@@ -184,7 +179,6 @@ class SeriesProfile:
     """
 
     lower: tuple[Subspace, ...]
-    upper: tuple[Subspace, ...]
     nilpotency_class: int
     derived_dim: int
     gen_count: int
@@ -196,11 +190,7 @@ class SeriesProfile:
             raise ValueError("lower central series starts at index 1")
         if i >= len(self.lower) + 1:
             return Subspace.zero(self.lower[0].ambient_dim)
-        return self.lower[min(i, len(self.lower)) - 1]
-
-    @property
-    def center(self) -> Subspace:
-        return self.upper[1] if len(self.upper) > 1 else self.upper[0]
+        return self.lower[i - 1]
 
 
 def product_space(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
@@ -223,21 +213,28 @@ def _lower_series(L: LieAlgebra) -> tuple[Subspace, ...]:
     return tuple(series)
 
 
-def _upper_series(L: LieAlgebra) -> tuple[Subspace, ...]:
+def _upper_step(L: LieAlgebra, Z: Subspace) -> Subspace:
+    """{x : [x, e_j] in Z for all j}; from Z = 0 this is the centre.
+
+    Reduction mod Z is linear, so coordinate r of the residual of
+    [x, e_j] = sum_l x_l [e_l, e_j] is a row (j, r) in the x_l that must
+    vanish; only the nonzero table entries contribute.
+    """
+    constraints: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (l, j), entry in L._table.items():
+        for r, x in Z.residual(entry).items():
+            constraints.setdefault((j, r), {})[l] = x
+            constraints.setdefault((l, r), {})[j] = -x
+    return Subspace.from_rows(L.dim, _null_rows(constraints.values(), L.dim))
+
+
+def upper_series(L: LieAlgebra) -> tuple[Subspace, ...]:
+    """(Z_0, ..., Z_c), from zero to the whole space; NotNilpotent if it
+    stops below L."""
     series = [Subspace.zero(L.dim)]
     while series[-1].dim < L.dim:
-        current = series[-1]
-        # Z_{next} = {x : [x, e_j] in Z_current for all j}.  Reduction mod
-        # Z_current is linear, so coordinate r of the residual of
-        # [x, e_j] = sum_l x_l [e_l, e_j] is a row (j, r) in the x_l that
-        # must vanish; only the nonzero table entries contribute.
-        constraints: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (l, j), entry in L._table.items():
-            for r, x in current.residual(entry).items():
-                constraints.setdefault((j, r), {})[l] = x
-                constraints.setdefault((l, r), {})[j] = -x
-        nxt = Subspace.from_rows(L.dim, _null_rows(constraints.values(), L.dim))
-        if nxt.dim <= current.dim:
+        nxt = _upper_step(L, series[-1])
+        if nxt.dim <= series[-1].dim:
             raise NotNilpotent(f"{L.name}: upper central series stabilises below L")
         series.append(nxt)
     return tuple(series)
@@ -270,16 +267,15 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
 
 @lru_cache(maxsize=None)
 def series_profile(L: LieAlgebra) -> SeriesProfile:
-    """Both central series, the (n, m, c) bookkeeping and the adapted table.
+    """The lower central series, the (n, m, c) bookkeeping and the adapted table.
 
     Cached per algebra: LieAlgebra hashes by structure, and the profile
     carries no name.
     """
     lower = _lower_series(L)
-    upper = _upper_series(L)
     c = len(lower) - 1
     m = lower[1].dim if len(lower) > 1 else 0
-    return SeriesProfile(lower=lower, upper=upper, nilpotency_class=c,
+    return SeriesProfile(lower=lower, nilpotency_class=c,
                          derived_dim=m, gen_count=L.dim - m,
                          adapted=_adapted(L, lower))
 

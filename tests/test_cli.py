@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from nilmult import analysis, cli
+from nilmult import analysis, cli, lie_core
 from nilmult.analysis import VerificationFailure, bound_report
 from nilmult.catalog import build, default_manifest
 from nilmult.cli import main
+from nilmult.lie_core import series_profile
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,6 +95,20 @@ def test_kernel_command(capsys):
     payload = json.loads(out)
     assert [r["ker_lambda_i"] for r in payload["rows"]] == [0, 1]
     assert all(r["satisfied"] for r in payload["rows"])
+
+
+def _no_upper_step(L, Z):
+    raise AssertionError("_upper_step called")
+
+
+@pytest.mark.parametrize("command", ["kernel", "multiplier"])
+def test_commands_without_a_centre_skip_upper_step(capsys, monkeypatch, command):
+    # Only info (upper series) and rai_refined (centre) call _upper_step.
+    _, expected, _ = run_cli(capsys, command, "filiform:5")
+    series_profile.cache_clear()
+    monkeypatch.setattr(lie_core, "_upper_step", _no_upper_step)
+    monkeypatch.setattr(analysis, "_upper_step", _no_upper_step)
+    assert run_cli(capsys, command, "filiform:5") == (0, expected, "")
 
 
 def test_kernel_rejects_abelian(capsys):
@@ -223,6 +238,13 @@ def test_info_malformed_file_exit_two(capsys):
     assert "line 4" in err
 
 
+@pytest.mark.parametrize("command", ["info", "bounds", "kernel"])
+def test_not_nilpotent_file_exit_two(capsys, command):
+    code, out, err = run_cli(capsys, command, f"file:{DATA / 'sl2.lie'}")
+    assert (code, out) == (2, "")
+    assert err == "error: sl2: lower central series stabilises at dimension 3\n"
+
+
 def test_unknown_spec_exit_two(capsys):
     code, _, err = run_cli(capsys, "bounds", "nonsense:9")
     assert code == 2
@@ -277,3 +299,13 @@ def test_module_entry_point_error_exit():
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "line 4" in proc.stderr
+
+
+def test_cli_import_leaves_out_process_pool():
+    # Only verify corpus --parallel imports concurrent.futures.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nilmult.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"

@@ -160,13 +160,13 @@ def test_float_entries_are_refused():
 def test_subspace_sum_of_axes():
     x = Subspace.from_vectors(3, [basis_vector(3, 0)])
     y = Subspace.from_vectors(3, [basis_vector(3, 1)])
-    assert x.sum(y).dim == 2
+    assert Subspace.from_rows(3, x.rows + y.rows).dim == 2
 
 
 @given(subspaces(), subspaces())
 @settings(max_examples=60)
 def test_grassmann_identity(a, b):
-    total = a.sum(b)
+    total = Subspace.from_rows(a.ambient_dim, a.rows + b.rows)
     assert max(a.dim, b.dim) <= total.dim <= a.dim + b.dim
     assert total.contains_subspace(a)
     assert total.contains_subspace(b)

@@ -17,6 +17,7 @@ position.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_lie_core import _central_vectors, _change_basis
+from test_lie_core import _central_vectors, _change_basis, _seeded_unimodular, _sympy_ads
 
 from nilmult.analysis import (
     PsiWitness,
@@ -45,6 +46,7 @@ from nilmult.lie_core import (
     minimal_generators,
     quotient_algebra,
     series_profile,
+    upper_series,
 )
 
 SMALL_CORPUS = default_manifest(max_dim=8).specs
@@ -217,7 +219,7 @@ def generated_algebras(draw):
     """A free nilpotent algebra modulo a random central subspace, in a
     random unimodular basis, round-tripped through the .lie format."""
     L = build(draw(st.sampled_from(GENERATED_SOURCES)))
-    count = draw(st.integers(0, series_profile(L).center.dim))
+    count = draw(st.integers(0, upper_series(L)[1].dim))
     if count:
         ideal = Subspace.from_vectors(L.dim, _central_vectors(draw, L, count))
         L, _ = quotient_algebra(L, ideal, name=f"{L.name}/Z{ideal.dim}")
@@ -236,6 +238,7 @@ def test_generated_algebras(L):
     assert verification.kernel.all_satisfied
     assert verification.eq3_ok
     _check_witnesses(L)
+    _check_rai_refined(L)
 
 
 def test_basis_change_leaves_graded_layout():
@@ -249,22 +252,29 @@ def test_basis_change_leaves_graded_layout():
     assert _invariants(copy) == _invariants(L)
 
 
-def _sympy_columns(rows):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                         for row in rows]).T
+def _check_rai_refined(L):
+    """rai_refined against dim Z/(Z ∩ γ₂), with the centre and γ₂ taken
+    by sympy on L's own basis."""
+    prof = series_profile(L)
+    n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
+    # x is central iff ad(e_j) x = 0 for every j.
+    center = sympy.Matrix.vstack(*_sympy_ads(L)).nullspace()
+    gamma2 = [sympy.Matrix([sympy.Rational(entry.get(k, 0)) for k in range(n)])
+              for entry in L.table.values()]
+    # dim(Z ∩ γ₂) = dim Z + dim γ₂ − dim(Z + γ₂)
+    meet = (len(center) + sympy.Matrix.hstack(*gamma2).rank()
+            - sympy.Matrix.hstack(*center, *gamma2).rank())
+    assert rai_refined(L) == rai_bound(n, m, c) - (len(center) - meet) * m
 
 
+# The reversed and seeded dense copies keep γ₂ off the trailing input
+# coordinates, where the adapted basis and the input basis differ.
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("spec", NONABELIAN_CORPUS)
 def test_rai_refined_oracle(spec, reverse):
     L = build(spec)
     if reverse:
         L = _change_basis(L, _reversal(L.dim))
-    prof = series_profile(L)
-    n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
-    center, gamma2 = prof.center.basis.entries, prof.gamma(2).basis.entries
-    # (a, b) with Zᵀa = γ₂ᵀb: both bases are independent, so the null
-    # space of [Zᵀ | −γ₂ᵀ] has dimension dim(Z ∩ γ₂).
-    meet = len(sympy.Matrix.hstack(_sympy_columns(center),
-                                   -_sympy_columns(gamma2)).nullspace())
-    assert rai_refined(L) == rai_bound(n, m, c) - (len(center) - meet) * m
+    _check_rai_refined(L)
+    p = _seeded_unimodular(L.dim, random.Random(f"{spec}:{reverse}"))
+    _check_rai_refined(_change_basis(L, p))

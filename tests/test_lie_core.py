@@ -21,6 +21,7 @@ from nilmult.lie_core import (
     product_space,
     quotient_algebra,
     series_profile,
+    upper_series,
 )
 
 
@@ -138,7 +139,7 @@ JACOBI_SOURCES = ["heisenberg:1", "heisenberg:2", "filiform:5", "filiform:7",
 
 def _central_vectors(draw, L, count):
     """count random integer combinations of the centre's basis rows."""
-    center = series_profile(L).center
+    center = upper_series(L)[1]
     combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=center.dim,
                                     max_size=center.dim),
                            min_size=count, max_size=count))
@@ -151,7 +152,7 @@ def valid_tables(draw):
     """A family member, a quotient of it by a random central subspace, or
     either with its basis reversed."""
     L = build(draw(st.sampled_from(JACOBI_SOURCES)))
-    count = draw(st.integers(min_value=0, max_value=series_profile(L).center.dim))
+    count = draw(st.integers(min_value=0, max_value=upper_series(L)[1].dim))
     if count:
         L, _ = quotient_algebra(L, Subspace.from_vectors(L.dim, _central_vectors(draw, L, count)))
     if draw(st.booleans()):
@@ -277,7 +278,7 @@ def test_bracket_matches_table_walk(spec, reverse, data):
     i = data.draw(st.integers(0, L.dim - 1), label="i")
     j = data.draw(st.integers(0, L.dim - 1), label="j")
     e = functools.partial(basis_vector, L.dim)
-    assert L.bracket_vector_basis(x, j) == _reference_bracket(L, x, e(j))
+    assert L.bracket(x, e(j)) == _reference_bracket(L, x, e(j))
     for a, b in ((i, j), (j, i), (i, i)):
         assert L.bracket_basis(a, b) == _reference_bracket(L, e(a), e(b))
     for bad in ((x[:-1], y), (x, y + (Fraction(1),))):
@@ -326,15 +327,14 @@ def test_series_profile_filiform4():
 
 def test_upper_series_matches_lower_length():
     for L in (h3(), filiform4(), LieAlgebra(5, {})):
-        prof = series_profile(L)
-        assert len(prof.upper) == len(prof.lower)
-        assert prof.upper[-1].dim == L.dim
-        assert prof.upper[0].is_zero
+        upper = upper_series(L)
+        assert len(upper) == len(series_profile(L).lower)
+        assert upper[-1].dim == L.dim
+        assert upper[0].is_zero
 
 
 def test_center_of_h3():
-    prof = series_profile(h3())
-    assert prof.center == Subspace.from_vectors(3, [[0, 0, 1]])
+    assert upper_series(h3())[1] == Subspace.from_vectors(3, [[0, 0, 1]])
 
 
 def test_gamma_products_nest():
@@ -351,6 +351,9 @@ def test_gamma_products_nest():
 def test_not_nilpotent_detected():
     with pytest.raises(NotNilpotent):
         series_profile(sl2())
+    # sl2 has zero centre, so its upper series stops at once
+    with pytest.raises(NotNilpotent, match="upper central series stabilises below L"):
+        upper_series(sl2())
 
 
 def _sympy_rows(rows):
@@ -407,23 +410,30 @@ def test_upper_series_oracle(spec, reverse):
     _check_upper_series(_change_basis(L, p))
 
 
-def _check_upper_series(L):
+def _sympy_ads(L):
+    """ad(e_j) for each j as a matrix acting on coordinate columns: column
+    l is [e_l, e_j], read straight from the table."""
     n = L.dim
-    prof = series_profile(L)
-    c = prof.nilpotency_class
-    assert len(prof.upper) == c + 1
-    # ad(e_j) as a matrix acting on coordinate columns: column l is [e_l, e_j],
-    # read straight from the table.
     ads = [sympy.zeros(n, n) for _ in range(n)]
     for (a, b), entry in L.table.items():
         for k, x in entry.items():
             ads[b][k, a] = sympy.Rational(x)
             ads[a][k, b] = -sympy.Rational(x)
+    return ads
+
+
+def _check_upper_series(L):
+    n = L.dim
+    prof = series_profile(L)
+    c = prof.nilpotency_class
+    upper = upper_series(L)
+    assert len(upper) == c + 1
+    ads = _sympy_ads(L)
     for k in range(c):
-        zk, znext = prof.upper[k], prof.upper[k + 1]
+        zk, znext = upper[k], upper[k + 1]
         for x in znext.basis.entries:
             for j in range(n):
-                assert zk.contains(L.bracket_vector_basis(x, j)), (L.name, k, j)
+                assert zk.contains(L.bracket(x, basis_vector(n, j))), (L.name, k, j)
         # x is in Z_{k+1} iff every functional vanishing on Z_k kills each [x, e_j]
         if zk.is_zero:
             ann = sympy.eye(n)
@@ -432,7 +442,7 @@ def _check_upper_series(L):
         stacked = sympy.Matrix.vstack(*(ann * ad for ad in ads))
         assert znext.dim == n - stacked.rank(), (L.name, k)
     for k in range(c + 1):
-        assert prof.upper[k].contains_subspace(prof.gamma(c + 1 - k)), (L.name, k)
+        assert upper[k].contains_subspace(prof.gamma(c + 1 - k)), (L.name, k)
 
 
 def test_quotient_by_derived_subalgebra():
@@ -475,7 +485,7 @@ def candidate_ideals(draw):
     if kind == "central":
         vecs = _central_vectors(draw, L, draw(st.integers(0, 3)))
     elif kind == "series":
-        term = draw(st.sampled_from(prof.lower + prof.upper))
+        term = draw(st.sampled_from(prof.lower + upper_series(L)))
         vecs = list(term.basis.entries) + draw(st.lists(ints, max_size=2))
     else:
         vecs = draw(st.lists(ints, min_size=1, max_size=L.dim))
@@ -541,11 +551,11 @@ def test_minimal_generators_regenerate():
         gens = minimal_generators(L)
         assert len(gens) == prof.gen_count
         current = list(gens)
-        span = Subspace.from_vectors(L.dim, current)
+        spanning = list(gens)
         for _ in range(prof.nilpotency_class):
             current = [L.bracket(x, g) for x in current for g in gens]
-            span = span.sum(Subspace.from_vectors(L.dim, current))
-        assert span.dim == L.dim
+            spanning += current
+        assert Subspace.from_vectors(L.dim, spanning).dim == L.dim
 
 
 def test_direct_sum_h3_abelian():
