@@ -20,7 +20,6 @@ from .analysis import (
     yankosky_closed,
 )
 from .catalog import (
-    CorpusManifest,
     abelian,
     build,
     default_manifest,
@@ -61,7 +60,7 @@ from .lie_core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "BracketExpr", "CorpusManifest", "FreeLieElement",
+    "BoundReport", "BracketExpr", "FreeLieElement",
     "JacobiViolation", "KernelProfile", "LieAlgebra", "Matrix",
     "MultiplierResult", "NotAnIdeal", "NotNilpotent", "PsiWitness",
     "SeriesProfile", "Subspace", "TheoremVerification", "VerificationFailure",

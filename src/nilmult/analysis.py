@@ -27,11 +27,11 @@ degree-(i+1) commutator identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactla import _ONE, Matrix, Subspace, is_zero_vector, rank
+from .exactla import _ONE, _ZERO, Subspace, _dense, _echelon
 from .free_lie import BracketExpr, evaluate_in, left_normed, lemma31_term_pairs
 from .homology import multiplier_dim
 from .lie_core import (
@@ -134,7 +134,7 @@ class BoundReport:
     refined_holds: bool | None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def bound_report(L: LieAlgebra) -> BoundReport:
@@ -244,8 +244,7 @@ def ker_lambda_dims(L: LieAlgebra) -> KernelProfile:
     for i in range(2, c + 1):
         layer = prof.gamma(i).dim - prof.gamma(i + 1).dim
         ker = quotient_dims[i - 2] + (n - m - 1) * layer - quotient_dims[i - 1]
-        required = n - m - i if 2 <= i <= min(n - m, c) else 0
-        required = max(0, required)
+        required = max(0, n - m - i)
         domain = (n - m) * layer
         rows.append(KernelRow(
             i=i, dim_gamma_i_mod_next=layer,
@@ -358,43 +357,49 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
     q = mid - lo
     pairs = lemma31_term_pairs(i)
 
+    # A tensor is a sparse row over the cells a·q + b: L/γ₂ slot a and
+    # γ_i/γ_{i+1} coordinate lo + b.
     tensors = []
     for zj in z:
         slots = dict(enumerate(y, start=1))
         slots[i + 1] = zj
         values = {k: {g - 1: _ONE} for k, g in slots.items()}
-        tensor = [Fraction(0)] * ((n - m) * q)
+        tensor: dict[int, Fraction] = {}
         for w_expr, t_sym in pairs:
             w_val = evaluate_in(w_expr, A._bracket, values)
             base = (slots[t_sym] - 1) * q - lo
             for k, wb in w_val.items():
                 if lo <= k < mid:
-                    tensor[base + k] += wb
-        if is_zero_vector(tensor):
+                    tensor[base + k] = tensor.get(base + k, _ZERO) + wb
+        tensor = {cell: x for cell, x in tensor.items() if x}
+        if not tensor:
             raise VerificationFailure(f"{L.name}: Ψ_{i} tensor for z={zj} is zero")
-        tensors.append(tuple(tensor))
+        tensors.append(tensor)
 
-    independence = rank(Matrix.from_rows(tensors, cols=(n - m) * q)) if tensors else 0
+    independence = len(_echelon(tensors))
     if independence != len(z):
         raise VerificationFailure(
             f"{L.name}: Ψ_{i} witnesses have rank {independence}, expected {len(z)}")
 
-    # β sends u̅ ⊗ w̅ (column a·q + b) to [w_b, u_a] mod γ_{i+2}.
-    beta_cols = [A.bracket_basis(lo + b, a)[mid:hi]
-                 for a in range(n - m) for b in range(q)]
+    # β sends u̅ ⊗ w̅ (cell a·q + b) to [w_b, u_a] mod γ_{i+2}, the block
+    # mid..hi-1 of [e_{lo+b}, e_a].
     images = []
     for zj, tensor in zip(z, tensors):
-        image = [Fraction(0)] * (hi - mid)
-        for col, x in zip(beta_cols, tensor):
-            if x:
-                for r, v in enumerate(col):
-                    image[r] += v * x
-        if not is_zero_vector(image):
+        image: dict[int, Fraction] = {}
+        for cell, x in tensor.items():
+            a, b = divmod(cell, q)
+            for k, v in A._bracket({lo + b: x}, {a: _ONE}).items():
+                if mid <= k < hi:
+                    image[k - mid] = image.get(k - mid, _ZERO) + v
+        if any(image.values()):
             raise VerificationFailure(
                 f"{L.name}: Ψ_{i} witness for z={zj} escapes the kernel")
-        images.append(tuple(image))
-    return PsiWitness(i=i, y=y, z=z, tensors=tuple(tensors),
-                      independence_rank=independence, bracket_images=tuple(images))
+        images.append(image)
+    width = (n - m) * q
+    return PsiWitness(i=i, y=y, z=z,
+                      tensors=tuple(_dense(t, width) for t in tensors),
+                      independence_rank=independence,
+                      bracket_images=tuple(_dense(im, hi - mid) for im in images))
 
 
 # -- full verification --------------------------------------------------------

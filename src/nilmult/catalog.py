@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -156,9 +155,9 @@ def _build(spec: str) -> LieAlgebra:
         if len(parts) < 2:
             raise SpecError(f"dirsum spec {spec!r} needs at least two summands")
         total = build(parts[0])
-        for part in parts[1:]:
+        for part in parts[1:-1]:
             total = direct_sum(total, build(part))
-        return LieAlgebra(total.dim, total.table, name=spec)
+        return direct_sum(total, build(parts[-1]), name=spec)
     raise SpecError(f"unknown family {head!r} in spec {spec!r}")
 
 
@@ -175,18 +174,9 @@ _SUM_COMPONENTS = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
-    """Named spec list; deterministic (name-sorted) order."""
-
-    specs: tuple[str, ...]
-
-    def algebras(self) -> list[LieAlgebra]:
-        return [build(spec) for spec in self.specs]
-
-
-def default_manifest(max_dim: int | None = None) -> CorpusManifest:
-    """Family members plus pairwise direct sums of total dimension <= 8.
+def default_manifest(max_dim: int | None = None) -> tuple[str, ...]:
+    """Specs of the family members plus pairwise direct sums of total
+    dimension <= 8, sorted by name.
 
     freenil:3,3 (dimension 14) is included deliberately even though every
     other member stays within dimension 8.  Sums of two abelian algebras
@@ -205,7 +195,7 @@ def default_manifest(max_dim: int | None = None) -> CorpusManifest:
             specs.append(f"dirsum:{a}+{b}")
     if max_dim is not None:
         specs = [s for s in specs if build(s).dim <= max_dim]
-    return CorpusManifest(specs=tuple(sorted(specs)))
+    return tuple(sorted(specs))
 
 
 # -- .lie files -------------------------------------------------------------------

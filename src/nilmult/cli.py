@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 
@@ -38,14 +37,13 @@ INPUT_ERRORS = (SpecError, ParseError, JacobiViolation, NotNilpotent,
                 NotAnIdeal, RangeError)
 
 
-def _print_table(headers: list[str], rows: list[list], stream=None) -> None:
-    stream = stream or sys.stdout
+def _print_table(headers: list[str], rows: list[list]) -> None:
     cells = [[str(c) for c in row] for row in rows]
     widths = [max(len(h), *(len(r[k]) for r in cells)) if cells else len(h)
               for k, h in enumerate(headers)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)), file=stream)
+    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     for row in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)), file=stream)
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
 def _emit(fmt: str, headers: list[str], rows: list[list], payload) -> None:
@@ -89,7 +87,7 @@ def cmd_multiplier(args) -> int:
     result = multiplier_dim(L)
     headers = ["name", "n", "rank_d2", "rank_d3", "dim_M"]
     rows = [[L.name, result.n, result.rank_d2, result.rank_d3, result.dim_M]]
-    payload = {"name": L.name, **dataclasses.asdict(result)}
+    payload = {"name": L.name, **vars(result)}
     _emit(args.format, headers, rows, payload)
     return 0
 
@@ -142,7 +140,7 @@ def cmd_kernel(args) -> int:
              row.dim_M_of_L_mod_gamma_i, row.ker_lambda_i,
              row.required_lower_bound, row.domain_bound,
              "yes" if row.satisfied else "NO"] for row in profile.rows]
-    payload = dataclasses.asdict(profile)
+    payload = dict(vars(profile), rows=[vars(row) for row in profile.rows])
     _emit(args.format, headers, rows, payload)
     if not profile.all_satisfied:
         bad = [r.i for r in profile.rows if not r.satisfied]
@@ -219,13 +217,13 @@ def _verify_spec(spec: str) -> dict:
 
 def cmd_verify_corpus(args) -> int:
     fmt = "json" if args.json else args.format
-    manifest = default_manifest(args.max_dim)
+    specs = default_manifest(args.max_dim)
     if args.parallel:
         import concurrent.futures  # here, so no other command pays for its import
         with concurrent.futures.ProcessPoolExecutor() as pool:
-            results = list(pool.map(_verify_spec, manifest.specs))
+            results = list(pool.map(_verify_spec, specs))
     else:
-        results = [_verify_spec(spec) for spec in manifest.specs]
+        results = [_verify_spec(spec) for spec in specs]
     results.sort(key=lambda r: r["name"])
 
     headers = ["name", "n", "m", "c", "dim_M", "rai", "rai_refined", "status"]

@@ -121,10 +121,6 @@ class LieAlgebra:
                         acc[k] = acc.get(k, _ZERO) + f * c
         return {k: c for k, c in acc.items() if c}
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] as a dense vector."""
-        return _dense(self._bracket({i: _ONE}, {j: _ONE}), self.dim)
-
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """Bilinear antisymmetric extension of the table, dense."""
         if len(x) != self.dim or len(y) != self.dim:

@@ -42,7 +42,7 @@ def _report(capsys, num, ok, detail):
 
 @pytest.fixture(scope="module")
 def corpus():
-    return default_manifest().algebras()
+    return [build(spec) for spec in default_manifest()]
 
 
 def test_criterion_01_lemma_residuals(capsys):

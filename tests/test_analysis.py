@@ -21,12 +21,13 @@ from nilmult.analysis import (
     witness_commutator,
     yankosky_closed,
 )
+from nilmult.free_lie import lemma31_term_pairs
 from nilmult.homology import multiplier_dim
 from nilmult.lie_core import LieAlgebra, quotient_algebra, series_profile
 
-NONABELIAN_SMALL = [spec for spec in default_manifest(max_dim=6).specs
+NONABELIAN_SMALL = [spec for spec in default_manifest(max_dim=6)
                     if not build(spec).is_abelian]
-NONABELIAN_CORPUS = [spec for spec in default_manifest().specs
+NONABELIAN_CORPUS = [spec for spec in default_manifest()
                      if not build(spec).is_abelian]
 
 
@@ -244,6 +245,23 @@ def test_psi_witnesses_range_checks():
         psi_witnesses(build("heisenberg:2"), 3)  # min(n-m, c) = 2
     with pytest.raises(RangeError):
         psi_witnesses(build("abelian:3"), 2)
+
+
+def test_psi_without_terms_gives_a_zero_tensor(monkeypatch):
+    monkeypatch.setattr("nilmult.analysis.lemma31_term_pairs", lambda i: [])
+    with pytest.raises(VerificationFailure,
+                       match="^freenil:3,3: Ψ_2 tensor for z=3 is zero$"):
+        psi_witnesses(build("freenil:3,3"), 2)
+
+
+@pytest.mark.parametrize("dropped", range(3))
+def test_psi_with_a_term_dropped_escapes_the_kernel(monkeypatch, dropped):
+    pairs = lemma31_term_pairs(2)
+    del pairs[dropped]
+    monkeypatch.setattr("nilmult.analysis.lemma31_term_pairs", lambda i: pairs)
+    with pytest.raises(VerificationFailure,
+                       match="^freenil:3,3: Ψ_2 witness for z=3 escapes the kernel$"):
+        psi_witnesses(build("freenil:3,3"), 2)
 
 
 def test_psi_zs_avoid_ys():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from nilmult import catalog
 from nilmult.catalog import (
     ParseError,
     SpecError,
@@ -16,7 +17,8 @@ from nilmult.catalog import (
     parse_file,
     serialize,
 )
-from nilmult.lie_core import JacobiViolation, direct_sum, series_profile
+from nilmult.exactla import basis_vector
+from nilmult.lie_core import JacobiViolation, LieAlgebra, direct_sum, series_profile
 
 DATA = Path(__file__).parent / "data"
 
@@ -42,6 +44,30 @@ def test_build_dirsum():
 def test_build_nested_sum_of_three():
     L = build("dirsum:abelian:1+heisenberg:1+abelian:2")
     assert L.dim == 6
+
+
+def test_dirsum_of_three_keeps_name_and_table():
+    spec = "dirsum:heisenberg:1+abelian:1+filiform:4"
+    L = build(spec)
+    assert L.name == spec
+    assert L.dim == 8
+    assert L.table == {(0, 1): {2: 1}, (4, 5): {6: 1}, (4, 6): {7: 1}}
+
+
+def test_dirsum_of_built_summands_checks_jacobi_once(monkeypatch):
+    for summand in ("heisenberg:1", "filiform:4"):
+        build(summand)  # cached from here on
+    checked = []
+    check = LieAlgebra._check_jacobi
+
+    def counted(self):
+        checked.append(self.name)
+        check(self)
+
+    monkeypatch.setattr(LieAlgebra, "_check_jacobi", counted)
+    spec = "dirsum:heisenberg:1+filiform:4"
+    catalog._build(spec)  # the uncached builder, so the sum itself is built
+    assert checked == [spec]
 
 
 @pytest.mark.parametrize("bad", [
@@ -89,23 +115,22 @@ def test_abelian_profile():
 
 
 def test_corpus_composition():
-    manifest = default_manifest()
-    algebras = manifest.algebras()
+    specs = default_manifest()
+    algebras = [build(spec) for spec in specs]
     nonabelian = [L for L in algebras if not L.is_abelian]
     assert len(nonabelian) >= 20
-    assert list(manifest.specs) == sorted(manifest.specs)
-    assert "freenil:3,3" in manifest.specs
+    assert list(specs) == sorted(specs)
+    assert "freenil:3,3" in specs
     big = [L for L in algebras if L.dim > 8]
     assert [L.name for L in big] == ["freenil:3,3"]
 
 
 def test_corpus_max_dim_filter():
-    manifest = default_manifest(max_dim=5)
-    assert all(build(s).dim <= 5 for s in manifest.specs)
+    assert all(build(s).dim <= 5 for s in default_manifest(max_dim=5))
 
 
 def test_corpus_deterministic():
-    assert default_manifest().specs == default_manifest().specs
+    assert default_manifest() == default_manifest()
 
 
 def test_parse_good_file():
@@ -152,7 +177,7 @@ def test_more_malformed_cases(text, fragment):
 
 
 def test_round_trip_whole_corpus():
-    for spec in default_manifest().specs:
+    for spec in default_manifest():
         L = build(spec)
         again = parse_file(serialize(L))
         assert again == L, spec
@@ -163,7 +188,8 @@ def test_round_trip_rational_coefficients():
     text = "algebra q\ndim 3\nbracket 1 2 -> 1/2*3 -2/7*1\nend\n"
     L = parse_file(text)
     assert parse_file(serialize(L)) == L
-    assert L.bracket_basis(0, 1) == (Fraction(-2, 7), Fraction(0), Fraction(1, 2))
+    assert L.bracket(basis_vector(3, 0), basis_vector(3, 1)) == (
+        Fraction(-2, 7), Fraction(0), Fraction(1, 2))
 
 
 def test_file_spec_reads_from_disk():

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from test_invariance import generated_algebras
 
 from nilmult.catalog import DIM_GUARD, build, default_manifest
+from nilmult.exactla import basis_vector
 from nilmult.homology import d2_matrix, d3_matrix, exterior_basis, multiplier_dim
 from nilmult.lie_core import LieAlgebra, direct_sum, series_profile
 
-SMALL_CORPUS = [spec for spec in default_manifest(max_dim=6).specs]
+SMALL_CORPUS = list(default_manifest(max_dim=6))
 
 
 def _sympy(m):
@@ -70,15 +71,16 @@ def test_chain_complex_property(spec):
 
 
 def _reference_boundaries(L):
-    """Dense d2 and d3 assembled triple by triple from bracket_basis."""
+    """Dense d2 and d3 assembled triple by triple from the basis brackets."""
     n = L.dim
+    e = [basis_vector(n, k) for k in range(n)]
     pairs, triples = exterior_basis(n, 2), exterior_basis(n, 3)
     pair_index = {p: t for t, p in enumerate(pairs)}
-    d2 = [[L.bracket_basis(i, j)[r] for i, j in pairs] for r in range(n)]
+    d2 = [[L.bracket(e[i], e[j])[r] for i, j in pairs] for r in range(n)]
     d3 = [[0] * len(triples) for _ in pairs]
     for col, (i, j, k) in enumerate(triples):
         for (a, b), t, sign in (((i, j), k, 1), ((i, k), j, -1), ((j, k), i, 1)):
-            for s, x in enumerate(L.bracket_basis(a, b)):
+            for s, x in enumerate(L.bracket(e[a], e[b])):
                 if x and s != t:
                     row, value = (pair_index[(s, t)], sign * x) if s < t \
                         else (pair_index[(t, s)], -sign * x)
@@ -128,7 +130,7 @@ def test_abelian_anchor(n):
 
 
 def test_nonabelian_strictly_below_abelian_value():
-    for spec in default_manifest().specs:
+    for spec in default_manifest():
         L = build(spec)
         if not L.is_abelian:
             assert multiplier_dim(L).dim_M < L.dim * (L.dim - 1) // 2, spec

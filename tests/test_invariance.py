@@ -49,8 +49,8 @@ from nilmult.lie_core import (
     upper_series,
 )
 
-SMALL_CORPUS = default_manifest(max_dim=8).specs
-NONABELIAN_CORPUS = [spec for spec in default_manifest().specs
+SMALL_CORPUS = default_manifest(max_dim=8)
+NONABELIAN_CORPUS = [spec for spec in default_manifest()
                      if not build(spec).is_abelian]
 
 
