@@ -26,7 +26,6 @@ degree-(i+1) commutator identity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -204,10 +203,10 @@ def _truncation(A: LieAlgebra, k: int, name: str) -> LieAlgebra:
     their first k coordinates.  Raises NotAnIdeal unless that span is an
     ideal, which it is for the γ_i of an adapted table."""
     table = {}
-    for (a, b), entry in A.table.items():
+    for (a, b), entry in A._table.items():
         if b < k:
-            table[(a, b)] = {t: x for t, x in entry.items() if t < k}
-        elif any(t < k for t in entry):
+            table[(a, b)] = [(t, x) for t, x in entry if t < k]
+        elif any(t < k for t, _ in entry):
             raise NotAnIdeal(f"{name}: the last {A.dim - k} basis vectors "
                              f"do not span an ideal")
     return LieAlgebra(k, table, name=name)
@@ -310,18 +309,19 @@ def witness_commutator(L: LieAlgebra, i: int) -> tuple[BracketExpr, Vector]:
 
 def _witness_tuple(L: LieAlgebra, i: int, prof: SeriesProfile) -> tuple[int, ...]:
     """The first generator tuple whose left-normed bracket leaves γ_{i+1},
-    searched on the adapted table: there the generators are the first
-    n-m unit vectors and γ_{i+1} is spanned by the last dim γ_{i+1}."""
+    by a walk that brackets each prefix once on the adapted table: there
+    the generators are the first n-m unit vectors and γ_k the last dim γ_k."""
     if not 2 <= i <= prof.nilpotency_class:
         raise RangeError(f"witness weight {i} outside 2..{prof.nilpotency_class}")
-    A = prof.adapted
-    mid = A.dim - prof.gamma(i + 1).dim
-    for tup in itertools.product(range(prof.gen_count), repeat=i):
-        value = {tup[0]: _ONE}
-        for t in tup[1:]:
-            value = A._bracket(value, {t: _ONE})
-        if any(k < mid for k in value):
+    A, gens = prof.adapted, range(prof.gen_count - 1, -1, -1)
+    stack = [((g,), {g: _ONE}) for g in gens]  # pops in lexicographic order
+    while stack:
+        tup, value = stack.pop()
+        if all(k >= A.dim - prof.gamma(len(tup) + 1).dim for k in value):
+            continue  # in γ_{j+1} at length j, so every extension is in γ_{i+1}
+        if len(tup) == i:
             return tuple(t + 1 for t in tup)
+        stack += [(tup + (t,), A._bracket(value, {t: _ONE})) for t in gens]
     # For i <= c, γ_i/γ_{i+1} is nonzero and spanned by these brackets.
     raise VerificationFailure(
         f"{L.name}: no weight-{i} generator bracket found outside γ_{i + 1}")

@@ -120,6 +120,7 @@ def _int_param(text: str, spec: str) -> int:
         raise SpecError(f"bad integer {text!r} in spec {spec!r}") from None
 
 
+_ONE_PARAMETER = {"abelian": abelian, "heisenberg": heisenberg, "filiform": filiform}
 _SUMMAND_START = re.compile(
     r"\+(?=(?:abelian|heisenberg|filiform|freenil|dirsum|file):)")
 
@@ -139,12 +140,8 @@ def _build(spec: str) -> LieAlgebra:
         raise SpecError(f"spec {spec!r} is missing ':'")
     if head == "file":
         return load_file(rest)
-    if head == "abelian":
-        return abelian(_int_param(rest, spec))
-    if head == "heisenberg":
-        return heisenberg(_int_param(rest, spec))
-    if head == "filiform":
-        return filiform(_int_param(rest, spec))
+    if head in _ONE_PARAMETER:
+        return _ONE_PARAMETER[head](_int_param(rest, spec))
     if head == "freenil":
         d, sep, c = rest.partition(",")
         if not sep:
@@ -154,10 +151,14 @@ def _build(spec: str) -> LieAlgebra:
         parts = _SUMMAND_START.split(rest)
         if len(parts) < 2:
             raise SpecError(f"dirsum spec {spec!r} needs at least two summands")
-        total = build(parts[0])
-        for part in parts[1:-1]:
-            total = direct_sum(total, build(part))
-        return direct_sum(total, build(parts[-1]), name=spec)
+        summands = [build(part) for part in parts]
+        dim = sum(summand.dim for summand in summands)
+        if dim > DIM_GUARD:
+            raise SpecError(f"{spec} has dimension {dim} > {DIM_GUARD}")
+        total = summands[0]
+        for summand in summands[1:-1]:
+            total = direct_sum(total, summand)
+        return direct_sum(total, summands[-1], name=spec)
     raise SpecError(f"unknown family {head!r} in spec {spec!r}")
 
 

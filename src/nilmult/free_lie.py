@@ -318,7 +318,7 @@ def evaluate_in(e: BracketExpr, bracket: Callable[[T, T], T],
                    evaluate_in(e.right, bracket, values))
 
 
-def free_nilpotent(d: int, c: int, name: str | None = None) -> LieAlgebra:
+def free_nilpotent(d: int, c: int) -> LieAlgebra:
     """Free nilpotent Lie algebra of rank d and class c.
 
     Basis: Lyndon words over 1..d of degree <= c, ordered by (degree,
@@ -338,4 +338,4 @@ def free_nilpotent(d: int, c: int, name: str | None = None) -> LieAlgebra:
         entry = {index[w]: coeff for w, coeff in coords.items()}
         if entry:
             table[(a, b)] = entry
-    return LieAlgebra(len(basis), table, name=name or f"freenil:{d},{c}")
+    return LieAlgebra(len(basis), table, name=f"freenil:{d},{c}")

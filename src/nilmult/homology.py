@@ -8,9 +8,9 @@ dimension of the second homology of the complex
 with trivial coefficients: dim M(L) = nullity(d2) - rank(d3).  Exterior
 power bases are index tuples in lexicographic order, and both boundary
 matrices are exact rational matrices, so the resulting dimensions are
-exact integers.  Both boundaries are assembled once, as sparse columns,
-and ranked by the sparse elimination kernel of ``exactla``; the dense
-matrices are views of the same columns.
+exact integers.  The nonzero columns of d2 are the table entries and d3
+is assembled once as sparse columns; both are ranked by the sparse
+elimination kernel of ``exactla``, and the dense matrices are views.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class MultiplierResult:
 _Columns = dict[int, dict[int, Fraction]]
 
 
-def _d2_columns(L: LieAlgebra) -> _Columns:
-    """Nonzero columns of d2, e_i ∧ e_j ↦ [e_i, e_j], keyed by pair index."""
-    pair_index = {p: t for t, p in enumerate(exterior_basis(L.dim, 2))}
-    return {pair_index[pair]: image for pair, image in L.table.items()}
-
-
 def _d3_columns(L: LieAlgebra) -> _Columns:
     """Nonzero columns of d3, x∧y∧z ↦ [x,y]∧z − [x,z]∧y + [y,z]∧x.
 
@@ -64,13 +58,13 @@ def _d3_columns(L: LieAlgebra) -> _Columns:
     pair_index = {p: t for t, p in enumerate(exterior_basis(n, 2))}
     triple_index = {p: t for t, p in enumerate(exterior_basis(n, 3))}
     columns: _Columns = {}
-    for (a, b), image in L.table.items():
+    for (a, b), image in L._table.items():
         for t in range(n):
             if t == a or t == b:
                 continue
             sign = -1 if a < t < b else 1
             col = columns.setdefault(triple_index[tuple(sorted((a, b, t)))], {})
-            for s, x in image.items():
+            for s, x in image:
                 if s != t:  # e_s ∧ e_t = −e_t ∧ e_s in the pair basis
                     key = pair_index[(min(s, t), max(s, t))]
                     col[key] = col.get(key, 0) + (sign * x if s < t else -sign * x)
@@ -88,7 +82,9 @@ def _dense_view(columns: _Columns, rows: int, cols: int) -> Matrix:
 
 def d2_matrix(L: LieAlgebra) -> Matrix:
     """Boundary Λ²L → L as a dense matrix; columns follow the pair basis."""
-    return _dense_view(_d2_columns(L), L.dim, comb(L.dim, 2))
+    pair_index = {p: t for t, p in enumerate(exterior_basis(L.dim, 2))}
+    columns = {pair_index[pair]: dict(image) for pair, image in L._table.items()}
+    return _dense_view(columns, L.dim, comb(L.dim, 2))
 
 
 def d3_matrix(L: LieAlgebra) -> Matrix:
@@ -99,7 +95,7 @@ def d3_matrix(L: LieAlgebra) -> Matrix:
 @lru_cache(maxsize=None)
 def multiplier_dim(L: LieAlgebra) -> MultiplierResult:
     """dim M(L) = C(n,2) − rank(d2) − rank(d3), all exact."""
-    r2 = len(_echelon(_d2_columns(L).values()))
+    r2 = len(_echelon(dict(e) for e in L._table.values()))
     r3 = len(_echelon(_d3_columns(L).values()))
     return MultiplierResult(n=L.dim, rank_d2=r2, rank_d3=r3,
                             dim_M=comb(L.dim, 2) - r2 - r3)

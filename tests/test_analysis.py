@@ -219,6 +219,23 @@ def test_witness_search_failure_is_a_check_failure():
         _witness_tuple(L, 2, prof)
 
 
+def test_witness_search_brackets_each_prefix_once(monkeypatch):
+    # Most tuples of 11 generators of filiform:12 pass through a zero
+    # prefix; bracketing each tuple from scratch takes 5,130 calls.
+    L = build("filiform:12")
+    prof = series_profile(L)
+    calls = []
+    bracket = LieAlgebra._bracket
+
+    def counted(self, x, y):
+        calls.append(None)
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "_bracket", counted)
+    assert _witness_tuple(L, 11, prof) == (1, 2) + (1,) * 9
+    assert len(calls) < 100
+
+
 def test_psi_witnesses_heisenberg2():
     w = psi_witnesses(build("heisenberg:2"), 2)
     assert len(w.z) == 2

@@ -75,10 +75,16 @@ def test_dirsum_of_built_summands_checks_jacobi_once(monkeypatch):
     "freenil:2", "freenil:0,2", "dirsum:abelian:1", "abelian:200",
     "freenil:4,4", "freenil:70,1", "freenil:2,16000", f"freenil:2,{10 ** 40}",
     "freenil:1,65", f"freenil:1,{10 ** 40}",
+    "dirsum:abelian:40+abelian:40", "dirsum:abelian:30+abelian:30+abelian:30",
 ])
 def test_bad_specs_rejected(bad):
     with pytest.raises(SpecError):
         build(bad)
+
+
+def test_dirsum_at_the_dimension_guard_builds():
+    # The guard bounds the total dimension, so a sum of exactly 64 passes.
+    assert build("dirsum:abelian:32+abelian:32").dim == 64
 
 
 def test_freenil_rank_one_class_guard():

@@ -245,6 +245,12 @@ def test_not_nilpotent_file_exit_two(capsys, command):
     assert err == "error: sl2: lower central series stabilises at dimension 3\n"
 
 
+def test_dirsum_past_dimension_guard_exit_two(capsys):
+    code, out, err = run_cli(capsys, "multiplier", "dirsum:abelian:40+abelian:40")
+    assert (code, out) == (2, "")
+    assert err == "error: dirsum:abelian:40+abelian:40 has dimension 80 > 64\n"
+
+
 def test_unknown_spec_exit_two(capsys):
     code, _, err = run_cli(capsys, "bounds", "nonsense:9")
     assert code == 2
@@ -309,3 +315,33 @@ def test_cli_import_leaves_out_process_pool():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
+
+
+SINGLE_SPEC_COMMANDS = ("info", "multiplier", "bounds", "kernel")
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--help"])
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_subcommands_in_order(capsys):
+    top = _help(capsys)
+    helps = ("dimensions and central series of one algebra",
+             "multiplier dimension of one algebra",
+             "all bound values for one algebra",
+             "kernel dimensions of the bracket maps",
+             "run the checked properties")
+    lines = [line.split() for line in top.splitlines()]
+    listed = [words[0] for words in lines
+              if words and words[0] in (*SINGLE_SPEC_COMMANDS, "verify")]
+    assert listed == [*SINGLE_SPEC_COMMANDS, "verify"]
+    for command, text in zip(listed, helps):
+        assert [command, *text.split()] in lines
+    # The four single-spec commands take the same arguments; the usage
+    # line wraps after the command name, so whitespace is normalised.
+    texts = {" ".join(_help(capsys, command).replace(command, "<command>").split())
+             for command in SINGLE_SPEC_COMMANDS}
+    assert len(texts) == 1

@@ -188,7 +188,7 @@ def test_invariants_under_unimodular_basis_change(pair):
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("spec", NONABELIAN_CORPUS)
+@pytest.mark.parametrize("spec", NONABELIAN_CORPUS + ["filiform:12", "freenil:2,5"])
 def test_witnesses_match_input_basis_reference(spec, reverse):
     L = build(spec)
     if reverse:
