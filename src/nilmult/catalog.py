@@ -114,10 +114,9 @@ def freenil(d: int, c: int) -> LieAlgebra:
 # -- spec strings ---------------------------------------------------------------
 
 def _int_param(text: str, spec: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SpecError(f"bad integer {text!r} in spec {spec!r}") from None
+    if not (text.isascii() and text.isdigit()):
+        raise SpecError(f"bad integer {text!r} in spec {spec!r}")
+    return int(text)
 
 
 _ONE_PARAMETER = {"abelian": abelian, "heisenberg": heisenberg, "filiform": filiform}

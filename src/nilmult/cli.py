@@ -8,9 +8,11 @@
     nilmult verify lemma [--arity-max K]
 
 Every subcommand accepts ``--format table|json|csv`` and
-``--strict-remark``.  Exit codes: 0 all checks pass, 1 a checked
-property failed, 2 bad input (spec string, file, or flags), 3 an
-internal error (any other exception).
+``--strict-remark``.  ``verify corpus`` runs every algebra in this
+process; ``--parallel`` is accepted for compatibility and changes
+nothing.  Exit codes: 0 all checks pass, 1 a checked property failed,
+2 bad input (spec string, file, or flags), 3 an internal error (any
+other exception).
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ def cmd_verify_lemma(args) -> int:
 # -- verify corpus ----------------------------------------------------------------
 
 def _verify_spec(spec: str) -> dict:
-    """Worker: every check for one corpus member, as a JSON-safe dict."""
+    """Every check for one corpus member, as a JSON-safe dict."""
     L = build(spec)
     report = bound_report(L)
     record = {"name": L.name, "abelian": L.is_abelian, "ok": True,
@@ -216,13 +218,7 @@ def _verify_spec(spec: str) -> dict:
 
 def cmd_verify_corpus(args) -> int:
     fmt = "json" if args.json else args.format
-    specs = default_manifest(args.max_dim)
-    if args.parallel:
-        import concurrent.futures  # here, so no other command pays for its import
-        with concurrent.futures.ProcessPoolExecutor() as pool:
-            results = list(pool.map(_verify_spec, specs))
-    else:
-        results = [_verify_spec(spec) for spec in specs]
+    results = [_verify_spec(spec) for spec in default_manifest(args.max_dim)]
 
     headers = ["name", "n", "m", "c", "dim_M", "rai", "rai_refined", "status"]
     rows = []
@@ -286,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--json", action="store_true",
                           help="shorthand for --format json")
     p_corpus.add_argument("--parallel", action="store_true",
-                          help="verify algebras in worker processes")
+                          help="accepted for compatibility; changes nothing")
     p_corpus.set_defaults(handler=cmd_verify_corpus)
 
     p_lemma = v_sub.add_parser("lemma", parents=[common],

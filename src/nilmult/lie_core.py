@@ -201,7 +201,9 @@ def _lower_series(L: LieAlgebra) -> tuple[Subspace, ...]:
     series = [full]
     while not series[-1].is_zero:
         current = series[-1]
-        nxt = product_space(L, current, full)
+        # gamma_2 is the span of the table entries; after it, [gamma_i, L].
+        nxt = (product_space(L, current, full) if len(series) > 1 else
+               Subspace.from_rows(L.dim, (dict(e) for e in L._table.values())))
         if nxt.dim >= current.dim:
             raise NotNilpotent(
                 f"{L.name}: lower central series stabilises at dimension {current.dim}")

@@ -76,6 +76,10 @@ def test_dirsum_of_built_summands_checks_jacobi_once(monkeypatch):
     "freenil:4,4", "freenil:70,1", "freenil:2,16000", f"freenil:2,{10 ** 40}",
     "freenil:1,65", f"freenil:1,{10 ** 40}",
     "dirsum:abelian:40+abelian:40", "dirsum:abelian:30+abelian:30+abelian:30",
+    # spec integers are ASCII digits only: no separators, signs, spaces
+    # or other scripts' digits
+    "abelian:3_0", "heisenberg:0_1", "freenil:2, 3", "abelian:+3",
+    "abelian:\u0663", "dirsum:abelian:1_0+heisenberg:1",
 ])
 def test_bad_specs_rejected(bad):
     with pytest.raises(SpecError):

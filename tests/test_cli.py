@@ -187,11 +187,11 @@ def test_verify_corpus_strict_remark(capsys):
 
 
 def test_verify_corpus_parallel_matches_serial(capsys):
-    code1, out1, _ = run_cli(capsys, "verify", "corpus", "--max-dim", "6")
-    code2, out2, _ = run_cli(capsys, "verify", "corpus", "--max-dim", "6",
-                             "--parallel")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # --parallel is accepted for compatibility and changes nothing.
+    for flags, code in (((), 0), (("--json",), 0), (("--strict-remark",), 1)):
+        serial = run_cli(capsys, "verify", "corpus", *flags)
+        assert serial[0] == code
+        assert run_cli(capsys, "verify", "corpus", *flags, "--parallel") == serial
 
 
 def test_verify_corpus_builds_one_bound_report_per_algebra(capsys, monkeypatch):
@@ -251,6 +251,12 @@ def test_dirsum_past_dimension_guard_exit_two(capsys):
     assert err == "error: dirsum:abelian:40+abelian:40 has dimension 80 > 64\n"
 
 
+def test_malformed_spec_integer_exit_two(capsys):
+    code, out, err = run_cli(capsys, "multiplier", "abelian:3_0")
+    assert (code, out) == (2, "")
+    assert err == "error: bad integer '3_0' in spec 'abelian:3_0'\n"
+
+
 def test_unknown_spec_exit_two(capsys):
     code, _, err = run_cli(capsys, "bounds", "nonsense:9")
     assert code == 2
@@ -308,13 +314,19 @@ def test_module_entry_point_error_exit():
 
 
 def test_cli_import_leaves_out_process_pool():
-    # Only verify corpus --parallel imports concurrent.futures.
+    # No command, verify corpus --parallel included, starts a process pool.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, nilmult.cli; print('concurrent.futures' in sys.modules)"],
+         "import contextlib, io, sys\n"
+         "from nilmult.cli import main\n"
+         "pool = ('concurrent.futures', 'multiprocessing')\n"
+         "print([m for m in pool if m in sys.modules])\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    code = main(['verify', 'corpus', '--parallel', '--max-dim', '3'])\n"
+         "print(code, [m for m in pool if m in sys.modules])"],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n0 []\n"
 
 
 SINGLE_SPEC_COMMANDS = ("info", "multiplier", "bounds", "kernel")
