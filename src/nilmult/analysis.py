@@ -26,11 +26,10 @@ degree-(i+1) commutator identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactla import _ONE, _ZERO, Subspace, _dense, _echelon
+from .exactla import _ONE, _ZERO, Record, Subspace, _dense, _echelon
 from .free_lie import BracketExpr, evaluate_in, left_normed, lemma31_term_pairs
 from .homology import multiplier_dim
 from .lie_core import (
@@ -108,8 +107,7 @@ _SLACK_KEYS = ("batten", "hardy_stitzinger", "yankosky_closed",
                "niroomand_russo", "rai", "rai_refined")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Every bound value for one algebra, with slacks against dim M(L).
 
     The fields niroomand_russo, rai, rai_refined and the two flags are
@@ -164,8 +162,7 @@ def bound_report(L: LieAlgebra) -> BoundReport:
 
 # -- kernel bookkeeping -------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelRow:
+class KernelRow(Record):
     """Kernel dimension of λ_i and the checks it must satisfy.
 
     ``satisfied`` demands both the required lower bound and membership
@@ -182,8 +179,7 @@ class KernelRow:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class KernelProfile:
+class KernelProfile(Record):
     """Rows for i = 2..c plus the surrounding dimensions."""
 
     name: str
@@ -271,8 +267,7 @@ def _eq3_holds(profile: KernelProfile) -> bool:
 
 # -- kernel witnesses ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PsiWitness:
+class PsiWitness(Record):
     """Ψ_i tensors in (L/γ₂) ⊗ (γ_i/γ_{i+1}) and their checks.
 
     ``y`` and ``z`` hold 1-based positions into minimal_generators(L);
@@ -404,8 +399,7 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
 
 # -- full verification --------------------------------------------------------
 
-@dataclass(frozen=True)
-class TheoremVerification:
+class TheoremVerification(Record):
     """Everything checked for one algebra, for reporting."""
 
     report: BoundReport

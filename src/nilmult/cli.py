@@ -18,8 +18,6 @@ other exception).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 from .analysis import (
@@ -49,13 +47,13 @@ def _print_table(headers: list[str], rows: list[list]) -> None:
 
 
 def _emit(fmt: str, headers: list[str], rows: list[list], payload) -> None:
-    """Render one report in the requested format."""
+    """Render one report in the requested format; json and csv load here."""
     if fmt == "json":
+        import json
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(headers)
-        writer.writerows(rows)
+        import csv
+        csv.writer(sys.stdout).writerows([headers, *rows])
     else:
         _print_table(headers, rows)
 
@@ -179,6 +177,7 @@ def cmd_verify_lemma(args) -> int:
             failures += 1
             print(f"check failed: arity {i} residual {residual}", file=sys.stderr)
     if args.format == "json":
+        import json
         print(json.dumps(records, indent=2))
     return 1 if failures else 0
 
@@ -217,6 +216,9 @@ def _verify_spec(spec: str) -> dict:
 
 
 def cmd_verify_corpus(args) -> int:
+    if args.max_dim is not None and args.max_dim < 1:
+        print("error: --max-dim must be at least 1", file=sys.stderr)
+        return 2
     fmt = "json" if args.json else args.format
     results = [_verify_spec(spec) for spec in default_manifest(args.max_dim)]
 

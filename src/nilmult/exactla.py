@@ -13,10 +13,9 @@ so its cost follows the nonzeros rather than the matrix shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -24,6 +23,43 @@ _ONE = Fraction(1)
 
 class DimensionMismatch(ValueError):
     """Operands disagree on dimensions."""
+
+
+class Record:
+    """Base of the immutable value records.  A subclass declares its fields
+    as class annotations, in order; equality, hash and repr go over them
+    alone, and assignment raises.  A record that checks its values, or is
+    built in bulk, defines its own ``__init__``."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or not set(kwargs) <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        kwargs.update(zip(names, args))
+        for name in names:  # in field order, which vars() then keeps
+            object.__setattr__(self, name, kwargs[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
 def rational(x) -> Fraction:
@@ -51,17 +87,17 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows, cols, entries):
+        if len(entries) != rows:
             raise DimensionMismatch("row count does not match entries")
-        if any(len(r) != self.cols for r in self.entries):
+        if any(len(r) != cols for r in entries):
             raise DimensionMismatch("ragged rows")
+        super().__init__(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None) -> "Matrix":
@@ -152,8 +188,7 @@ def rank(m: Matrix) -> int:
     return len(_echelon(map(_sparse, m.entries)))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of Q^n, held as the sparse rows of its RREF basis.
 
     ``rows`` are ``{column: value}`` dicts without zero values, one per
@@ -164,6 +199,11 @@ class Subspace:
     ambient_dim: int
     rows: tuple[dict[int, Fraction], ...]
     pivots: tuple[int, ...]
+
+    def __init__(self, ambient_dim, rows, pivots):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivots", pivots)
 
     # Equal subspaces have equal pivots; the rows are unhashable dicts.
     def __hash__(self):

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .exactla import rational
+from .exactla import Record, rational
 from .lie_core import LieAlgebra
 
 Word = tuple[int, ...]
@@ -30,20 +29,22 @@ class NotALieElement(ValueError):
     """A tensor polynomial that lies outside the free Lie algebra."""
 
 
-@dataclass(frozen=True)
-class BracketExpr:
+class BracketExpr(Record):
     """A generator x_j (leaf) or the bracket [left, right]."""
 
     symbol: int | None
-    left: "BracketExpr | None" = None
-    right: "BracketExpr | None" = None
+    left: BracketExpr | None
+    right: BracketExpr | None
 
-    def __post_init__(self):
-        leaf = self.symbol is not None
-        if leaf == (self.left is not None or self.right is not None):
+    def __init__(self, symbol, left=None, right=None):
+        leaf = symbol is not None
+        if leaf == (left is not None or right is not None):
             raise ValueError("BracketExpr is either a symbol or a pair, not both")
-        if not leaf and (self.left is None or self.right is None):
+        if not leaf and (left is None or right is None):
             raise ValueError("bracket node needs both children")
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def is_generator(self) -> bool:
@@ -215,8 +216,7 @@ def _lyndonize(tensor: Mapping[Word, int]) -> dict[Word, int]:
     return coords
 
 
-@dataclass(frozen=True)
-class FreeLieElement:
+class FreeLieElement(Record):
     """Lyndon-basis normal form: sorted (word, coefficient) pairs."""
 
     terms: tuple[tuple[Word, Fraction], ...]
@@ -306,11 +306,7 @@ def verify_lemma31(i: int) -> FreeLieElement:
 
 # -- evaluation and free-nilpotent quotients --------------------------------
 
-T = TypeVar("T")
-
-
-def evaluate_in(e: BracketExpr, bracket: Callable[[T, T], T],
-                values: Mapping[int, T]) -> T:
+def evaluate_in(e: BracketExpr, bracket: Callable, values: Mapping):
     """Evaluate a bracket tree under a substitution of the generators."""
     if e.is_generator:
         return values[e.symbol]

@@ -16,12 +16,11 @@ elimination kernel of ``exactla``, and the dense matrices are views.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactla import Matrix, _echelon
+from .exactla import Matrix, Record, _echelon
 from .lie_core import LieAlgebra
 
 
@@ -30,8 +29,7 @@ def exterior_basis(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(n), k))
 
 
-@dataclass(frozen=True)
-class MultiplierResult:
+class MultiplierResult(Record):
     """Multiplier dimension together with the two boundary ranks."""
 
     n: int
@@ -39,9 +37,10 @@ class MultiplierResult:
     rank_d3: int
     dim_M: int
 
-    def __post_init__(self):
-        if self.dim_M != comb(self.n, 2) - self.rank_d2 - self.rank_d3:
+    def __init__(self, n, rank_d2, rank_d3, dim_M):
+        if dim_M != comb(n, 2) - rank_d2 - rank_d3:
             raise ValueError("inconsistent multiplier bookkeeping")
+        super().__init__(n, rank_d2, rank_d3, dim_M)
 
 
 _Columns = dict[int, dict[int, Fraction]]

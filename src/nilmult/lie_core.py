@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
 
 from .exactla import (
     _ONE,
     _ZERO,
     DimensionMismatch,
+    Record,
     Subspace,
     _dense,
     _echelon,
@@ -162,8 +162,7 @@ class LieAlgebra:
                     Fraction(res.get(m, 0), scale * scale) for m in range(self.dim)))
 
 
-@dataclass(frozen=True)
-class SeriesProfile:
+class SeriesProfile(Record):
     """Lower central series data of a nilpotent algebra.
 
     ``lower`` is (gamma_1, ..., gamma_{c+1}) ending at the zero subspace.

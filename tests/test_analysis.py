@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from nilmult.catalog import build, default_manifest
@@ -23,7 +21,7 @@ from nilmult.analysis import (
 )
 from nilmult.free_lie import lemma31_term_pairs
 from nilmult.homology import multiplier_dim
-from nilmult.lie_core import LieAlgebra, quotient_algebra, series_profile
+from nilmult.lie_core import LieAlgebra, SeriesProfile, quotient_algebra, series_profile
 
 NONABELIAN_SMALL = [spec for spec in default_manifest(max_dim=6)
                     if not build(spec).is_abelian]
@@ -213,7 +211,9 @@ def test_witness_search_failure_is_a_check_failure():
     # An abelian adapted table has no bracket outside γ₃; only a bug in
     # the profile can get there, so it is a failed check, not bad input.
     L = build("heisenberg:2")
-    prof = dataclasses.replace(series_profile(L), adapted=LieAlgebra(5, {}))
+    prof = series_profile(L)
+    prof = SeriesProfile(prof.lower, prof.nilpotency_class, prof.derived_dim,
+                         prof.gen_count, adapted=LieAlgebra(5, {}))
     with pytest.raises(VerificationFailure,
                        match="^heisenberg:2: no weight-2 generator bracket"):
         _witness_tuple(L, 2, prof)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +150,15 @@ def test_verify_lemma_rejects_large_arity(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --arity-max must be at most 18\n"
+
+
+@pytest.mark.parametrize("max_dim", ["0", "-3"])
+def test_verify_corpus_rejects_max_dim_below_one(capsys, max_dim):
+    # Rejected before any algebra is built: nothing reaches stdout.
+    code, out, err = run_cli(capsys, "verify", "corpus", "--max-dim", max_dim)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-dim must be at least 1\n"
 
 
 def test_verify_corpus_small(capsys):
@@ -327,6 +337,20 @@ def test_cli_import_leaves_out_process_pool():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "[]\n0 []\n"
+
+
+def test_cli_import_leaves_out_slow_modules():
+    # -S keeps site hooks (.pth files) from loading any of these first and
+    # hiding a regression; json and csv load only for those formats.
+    slow = ("dataclasses", "inspect", "json", "csv", "typing")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, nilmult.cli\n"
+         f"print([m for m in {slow!r} if m in sys.modules])"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 SINGLE_SPEC_COMMANDS = ("info", "multiplier", "bounds", "kernel")
