@@ -1,6 +1,7 @@
-"""Run the benchmark once and record its verdict as BENCH_<LABEL>.json.
+"""Run the benchmark and record its verdict as BENCH_<LABEL>.json.
 
     python3 scripts/bench.py LABEL [run.py arguments ...]
+    python3 scripts/bench.py --pair PARENT N LABEL [run.py arguments ...]
 
 Runs ``python3 perfbench/run.py`` in the checkout that holds this script,
 by default with ``--workload all --seed 1 --seconds 8 --trace 0``, and
@@ -12,6 +13,20 @@ writes ``BENCH_<LABEL>.json`` at the checkout's root:
 checked-out commit, with ``+dirty`` when tracked files differ from it.
 Exits 1, writing nothing, when that line is missing or its ``correct``
 is not ``true``.
+
+``--pair`` checks the revision PARENT out with ``git worktree`` under
+``.bench_build/`` and runs each checkout's own run.py N times, the two
+alternating (pair k starts with the parent when k is even), so that both
+sides see the same drift in host load.  It writes
+``BENCH_<LABEL>-parent.json`` and ``BENCH_<LABEL>.json``, each
+
+    {"label", "commit", "python", "cpus", "argv", "pairs", "values", "won"}
+
+where ``values`` maps every metric of the verdicts to that side's N
+values in pair order, and ``won`` to the number of pairs in which that
+side read strictly better (lower, or higher for the metrics
+BENCHMARK.json marks ``"better": "higher"``); ties count for neither.
+The worktree is removed afterwards.
 """
 
 from __future__ import annotations
@@ -20,12 +35,16 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_ARGS = ["--workload", "all", "--seed", "1", "--seconds", "8", "--trace", "0"]
+USAGE = ("usage: python3 scripts/bench.py LABEL [run.py arguments ...]\n"
+         "       python3 scripts/bench.py --pair PARENT N LABEL [run.py arguments ...]\n"
+         "LABEL: letters, digits, '.', '_' and '-' only; N: a positive integer")
 
 
 def _git(*args: str) -> str | None:
@@ -53,31 +72,105 @@ def _result(stdout: str) -> dict | None:
     return result if isinstance(result, dict) else None
 
 
-def main(argv: list[str]) -> int:
-    if not argv or not re.fullmatch(r"[A-Za-z0-9._-]+", argv[0]):
-        print("usage: python3 scripts/bench.py LABEL [run.py arguments ...]\n"
-              "LABEL: letters, digits, '.', '_' and '-' only", file=sys.stderr)
-        return 2
-    label, run_args = argv[0], argv[1:] or DEFAULT_ARGS
-    command = ["python3", "perfbench/run.py", *run_args]
-    proc = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+def _run(root: Path, command: list[str]) -> dict | None:
+    """run.py's verdict in ``root``, or None (reported) unless it is correct."""
+    proc = subprocess.run(command, cwd=root, stdout=subprocess.PIPE, text=True)
     sys.stdout.write(proc.stdout)
     result = _result(proc.stdout)
     if result is None:
         print(f"error: run.py printed no JSON verdict (exit {proc.returncode})",
               file=sys.stderr)
-        return 1
+        return None
     if result.get("correct") is not True:
         print("error: run.py reports incorrect output; nothing written",
               file=sys.stderr)
-        return 1
-    record = {"label": label, "commit": _commit(),
-              "python": platform.python_version(),
-              "cpus": len(os.sched_getaffinity(0)),
-              "argv": command, "result": result}
+        return None
+    return result
+
+
+def _write(label: str, record: dict) -> None:
     out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out.name}", file=sys.stderr)
+
+
+def _higher_is_better() -> set[str]:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"] for m in spec["end_to_end"] + spec["per_layer"]
+            if m["better"] == "higher"}
+
+
+def tally(parent: list[dict], change: list[dict], higher: set[str]) -> tuple[dict, dict]:
+    """Per side, {"values": {metric: [...]}, "won": {metric: count}} over
+    the pairs (parent[k], change[k]).  A metric key is ``name`` or
+    ``<workload>.<name>``; only names in ``higher`` read better when higher."""
+    sides = ({"values": {}, "won": {}}, {"values": {}, "won": {}})
+    for metric in (m for m in parent[0]["metrics"] if m in change[0]["metrics"]):
+        sign = -1 if any(metric == h or metric.endswith("." + h) for h in higher) else 1
+        pairs = [(p["metrics"][metric]["value"], c["metrics"][metric]["value"])
+                 for p, c in zip(parent, change)]
+        for side, mine in zip(sides, (0, 1)):
+            side["values"][metric] = [pair[mine] for pair in pairs]
+            side["won"][metric] = sum(sign * pair[mine] < sign * pair[1 - mine]
+                                      for pair in pairs)
+    return sides
+
+
+def pair(parent: str, n: int, label: str, command: list[str]) -> int:
+    sha = _git("rev-parse", "--verify", parent + "^{commit}")
+    if sha is None:
+        print(f"error: {parent!r} names no commit", file=sys.stderr)
+        return 2
+    tree = ROOT / ".bench_build" / f"parent-{sha[:12]}"
+    _git("worktree", "remove", "--force", str(tree))
+    if _git("worktree", "add", "--detach", str(tree), sha) is None:
+        print(f"error: git worktree add {tree} failed", file=sys.stderr)
+        return 1
+    runs = {"parent": [], "change": []}
+    try:
+        for k in range(n):
+            order = [("parent", tree), ("change", ROOT)]
+            for side, root in order if k % 2 == 0 else order[::-1]:
+                print(f"# pair {k + 1}/{n}: {side}", file=sys.stderr)
+                result = _run(root, command)
+                if result is None:
+                    return 1
+                runs[side].append(result)
+    finally:
+        _git("worktree", "remove", "--force", str(tree))
+    common = {"python": platform.python_version(),
+              "cpus": len(os.sched_getaffinity(0)), "argv": command, "pairs": n}
+    old, new = tally(runs["parent"], runs["change"], _higher_is_better())
+    _write(f"{label}-parent", {"label": f"{label}-parent", "commit": sha, **common, **old})
+    _write(label, {"label": label, "commit": _commit(), **common, **new})
+    for metric, values in new["values"].items():
+        print(f"{metric:<32} {statistics.median(old['values'][metric]):>12.6g} -> "
+              f"{statistics.median(values):<12.6g} won {new['won'][metric]}/{n}",
+              file=sys.stderr)
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    paired = argv[:1] == ["--pair"]
+    if paired:
+        if len(argv) < 4 or not re.fullmatch(r"[1-9][0-9]*", argv[2]):
+            print(USAGE, file=sys.stderr)
+            return 2
+        parent, n, argv = argv[1], int(argv[2]), argv[3:]
+    if not argv or not re.fullmatch(r"[A-Za-z0-9._-]+", argv[0]):
+        print(USAGE, file=sys.stderr)
+        return 2
+    label, run_args = argv[0], argv[1:] or DEFAULT_ARGS
+    command = ["python3", "perfbench/run.py", *run_args]
+    if paired:
+        return pair(parent, n, label, command)
+    result = _run(ROOT, command)
+    if result is None:
+        return 1
+    _write(label, {"label": label, "commit": _commit(),
+                   "python": platform.python_version(),
+                   "cpus": len(os.sched_getaffinity(0)),
+                   "argv": command, "result": result})
     return 0
 
 

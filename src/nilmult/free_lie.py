@@ -6,9 +6,9 @@ coefficients, bracket = xy - yx on concatenation products) gives a
 faithful representation, and rewriting against the standard bracketings
 of Lyndon words produces the unique Lyndon-basis normal form
 (``FreeLieElement``, with ``Fraction`` coefficients; the rational edge
-is ``expand_to_lyndon``).  On top of this the module builds the
-degree-(i+1) commutator identity used for kernel witnesses, and the
-free-nilpotent algebras of given rank and class.
+is ``expand_to_lyndon``).  It builds the free-nilpotent algebras of given
+rank and class, and checks the multilinear degree-(i+1) commutator
+identity used for kernel witnesses by its words that start with x_1.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def _lyndonize(tensor: Mapping[Word, int]) -> dict[Word, int]:
 
 
 class FreeLieElement(Record):
-    """Lyndon-basis normal form: sorted (word, coefficient) pairs."""
+    """Sorted (word, coefficient) pairs in the Lyndon or left-normed basis."""
 
     terms: tuple[tuple[Word, Fraction], ...]
 
@@ -253,7 +253,8 @@ def expand_to_lyndon(e: "BracketExpr | Combination") -> FreeLieElement:
     """Lyndon normal form of a bracket expression or linear combination.
 
     The tensor sum is taken over the coefficients' common denominator
-    ``scale``, so it stays integral."""
+    ``scale``, so it stays integral.  Its cache of P_w expansions
+    (``_lyndon_tensor``) is unbounded and lives as long as the process."""
     combination = [(Fraction(1), e)] if isinstance(e, BracketExpr) else [
         (rational(coeff), expr) for coeff, expr in e]
     scale = math.lcm(*(coeff.denominator for coeff, _ in combination))
@@ -299,9 +300,33 @@ def lemma31_expression(i: int) -> list[tuple[Fraction, BracketExpr]]:
     return [(Fraction(1), br(w, gen(t))) for w, t in lemma31_term_pairs(i)]
 
 
+def _symbols(e: BracketExpr) -> list[int]:
+    return [e.symbol] if e.is_generator else _symbols(e.left) + _symbols(e.right)
+
+
+def _initial_words(e: BracketExpr) -> dict[Word, int]:
+    """The x_1-initial words of ``tensor_expansion(e)``: init([p, q]) is
+    init(p)·exp(q) or -init(q)·exp(p), as only the factor holding x_1 opens
+    a word with it.  They determine e only if it holds x_1 and no generator
+    twice; any other e raises ``ValueError``."""
+    symbols = _symbols(e)
+    if 1 not in symbols or len(set(symbols)) < len(symbols):
+        raise ValueError(f"{e} is not multilinear in x1 and other generators")
+    if e.is_generator:
+        return {(1,): 1}
+    head, tail, sign = (e.left, e.right, 1) if 1 in _symbols(e.left) else (e.right, e.left, -1)
+    tail_words = tensor_expansion(tail).items()
+    return {w + u: sign * c * a for w, c in _initial_words(head).items()
+            for u, a in tail_words}
+
+
 def verify_lemma31(i: int) -> FreeLieElement:
-    """Lyndon normal form of the identity sum; zero when the identity holds."""
-    return expand_to_lyndon(lemma31_expression(i))
+    """The identity sum in the left-normed basis [x_1, x_s2, ..., x_sk], named by its
+    x_1-initial word (Reutenauer, Free Lie Algebras); zero when the identity holds."""
+    residual: dict[Word, int] = {}
+    for coeff, expr in lemma31_expression(i):
+        _tensor_add_into(residual, _initial_words(expr), int(coeff))
+    return FreeLieElement.from_dict({w: Fraction(c) for w, c in residual.items()})
 
 
 # -- evaluation and free-nilpotent quotients --------------------------------

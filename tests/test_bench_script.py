@@ -1,0 +1,46 @@
+"""scripts/bench.py: argument checks and the paired-run tally."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+spec = importlib.util.spec_from_file_location("bench_script", SCRIPT)
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+
+RATIO = "lemma.homology.multiplier_dim.hit_ratio"
+
+
+def _verdict(wall_s, hit_ratio):
+    return {"correct": True, "attempted": 1, "failed": 0,
+            "metrics": {"lemma.wall_s": {"value": wall_s, "unit": "s"},
+                        RATIO: {"value": hit_ratio, "unit": "ratio"}}}
+
+
+def test_tally_counts_strict_wins_by_direction():
+    parent = [_verdict(0.6, 0.5), _verdict(0.2, 0.5), _verdict(0.5, 0.9)]
+    change = [_verdict(0.2, 0.7), _verdict(0.2, 0.5), _verdict(0.1, 0.1)]
+    old, new = bench.tally(parent, change, bench._higher_is_better())
+    assert old["values"] == {"lemma.wall_s": [0.6, 0.2, 0.5], RATIO: [0.5, 0.5, 0.9]}
+    assert new["values"] == {"lemma.wall_s": [0.2, 0.2, 0.1], RATIO: [0.7, 0.5, 0.1]}
+    # lower wall_s wins, higher hit_ratio wins, ties count for neither side
+    assert old["won"] == {"lemma.wall_s": 0, RATIO: 1}
+    assert new["won"] == {"lemma.wall_s": 2, RATIO: 1}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bad/label"], ["--pair"], ["--pair", "HEAD", "0", "x"],
+    ["--pair", "HEAD", "two", "x"], ["--pair", "HEAD", "3"],
+    ["--pair", "HEAD", "3", "bad label"],
+])
+def test_bad_arguments_exit_two(argv, capsys):
+    assert bench.main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: ")
+
+
+def test_pair_rejects_an_unknown_revision(capsys):
+    assert bench.main(["--pair", "no-such-revision-anywhere", "1", "x"]) == 2
+    assert "names no commit" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nilmult import analysis, cli, lie_core
+from nilmult import analysis, cli, free_lie, lie_core
 from nilmult.analysis import VerificationFailure, bound_report
 from nilmult.catalog import build, default_manifest
 from nilmult.cli import main
@@ -137,6 +137,32 @@ def test_verify_lemma_json(capsys):
     assert payload[0]["arity"] == 3
     assert payload[0]["residual"] == "0"
     assert len(payload[0]["terms"]) == 4
+
+
+def test_verify_lemma_prints_a_broken_residual_in_the_left_normed_basis(capsys, monkeypatch):
+    # Without its last term [[x2, [x3, x4]], x1] the arity-3 sum is
+    # x1·exp([x2, [x3, x4]]); each bracket of the residual is a word
+    # x1 x_a x_b x_c naming the left-normed basis element [[[x1, x_a], x_b], x_c].
+    broken = free_lie.lemma31_expression(3)[:-1]
+    monkeypatch.setattr(free_lie, "lemma31_expression", lambda i: broken)
+    monkeypatch.setattr(cli, "lemma31_expression", lambda i: broken)
+    residual = "[x1x2x3x4] - [x1x2x4x3] - [x1x3x4x2] + [x1x4x3x2]"
+    assert run_cli(capsys, "verify", "lemma", "--arity-max", "3") == (
+        1,
+        f"i=3: {residual}\n"
+        "  term 1: [[[x1, x2], x3], x4]\n"
+        "  term 2: [[x4, [x1, x2]], x3]\n"
+        "  term 3: [[[x3, x4], x1], x2]\n",
+        f"check failed: arity 3 residual {residual}\n")
+
+
+def test_verify_lemma_leaves_the_lyndon_cache_empty(capsys):
+    # The lemma is checked without the Lyndon rewrite, so its P_w cache
+    # stays empty however high the arity.
+    free_lie._lyndon_tensor.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "lemma", "--arity-max", "13")
+    assert code == 0
+    assert free_lie._lyndon_tensor.cache_info().currsize == 0
 
 
 def test_verify_lemma_rejects_small_arity(capsys):

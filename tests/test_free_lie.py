@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilmult import free_lie
+from nilmult.catalog import SpecError, freenil
 from nilmult.exactla import is_zero_vector
 from nilmult.free_lie import (
     BracketExpr,
     FreeLieElement,
     NotALieElement,
+    _initial_words,
+    _lyndon_tensor,
     _lyndonize,
     _tensor_add_into,
     br,
@@ -214,7 +218,7 @@ def test_expression_arity_below_three_rejected():
         lemma31_term_pairs(1)
 
 
-@pytest.mark.parametrize("i", range(3, 12))
+@pytest.mark.parametrize("i", range(3, 16))
 def test_identity_holds(i):
     residual = verify_lemma31(i)
     assert residual.is_zero
@@ -229,18 +233,52 @@ def _broken_identities(i):
         yield terms[:k] + terms[k + 1:], terms[:k] + [(2 * coeff, expr)] + terms[k + 1:]
 
 
+def _residual(monkeypatch, i, combination):
+    """verify_lemma31(i) with the identity replaced by ``combination``."""
+    monkeypatch.setattr(free_lie, "lemma31_expression", lambda _: combination)
+    return verify_lemma31(i)
+
+
 # The zero residuals are not vacuous: each term is a nonzero Lie element, so
 # a broken identity leaves the term's negative (dropped) or the term itself
-# (doubled) behind.  At i = 8 one term's Lyndon form has 40320 coordinates
-# (the full check took 102 s, and the P_w cache grows with every one), so
-# past i = 6 the check stops at the integer tensor sum that expand_to_lyndon
-# hands to _lyndonize, which never maps a nonzero tensor to zero.
-@pytest.mark.parametrize("i", range(3, 7))
-def test_identity_residual_detects_a_broken_term(i):
+# (doubled) behind.  Up to i = 7 the left-normed coordinates are expanded
+# back by the rational reference below, which shares no code with the
+# projection, and must give the whole tensor sum; up to i = 6 the Lyndon
+# rewrite must agree on which sums vanish (at i = 8 one term's Lyndon form
+# has 40320 coordinates and took 102 s).
+@pytest.mark.parametrize("i", range(3, 14))
+def test_identity_residual_detects_a_broken_term(i, monkeypatch):
     for k, (dropped, doubled) in enumerate(_broken_identities(i)):
-        residual = expand_to_lyndon(dropped)
+        residual = _residual(monkeypatch, i, dropped)
         assert not residual.is_zero, (i, k)
-        assert residual.terms == tuple((w, -c) for w, c in expand_to_lyndon(doubled).terms)
+        assert residual.terms == tuple(
+            (w, -c) for w, c in _residual(monkeypatch, i, doubled).terms)
+        if i <= 7:
+            rebuilt, tensor = {}, {}
+            for w, c in residual.terms:
+                _ref_add_into(rebuilt, _ref_expansion(left_normed(w)), c)
+            for coeff, expr in dropped:
+                _ref_add_into(tensor, _ref_expansion(expr), Fraction(coeff))
+            assert rebuilt == tensor, (i, k)
+        if i <= 6:
+            assert not expand_to_lyndon(dropped).is_zero, (i, k)
+    if i <= 6:
+        assert expand_to_lyndon(lemma31_expression(i)).is_zero
+
+
+@pytest.mark.parametrize("e", [
+    gen(2),                                   # no x1
+    br(gen(2), br(gen(3), gen(4))),           # no x1
+    br(gen(1), gen(1)),                       # x1 twice
+    br(br(gen(1), gen(2)), gen(2)),           # x2 twice
+    br(gen(3), br(gen(1), gen(3))),           # x3 twice, x1 in the right factor
+])
+def test_initial_words_reject_a_tree_they_cannot_determine(e):
+    # without multilinearity the x1-initial words do not determine the
+    # element ([x1, x1] = 0 while [x2, x2, ...] never opens with x1), so
+    # such a tree must raise rather than pass as a zero residual
+    with pytest.raises(ValueError):
+        _initial_words(e)
 
 
 @pytest.mark.parametrize("i", range(3, 9))
@@ -310,6 +348,18 @@ def test_free_nilpotent_profiles(d, c):
     words = lyndon_words(d, c)
     assert layer_dims == [sum(1 for w in words if len(w) == i)
                           for i in range(1, c + 1)]
+
+
+# freenil:5,3 and freenil:10,2 (dimension 55) are the largest inside
+# DIM_GUARD = 64 and freenil:2,7 (dimension 41) the deepest; each is the
+# largest class its rank admits.
+@pytest.mark.parametrize("d,c", [(5, 3), (10, 2), (2, 7)])
+def test_free_nilpotent_bounds_the_lyndon_cache(d, c):
+    with pytest.raises(SpecError):
+        freenil(d, c + 1)
+    _lyndon_tensor.cache_clear()
+    L = freenil(d, c)
+    assert _lyndon_tensor.cache_info().currsize <= len(lyndon_words(d, c)) == L.dim
 
 
 def test_bracket_expr_guards():
@@ -425,3 +475,26 @@ def test_lyndonize_rejects_perturbed_lie_element(e, data):
     tensor[w] = tensor.get(w, 0) + c
     with pytest.raises(NotALieElement):
         _lyndonize(tensor)
+
+
+@st.composite
+def multilinear_trees(draw, max_degree=7):
+    """A bracket tree holding x1 and no generator twice, over x1..x9."""
+    degree = draw(st.integers(1, max_degree))
+    symbols = [1] + draw(st.lists(st.integers(2, 9), min_size=degree - 1,
+                                  max_size=degree - 1, unique=True))
+    symbols = draw(st.permutations(symbols))
+
+    def tree(lo, hi):
+        if hi - lo == 1:
+            return gen(symbols[lo])
+        split = draw(st.integers(lo + 1, hi - 1))
+        return br(tree(lo, split), tree(split, hi))
+
+    return tree(0, degree)
+
+
+@given(multilinear_trees())
+@settings(max_examples=200, deadline=None)
+def test_initial_words_are_the_x1_words_of_the_expansion(e):
+    assert _initial_words(e) == {w: c for w, c in _ref_expansion(e).items() if w[0] == 1}
