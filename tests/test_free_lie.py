@@ -274,8 +274,8 @@ def test_identity_residual_detects_a_broken_term(i, monkeypatch):
     br(gen(3), br(gen(1), gen(3))),           # x3 twice, x1 in the right factor
 ])
 def test_initial_words_reject_a_tree_they_cannot_determine(e):
-    # without multilinearity the x1-initial words do not determine the
-    # element ([x1, x1] = 0 while [x2, x2, ...] never opens with x1), so
+    # a tree without x1 has no x1-initial word however nonzero it is, and
+    # with a repeated generator the left-normed brackets are no basis, so
     # such a tree must raise rather than pass as a zero residual
     with pytest.raises(ValueError):
         _initial_words(e)
