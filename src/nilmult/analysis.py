@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .exactla import _ONE, _ZERO, Record, Subspace, _dense, _echelon
+from .exactla import Record, Subspace, _dense, _echelon
 from .free_lie import BracketExpr, evaluate_in, left_normed, lemma31_term_pairs
 from .homology import multiplier_dim
 from .lie_core import (
@@ -309,14 +309,14 @@ def _witness_tuple(L: LieAlgebra, i: int, prof: SeriesProfile) -> tuple[int, ...
     if not 2 <= i <= prof.nilpotency_class:
         raise RangeError(f"witness weight {i} outside 2..{prof.nilpotency_class}")
     A, gens = prof.adapted, range(prof.gen_count - 1, -1, -1)
-    stack = [((g,), {g: _ONE}) for g in gens]  # pops in lexicographic order
+    stack = [((g,), {g: 1}) for g in gens]  # pops in lexicographic order
     while stack:
         tup, value = stack.pop()
         if all(k >= A.dim - prof.gamma(len(tup) + 1).dim for k in value):
             continue  # in γ_{j+1} at length j, so every extension is in γ_{i+1}
         if len(tup) == i:
             return tuple(t + 1 for t in tup)
-        stack += [(tup + (t,), A._bracket(value, {t: _ONE})) for t in gens]
+        stack += [(tup + (t,), A._bracket(value, {t: 1})) for t in gens]
     # For i <= c, γ_i/γ_{i+1} is nonzero and spanned by these brackets.
     raise VerificationFailure(
         f"{L.name}: no weight-{i} generator bracket found outside γ_{i + 1}")
@@ -353,19 +353,20 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
     pairs = lemma31_term_pairs(i)
 
     # A tensor is a sparse row over the cells a·q + b: L/γ₂ slot a and
-    # γ_i/γ_{i+1} coordinate lo + b.
+    # γ_i/γ_{i+1} coordinate lo + b.  Each W brackets i generators on
+    # the integer table, so the integer tensors are D^(i-1) times Ψ_i.
     tensors = []
     for zj in z:
         slots = dict(enumerate(y, start=1))
         slots[i + 1] = zj
-        values = {k: {g - 1: _ONE} for k, g in slots.items()}
-        tensor: dict[int, Fraction] = {}
+        values = {k: {g - 1: 1} for k, g in slots.items()}
+        tensor: dict[int, int] = {}
         for w_expr, t_sym in pairs:
             w_val = evaluate_in(w_expr, A._bracket, values)
             base = (slots[t_sym] - 1) * q - lo
             for k, wb in w_val.items():
                 if lo <= k < mid:
-                    tensor[base + k] = tensor.get(base + k, _ZERO) + wb
+                    tensor[base + k] = tensor.get(base + k, 0) + wb
         tensor = {cell: x for cell, x in tensor.items() if x}
         if not tensor:
             raise VerificationFailure(f"{L.name}: Ψ_{i} tensor for z={zj} is zero")
@@ -380,19 +381,19 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
     # mid..hi-1 of [e_{lo+b}, e_a].
     images = []
     for zj, tensor in zip(z, tensors):
-        image: dict[int, Fraction] = {}
+        image: dict[int, int] = {}
         for cell, x in tensor.items():
             a, b = divmod(cell, q)
-            for k, v in A._bracket({lo + b: x}, {a: _ONE}).items():
+            for k, v in A._bracket({lo + b: x}, {a: 1}).items():
                 if mid <= k < hi:
-                    image[k - mid] = image.get(k - mid, _ZERO) + v
+                    image[k - mid] = image.get(k - mid, 0) + v
         if any(image.values()):
             raise VerificationFailure(
                 f"{L.name}: Ψ_{i} witness for z={zj} escapes the kernel")
         images.append(image)
     width = (n - m) * q
     return PsiWitness(i=i, y=y, z=z,
-                      tensors=tuple(_dense(t, width) for t in tensors),
+                      tensors=tuple(_dense(t, width, A._scale ** (i - 1)) for t in tensors),
                       independence_rank=independence,
                       bracket_images=tuple(_dense(im, hi - mid) for im in images))
 

@@ -1,19 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Every scalar is a ``fractions.Fraction`` (arbitrary precision, always in
-lowest terms, positive denominator), so no floating point ever enters a
-computation.  Matrices and subspaces are immutable; a subspace is stored
-as the reduced row-echelon basis of its span, which makes equality,
-membership and quotient lifts canonical.
-
-All elimination (rank, RREF, subspace bases, kernels) runs through one
-sparse kernel, ``_echelon``, on rows held as ``{column: value}`` dicts,
-so its cost follows the nonzeros rather than the matrix shape.
+No floating point ever enters a computation.  All elimination (rank,
+RREF, subspace bases, kernels, residuals) runs through one sparse,
+fraction-free kernel, ``_echelon``, on ``int`` rows held as ``{column:
+value}`` dicts: rows are cross-multiplied (Bareiss style) and kept
+primitive, so the cost follows the nonzeros rather than the matrix shape.
+``Fraction`` values appear only at the edges: ``Matrix`` entries, the
+RREF rows of a ``Subspace`` and residuals.  Matrices and subspaces are
+immutable; a subspace is stored as the reduced row-echelon basis of its
+span, which makes equality, membership and quotient lifts canonical.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -83,10 +84,6 @@ def zero_vector(n: int) -> tuple[Fraction, ...]:
     return (_ZERO,) * n
 
 
-def is_zero_vector(v: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in v)
-
-
 class Matrix(Record):
     rows: int
     cols: int
@@ -113,62 +110,85 @@ def _sparse(v: Sequence[Fraction]) -> dict[int, Fraction]:
     return {c: x for c, x in enumerate(v) if x}
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, prow: dict[int, Fraction]) -> None:
-    """row -= f * prow in place, dropping the entries that cancel."""
+def _integral(row: Mapping[int, Fraction]) -> dict[int, int]:
+    """s · row in ints for a sparse rational row, s the lcm of its
+    denominators; for an RREF row this is its primitive multiple."""
+    s = math.lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (s // x.denominator) for c, x in row.items()}
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """row divided by its content, signed so that its leading entry is positive."""
+    g = math.gcd(*row.values()) * (-1 if row[min(row)] < 0 else 1)
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _cancel(row: dict[int, int], p: int, prow: dict[int, int]) -> int:
+    """row := a·row − b·prow in place, dropping the entries that cancel,
+    where a = prow[p]/g > 0, b = row[p]/g and g is their gcd, so column p
+    cancels.  Returns a."""
+    x, lead = row[p], prow[p]
+    g = math.gcd(x, lead)
+    a, b = lead // g, x // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
     for c, y in prow.items():
-        x = row.get(c, _ZERO) - f * y
-        if x:
-            row[c] = x
+        v = row.get(c, 0) - b * y
+        if v:
+            row[c] = v
         else:
             del row[c]
+    return a
 
 
-def _echelon(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Row echelon form of sparse rows, keyed by pivot column.
+def _echelon(rows: Iterable[Iterable[tuple[int, int]]]) -> dict[int, dict[int, int]]:
+    """Row echelon form of sparse integer rows, keyed by pivot column.
 
-    A row is a ``{col: value}`` dict without zero values; its pivot is its
-    smallest column.  Each row is reduced against the pivot rows held so
-    far until its pivot is new (it then joins them, scaled to a leading 1)
-    or nothing is left.  The input rows are not modified.
+    A row is a ``{col: value}`` dict (or its item pairs) without zero
+    values; its pivot is its smallest column.  Each row is reduced
+    against the pivot rows held so far by fraction-free cross
+    multiplication (``_cancel``) until its pivot is new (it then joins
+    them, primitive with a positive leading entry) or nothing is left.
+    The input rows are not modified.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = dict(row)
         while row:
             p = min(row)
             prow = pivots.get(p)
             if prow is None:
-                lead = row[p]
-                if lead != 1:
-                    row = {c: x / lead for c, x in row.items()}
-                pivots[p] = row
+                pivots[p] = _primitive(row)
                 break
-            _subtract(row, row[p], prow)
+            _cancel(row, p, prow)
     return pivots
 
 
-def _reduced(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
-    """(pivot, row) pairs of the reduced row-echelon form, pivots ascending.
+def _reduced(pivots: dict[int, dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """(pivot, row) pairs of the reduced row-echelon form, pivots ascending,
+    each RREF row as its primitive integer multiple; ``pivots`` is an
+    ``_echelon`` result, reduced in place.
 
-    Back-substitution on ``_echelon``: a pivot row only holds columns at or
-    right of its pivot, so clearing from the last pivot leftwards subtracts
-    rows that are already zero on every other pivot column.
+    A pivot row only holds columns at or right of its pivot, so clearing
+    from the last pivot leftwards cancels against rows that are already
+    zero on every other pivot column.
     """
-    pivots = _echelon(rows)
     order = sorted(pivots)
     for k in range(len(order) - 2, -1, -1):
         row = pivots[order[k]]
         for q in order[k + 1:]:
-            f = row.get(q)
-            if f:
-                _subtract(row, f, pivots[q])
+            if q in row:
+                _cancel(row, q, pivots[q])
+        pivots[order[k]] = _primitive(row)
     return [(p, pivots[p]) for p in order]
 
 
-def _dense(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
+def _dense(row: Mapping[int, int | Fraction], n: int, scale: int = 1) -> tuple[Fraction, ...]:
+    """The sparse row divided by ``scale``, as a dense rational vector."""
     out = [_ZERO] * n
     for c, x in row.items():
-        out[c] = x
+        out[c] = Fraction(x, scale)
     return tuple(out)
 
 
@@ -178,22 +198,23 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     Pivots are normalised to 1 and cleared above and below, so the result
     is the canonical RREF; zero rows come last.
     """
-    reduced = _reduced(map(_sparse, m.entries))
-    rows = [_dense(row, m.cols) for _, row in reduced]
+    reduced = _reduced(_echelon(_integral(_sparse(r)) for r in m.entries))
+    rows = [_dense(row, m.cols, row[p]) for p, row in reduced]
     rows += [zero_vector(m.cols)] * (m.rows - len(rows))
     return Matrix(m.rows, m.cols, tuple(rows)), len(reduced)
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(map(_sparse, m.entries)))
+    return len(_echelon(_integral(_sparse(r)) for r in m.entries))
 
 
 class Subspace(Record):
     """A subspace of Q^n, held as the sparse rows of its RREF basis.
 
-    ``rows`` are ``{column: value}`` dicts without zero values, one per
+    ``rows`` are ``{column: Fraction}`` dicts without zero values, one per
     pivot, in ascending pivot order; they are shared, not copied, so
-    callers must not modify them.  ``basis`` is their dense view.
+    callers must not modify them.  ``basis`` is their dense view and
+    ``ints`` their primitive integer multiples, which the kernel works on.
     """
 
     ambient_dim: int
@@ -210,18 +231,12 @@ class Subspace(Record):
         return hash((self.ambient_dim, self.pivots))
 
     @classmethod
-    def from_rows(cls, ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
-        """Span of sparse rows whose columns lie below ``ambient_dim``."""
-        reduced = _reduced(rows)
-        return cls(ambient_dim, tuple(row for _, row in reduced),
+    def from_rows(cls, ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+        """Span of sparse rational rows whose columns lie below ``ambient_dim``."""
+        reduced = _reduced(_echelon(map(_integral, rows)))
+        return cls(ambient_dim,
+                   tuple({c: Fraction(x, row[p]) for c, x in row.items()} for p, row in reduced),
                    tuple(p for p, _ in reduced))
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Iterable]) -> "Subspace":
-        rows = [vector(v) for v in vectors]
-        if any(len(r) != ambient_dim for r in rows):
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        return cls.from_rows(ambient_dim, map(_sparse, rows))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -237,6 +252,10 @@ class Subspace(Record):
         return Matrix(self.dim, self.ambient_dim,
                       tuple(_dense(row, self.ambient_dim) for row in self.rows))
 
+    @cached_property
+    def ints(self) -> tuple[dict[int, int], ...]:
+        return tuple(map(_integral, self.rows))
+
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -245,14 +264,14 @@ class Subspace(Record):
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def residual(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        """A copy of the sparse row with this subspace's pivot coordinates
+    def residual(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """The sparse rational row with this subspace's pivot coordinates
         cleared; each RREF row is zero on the other pivots."""
-        w = dict(row)
-        for p, prow in zip(self.pivots, self.rows):
+        s, w = math.lcm(*(x.denominator for x in row.values())), _integral(row)
+        for p, prow in zip(self.pivots, self.ints):
             if p in w:
-                _subtract(w, w[p], prow)
-        return w
+                s *= _cancel(w, p, prow)  # w is s times the residual so far
+        return {c: Fraction(x, s) for c, x in w.items()}
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Residual of v after clearing this subspace's pivot coordinates."""
@@ -260,37 +279,32 @@ class Subspace(Record):
             raise DimensionMismatch("vector length does not match ambient dimension")
         return _dense(self.residual(_sparse(vector(v))), self.ambient_dim)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vector(self.reduce(v))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return not any(self.residual(row) for row in other.rows)
-
-    def quotient_basis_rows(self, sub: "Subspace") -> tuple[dict[int, Fraction], ...]:
+    def quotient_basis_rows(self, sub: "Subspace") -> tuple[dict[int, int], ...]:
         """Canonical lifts of a basis of self/sub: the rows of self's RREF
-        off sub's pivots, sparse."""
+        off sub's pivots, as primitive integer rows."""
         taken = set(sub.pivots)
-        return tuple(r for r, p in zip(self.rows, self.pivots) if p not in taken)
+        return tuple(r for r, p in zip(self.ints, self.pivots) if p not in taken)
 
 
-def _null_rows(rows: Iterable[dict[int, Fraction]], cols: int) -> list[dict[int, Fraction]]:
-    """Sparse rows spanning {x in Q^cols : row . x = 0 for every row}: one
-    per free column f of the RREF, with 1 at f and minus column f of the
-    pivot rows at their pivots."""
-    reduced = _reduced(rows)
+def _null_rows(rows: Iterable[Iterable[tuple[int, int]]], cols: int) -> list[dict[int, int]]:
+    """Sparse integer rows spanning {x in Q^cols : row . x = 0 for every
+    row}: one per free column f of the RREF, with s at f and −s·x/l at
+    each pivot whose row holds x at f and leads with l, s the lcm of
+    those leads."""
+    reduced = _reduced(_echelon(rows))
     taken = {p for p, _ in reduced}
     out = []
     for f in range(cols):
         if f not in taken:
-            v = {f: _ONE}
-            for p, row in reduced:
-                x = row.get(f)
-                if x:
-                    v[p] = -x
+            hits = [(p, row[p], row[f]) for p, row in reduced if f in row]
+            s = math.lcm(*(lead for _, lead, _ in hits))
+            v = {f: s}
+            v.update((p, -x * (s // lead)) for p, lead, x in hits)
             out.append(v)
     return out
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Null space {x : m x = 0} as a subspace of Q^cols."""
-    return Subspace.from_rows(m.cols, _null_rows(map(_sparse, m.entries), m.cols))
+    rows = (_integral(_sparse(r)) for r in m.entries)
+    return Subspace.from_rows(m.cols, _null_rows(rows, m.cols))

@@ -3,9 +3,10 @@
 A bracket table stores [e_i, e_j] for i < j only; the diagonal and the
 lower triangle follow from antisymmetry.  The Jacobi identity is checked
 on construction, so every live ``LieAlgebra`` value is an actual Lie
-algebra; the check walks integer numerators over the common denominator
-of the constants.  All derived objects (series, quotients, direct sums)
-stay in exact rational arithmetic.
+algebra.  The table is also kept as ``int`` numerators over D, the lcm of
+the denominators: the Jacobi check, the brackets, the central series and
+the adapted table run on it and on the integer kernel of ``exactla``, and
+``Fraction`` values appear only in tables, ``bracket`` and subspace rows.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import (
-    _ONE,
     _ZERO,
     DimensionMismatch,
     Record,
     Subspace,
+    _cancel,
     _dense,
     _echelon,
+    _integral,
     _null_rows,
     _sparse,
-    _subtract,
     basis_vector,
     rational,
 )
@@ -84,6 +85,10 @@ class LieAlgebra:
         self.name = name
         self._table = _canonical_table(dim, table)
         self._key = (dim, tuple(sorted(self._table.items())))
+        # The table in ints: every constant times D, the lcm of their denominators.
+        self._scale = math.lcm(*(c.denominator for e in self._table.values() for _, c in e))
+        self._ints = {pair: tuple((q, c.numerator * (self._scale // c.denominator)) for q, c in e)
+                      for pair, e in self._table.items()}
         self._check_jacobi()
 
     # Structural identity: the name is a label, not part of the algebra.
@@ -107,25 +112,25 @@ class LieAlgebra:
 
     # -- bracket ---------------------------------------------------------
 
-    def _bracket(self, x: Mapping[int, Fraction],
-                 y: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """[x, y] on sparse {index: value} vectors: the table entries
-        [e_i, e_j] for i in the support of x and j in that of y."""
-        table, acc = self._table, {}
+    def _bracket(self, x: Mapping[int, int], y: Mapping[int, int]) -> dict[int, int]:
+        """D·[x, y] on sparse {index: value} vectors, from the integer
+        table entries [e_i, e_j] for i in the support of x and j in that
+        of y; integer vectors give an integer result."""
+        table, acc = self._ints, {}
         for i, a in x.items():
             for j, b in y.items():
                 entry = table.get((i, j) if i < j else (j, i))  # none for i == j
                 if entry:
                     f = a * b if i < j else -a * b
                     for k, c in entry:
-                        acc[k] = acc.get(k, _ZERO) + f * c
+                        acc[k] = acc.get(k, 0) + f * c
         return {k: c for k, c in acc.items() if c}
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """Bilinear antisymmetric extension of the table, dense."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match algebra dimension")
-        return _dense(self._bracket(_sparse(x), _sparse(y)), self.dim)
+        return _dense(self._bracket(_sparse(x), _sparse(y)), self.dim, self._scale)
 
     # -- validation ------------------------------------------------------
 
@@ -133,17 +138,12 @@ class LieAlgebra:
         """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for i < j < k.
 
         Walks only nonzero table entries: [e_a, e_b] = Σ x_q e_q, then
-        [e_q, e_t].  The walk runs on integers: every constant is scaled
-        by D, the lcm of their denominators, and the residual is
+        [e_q, e_t].  The walk runs on the integer table: the residual is
         quadratic in the constants, so its integer value is D² times the
         rational one.  Triples are tried in lexicographic order, so the
         first failing one is the one reported.
         """
-        scale = math.lcm(*(c.denominator for entry in self._table.values()
-                           for _, c in entry))
-        table = {pair: tuple((q, c.numerator * (scale // c.denominator))
-                             for q, c in entry)
-                 for pair, entry in self._table.items()}
+        table, scale = self._ints, self._scale
         for i, j, k in itertools.combinations(range(self.dim), 3):
             res: dict[int, int] = {}
             # [[e_k, e_i], e_j] = -[[e_i, e_k], e_j]
@@ -192,22 +192,35 @@ def product_space(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """Span of all [a, b] with a in A, b in B."""
     if A.ambient_dim != L.dim or B.ambient_dim != L.dim:
         raise DimensionMismatch("subspace ambient dimension does not match algebra")
-    return Subspace.from_rows(L.dim, (L._bracket(a, b) for a in A.rows for b in B.rows))
+    return Subspace.from_rows(L.dim, (L._bracket(a, b) for a in A.ints for b in B.ints))
 
 
 def _lower_series(L: LieAlgebra) -> tuple[Subspace, ...]:
-    full = Subspace.full(L.dim)
-    series = [full]
-    while not series[-1].is_zero:
-        current = series[-1]
-        # gamma_2 is the span of the table entries; after it, [gamma_i, L].
-        nxt = (product_space(L, current, full) if len(series) > 1 else
-               Subspace.from_rows(L.dim, (dict(e) for e in L._table.values())))
-        if nxt.dim >= current.dim:
-            raise NotNilpotent(
-                f"{L.name}: lower central series stabilises at dimension {current.dim}")
-        series.append(nxt)
-    return tuple(series)
+    """gamma_1, ..., gamma_{c+1} = 0 on integer echelon rows.
+
+    gamma_2 is the span of the table entries; after it gamma_{i+1} =
+    [gamma_i, X] for X the unit vectors off gamma_2's pivots.  That holds
+    when L is nilpotent, since X then generates L; ``_adapted`` certifies
+    it, and ``_stall`` reports a series that stops shrinking.
+    """
+    series = [{k: {k: 1} for k in range(L.dim)}]
+    rows = _echelon(L._ints.values())
+    gens = [k for k in range(L.dim) if k not in rows]
+    while series[-1]:
+        if len(rows) >= len(series[-1]):
+            raise _stall(L)
+        series.append(rows)
+        rows = _echelon(L._bracket(row, {x: 1}) for row in rows.values() for x in gens)
+    return tuple(Subspace.from_rows(L.dim, echelon.values()) for echelon in series)
+
+
+def _stall(L: LieAlgebra) -> NotNilpotent:
+    """The error for a non-nilpotent L: the dimension at which gamma_{i+1}
+    = [gamma_i, L] stops shrinking."""
+    full = current = Subspace.full(L.dim)
+    while (nxt := product_space(L, current, full)).dim < current.dim:
+        current = nxt
+    return NotNilpotent(f"{L.name}: lower central series stabilises at dimension {current.dim}")
 
 
 def _upper_step(L: LieAlgebra, Z: Subspace) -> Subspace:
@@ -218,11 +231,11 @@ def _upper_step(L: LieAlgebra, Z: Subspace) -> Subspace:
     vanish; only the nonzero table entries contribute.
     """
     constraints: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (l, j), entry in L._table.items():
-        for r, x in Z.residual(entry).items():
+    for (l, j), entry in L._ints.items():
+        for r, x in Z.residual(dict(entry)).items():
             constraints.setdefault((j, r), {})[l] = x
             constraints.setdefault((l, r), {})[j] = -x
-    return Subspace.from_rows(L.dim, _null_rows(constraints.values(), L.dim))
+    return Subspace.from_rows(L.dim, _null_rows(map(_integral, constraints.values()), L.dim))
 
 
 def upper_series(L: LieAlgebra) -> tuple[Subspace, ...]:
@@ -243,21 +256,30 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
 
     A subspace's pivots lie among the pivots of any space containing it,
     so the n rows have distinct pivots, each a leading 1: coordinates come
-    from one sweep in pivot order.  The constructor checks Jacobi again
-    on the rewritten table.
+    from one sweep in pivot order on their primitive integer multiples,
+    ``scale`` being the factor the integer image carries.  The filtration
+    must be central (each [e_a, e_b] in the layer after b's), or the
+    series is not the lower central one and L is not nilpotent.  The
+    constructor checks Jacobi again on the rewritten table.
     """
     rows = [row for outer, inner in zip(lower, lower[1:])
             for row in outer.quotient_basis_rows(inner)]
+    bound = [L.dim - inner.dim for outer, inner in zip(lower, lower[1:])
+             for _ in range(outer.dim - inner.dim)]
     slot = {min(row): t for t, row in enumerate(rows)}
+    lead = [row[min(row)] for row in rows]
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a, b in itertools.combinations(range(L.dim), 2):
         image = L._bracket(rows[a], rows[b])
+        scale = L._scale * lead[a] * lead[b]
         entry = {}
         while image:
             p = min(image)
-            t, x = slot[p], image[p]
-            entry[t] = x
-            _subtract(image, x, rows[t])
+            t = slot[p]
+            entry[t] = Fraction(image[p], scale)
+            scale *= _cancel(image, p, rows[t])
+        if entry and min(entry) < bound[b]:
+            raise _stall(L)
         table[(a, b)] = entry
     return LieAlgebra(L.dim, table, name="adapted")
 
@@ -283,7 +305,7 @@ def minimal_generators(L: LieAlgebra) -> list[Vector]:
     gamma_2 is spanned by the nonzero table entries [e_i, e_j], i < j (the
     columns of d2), so its pivots come from echelonising those alone.
     """
-    taken = _echelon(dict(entry) for entry in L._table.values())
+    taken = _echelon(L._ints.values())
     return [basis_vector(L.dim, k) for k in range(L.dim) if k not in taken]
 
 
@@ -297,8 +319,8 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
     if ideal.ambient_dim != L.dim:
         raise DimensionMismatch("ideal ambient dimension does not match algebra")
     # [L, I] is spanned by the [v, e_j] over I's basis rows v and all j.
-    if any(ideal.residual(L._bracket(row, {j: _ONE}))
-           for row in ideal.rows for j in range(L.dim)):
+    if any(ideal.residual(L._bracket(row, {j: 1}))
+           for row in ideal.ints for j in range(L.dim)):
         raise NotAnIdeal(f"{L.name}: subspace is not an ideal")
     taken = set(ideal.pivots)
     complement = [k for k in range(L.dim) if k not in taken]
@@ -311,7 +333,7 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a, b in itertools.combinations(complement, 2):
         # A residual mod I lives on the complement's coordinates.
-        image = ideal.residual(L._bracket({a: _ONE}, {b: _ONE}))
+        image = ideal.residual(dict(L._table.get((a, b), ())))
         table[(pos[a], pos[b])] = {pos[k]: c for k, c in image.items()}
     qname = name if name is not None else f"{L.name}/I"
     return LieAlgebra(len(complement), table, name=qname), project

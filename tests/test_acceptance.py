@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import is_zero_vector
+
 from nilmult import (
     abelian,
     build,
@@ -29,7 +31,6 @@ from nilmult import (
     verify_lemma31,
 )
 from nilmult.cli import main
-from nilmult.exactla import is_zero_vector
 
 DATA = Path(__file__).parent / "data"
 

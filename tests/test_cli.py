@@ -274,11 +274,21 @@ def test_info_malformed_file_exit_two(capsys):
     assert "line 4" in err
 
 
-@pytest.mark.parametrize("command", ["info", "bounds", "kernel"])
-def test_not_nilpotent_file_exit_two(capsys, command):
-    code, out, err = run_cli(capsys, command, f"file:{DATA / 'sl2.lie'}")
+# File stem -> (algebra name, dimension where [γ_i, L] stops shrinking).
+# In sl2 ⊕ h3 and sl2 ⊕ r2 the brackets with the generator lifts alone
+# reach 0 (h3's x, y) or stop at dimension 1 (r2's a), so these pin the
+# message to the lower central series itself.
+NOT_NILPOTENT = {"sl2": ("sl2", 3), "sl2_h3": ("sl2h3", 3), "sl2_r2": ("sl2r2", 4)}
+
+
+@pytest.mark.parametrize("command, stem", [
+    pytest.param(command, stem, id=command if stem == "sl2" else f"{command}-{stem}")
+    for stem in NOT_NILPOTENT for command in ("info", "bounds", "kernel")])
+def test_not_nilpotent_file_exit_two(capsys, command, stem):
+    code, out, err = run_cli(capsys, command, f"file:{DATA / f'{stem}.lie'}")
     assert (code, out) == (2, "")
-    assert err == "error: sl2: lower central series stabilises at dimension 3\n"
+    name, dim = NOT_NILPOTENT[stem]
+    assert err == f"error: {name}: lower central series stabilises at dimension {dim}\n"
 
 
 def test_dirsum_past_dimension_guard_exit_two(capsys):

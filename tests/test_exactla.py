@@ -5,6 +5,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import contains, contains_subspace, span
+
 from nilmult.exactla import (
     DimensionMismatch,
     Matrix,
@@ -30,8 +32,10 @@ def matrices(draw, max_dim=5):
 
 @st.composite
 def oracle_matrices(draw):
-    """Shapes from 0x0 to 6x6: dense or mostly-zero p/q entries, with some
-    rows repeated at a rational multiple so the rank falls short."""
+    """Shapes from 0x0 to 6x6: dense or mostly-zero p/q entries with mixed
+    denominators in one row, some rows negated so that they lead with a
+    negative entry, and some rows rational combinations of one or two
+    others, which cancel to zero and make the rank fall short."""
     rows = draw(st.integers(min_value=0, max_value=6))
     cols = draw(st.integers(min_value=0, max_value=6))
     values = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -41,11 +45,17 @@ def oracle_matrices(draw):
     base = draw(st.integers(min_value=0, max_value=rows))
     entries = draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
                             min_size=base, max_size=base))
+    # Entries over 11, 13 and 30 next to those over 1..7.
+    wide = st.sampled_from([Fraction(1, 11), Fraction(-5, 13), Fraction(7, 30)])
+    entries = [[x * draw(wide) if draw(st.booleans()) else x for x in row]
+               for row in entries]
     while len(entries) < rows:
-        source = (entries[draw(st.integers(0, len(entries) - 1))] if entries
-                  else [Fraction(0)] * cols)
-        factor = draw(rationals)
-        entries.append([factor * x for x in source])
+        zero = [Fraction(0)] * cols
+        a, b = (entries[draw(st.integers(0, len(entries) - 1))] if entries else zero
+                for _ in range(2))
+        fa, fb = draw(rationals), draw(rationals)
+        entries.append([fa * x + fb * y for x, y in zip(a, b)])
+    entries = [[-x for x in row] if draw(st.booleans()) else row for row in entries]
     order = draw(st.permutations(range(rows)))
     return Matrix(rows, cols, tuple(tuple(entries[i]) for i in order))
 
@@ -66,7 +76,7 @@ def test_rref_and_rank_match_sympy(m):
             x = expected[i, j]
             assert echelon.entries[i][j] == Fraction(int(x.p), int(x.q)), (i, j)
     assert r == rank(m) == _sympy(m).rank() == len(pivots)
-    assert Subspace.from_vectors(m.cols, m.entries).pivots == tuple(pivots)
+    assert span(m.cols, m.entries).pivots == tuple(pivots)
     kernel = kernel_basis(m)
     assert kernel.dim == m.cols - r
     for row in kernel.basis.entries:
@@ -82,7 +92,7 @@ def subspaces(draw, ambient=6):
     count = draw(st.integers(min_value=0, max_value=ambient))
     vecs = draw(st.lists(st.lists(rationals, min_size=ambient, max_size=ambient),
                          min_size=count, max_size=count))
-    return Subspace.from_vectors(ambient, vecs)
+    return span(ambient, vecs)
 
 
 def test_rref_identity():
@@ -138,7 +148,7 @@ def test_kernel_of_zero_is_full():
 def test_kernel_single_equation():
     k = kernel_basis(Matrix.from_rows([[1, 1, 0]]))
     assert k.dim == 2
-    assert k.contains(vector([1, -1, 0]))
+    assert contains(k, vector([1, -1, 0]))
 
 
 def test_kernel_vectors_annihilate():
@@ -151,15 +161,15 @@ def test_kernel_vectors_annihilate():
 def test_float_entries_are_refused():
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
     with pytest.raises(TypeError):
-        Subspace.from_vectors(2, [[1, 0.1]])
+        span(2, [[1, 0.1]])
     with pytest.raises(TypeError):
         vector([0.5])
-    assert Subspace.from_vectors(2, [[1, "0.1"]]).rows == ({0: 1, 1: Fraction(1, 10)},)
+    assert span(2, [[1, "0.1"]]).rows == ({0: 1, 1: Fraction(1, 10)},)
 
 
 def test_subspace_sum_of_axes():
-    x = Subspace.from_vectors(3, [basis_vector(3, 0)])
-    y = Subspace.from_vectors(3, [basis_vector(3, 1)])
+    x = span(3, [basis_vector(3, 0)])
+    y = span(3, [basis_vector(3, 1)])
     assert Subspace.from_rows(3, x.rows + y.rows).dim == 2
 
 
@@ -168,5 +178,5 @@ def test_subspace_sum_of_axes():
 def test_grassmann_identity(a, b):
     total = Subspace.from_rows(a.ambient_dim, a.rows + b.rows)
     assert max(a.dim, b.dim) <= total.dim <= a.dim + b.dim
-    assert total.contains_subspace(a)
-    assert total.contains_subspace(b)
+    assert contains_subspace(total, a)
+    assert contains_subspace(total, b)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_zero_vector
+
 from nilmult import free_lie
 from nilmult.catalog import SpecError, freenil
-from nilmult.exactla import is_zero_vector
 from nilmult.free_lie import (
     BracketExpr,
     FreeLieElement,

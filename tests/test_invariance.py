@@ -25,6 +25,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import contains, contains_subspace, span
 from test_lie_core import _central_vectors, _change_basis, _seeded_unimodular, _sympy_ads
 
 from nilmult.analysis import (
@@ -44,6 +45,7 @@ from nilmult.homology import multiplier_dim
 from nilmult.lie_core import (
     NotAnIdeal,
     minimal_generators,
+    product_space,
     quotient_algebra,
     series_profile,
     upper_series,
@@ -92,6 +94,22 @@ def _invariants(L):
     return out
 
 
+def _check_lower_series(L):
+    """series_profile's lower series against gamma_{i+1} = [gamma_i, L],
+    every gamma_i bracketed with the whole algebra."""
+    full = Subspace.full(L.dim)
+    reference = [full]
+    while not reference[-1].is_zero:
+        reference.append(product_space(L, reference[-1], full))
+    lower = series_profile(L).lower
+    assert [(g.rows, g.pivots) for g in lower] == [(g.rows, g.pivots) for g in reference]
+
+
+@pytest.mark.parametrize("spec", default_manifest())
+def test_lower_series_oracle(spec):
+    _check_lower_series(build(spec))
+
+
 def _check_adapted(L):
     """The adapted table against L itself and against quotient_algebra."""
     prof = series_profile(L)
@@ -115,7 +133,7 @@ def _check_adapted(L):
 def _coords_in_quotient(space, sub, v):
     """Coordinates of v + sub in space/sub against space's RREF rows off
     sub's pivots."""
-    assert space.contains_subspace(sub) and space.contains(v)
+    assert contains_subspace(space, sub) and contains(space, v)
     residual = sub.reduce(v)
     taken = set(sub.pivots)
     return tuple(residual[p] for p in space.pivots if p not in taken)
@@ -126,7 +144,7 @@ def _reference_witness_tuple(L, i, prof, gens):
         value = gens[tup[0] - 1]
         for t in tup[1:]:
             value = L.bracket(value, gens[t - 1])
-        if not prof.gamma(i + 1).contains(value):
+        if not contains(prof.gamma(i + 1), value):
             return left_normed(tup), value, tup
     raise AssertionError(f"{L.name}: no weight-{i} witness commutator")
 
@@ -182,6 +200,7 @@ def _check_witnesses(L):
 def test_invariants_under_unimodular_basis_change(pair):
     source, copy = pair
     assert _invariants(copy) == _invariants(source)
+    _check_lower_series(copy)
     _check_adapted(copy)
     if not copy.is_abelian:
         _check_witnesses(copy)
@@ -221,7 +240,7 @@ def generated_algebras(draw):
     L = build(draw(st.sampled_from(GENERATED_SOURCES)))
     count = draw(st.integers(0, upper_series(L)[1].dim))
     if count:
-        ideal = Subspace.from_vectors(L.dim, _central_vectors(draw, L, count))
+        ideal = span(L.dim, _central_vectors(draw, L, count))
         L, _ = quotient_algebra(L, ideal, name=f"{L.name}/Z{ideal.dim}")
     L = _change_basis(L, draw(unimodular(L.dim)))
     return parse_file(serialize(L))
@@ -230,6 +249,7 @@ def generated_algebras(draw):
 @given(generated_algebras())
 @settings(max_examples=100, deadline=None)
 def test_generated_algebras(L):
+    _check_lower_series(L)
     _check_adapted(L)
     if L.is_abelian:
         return

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import span
+
 from nilmult.analysis import (
     BoundReport,
     KernelProfile,
@@ -58,7 +60,7 @@ def _sample(cls):
     L = build("filiform:5")
     return {
         Matrix: lambda: Matrix.from_rows([[1, 2], [3, 4]]),
-        Subspace: lambda: Subspace.from_vectors(3, [[1, 1, 0], [0, 0, 2]]),
+        Subspace: lambda: span(3, [[1, 1, 0], [0, 0, 2]]),
         SeriesProfile: lambda: series_profile(L),
         MultiplierResult: lambda: multiplier_dim(L),
         BracketExpr: lambda: br(gen(1), br(gen(2), gen(3))),
@@ -136,13 +138,13 @@ def test_equality_is_by_value_and_by_class():
 
 
 def test_subspace_hash_and_equality_leave_out_the_cached_basis():
-    a = Subspace.from_vectors(3, [[1, 1, 0], [0, 0, 2]])
-    b = Subspace.from_vectors(3, [[2, 2, 4], [1, 1, 0]])
+    a = span(3, [[1, 1, 0], [0, 0, 2]])
+    b = span(3, [[2, 2, 4], [1, 1, 0]])
     assert a.basis is a.basis  # cached in the instance dict
     assert "basis" in vars(a) and "basis" not in vars(b)
     assert a == b
     assert hash(a) == hash(b) == hash((3, (0, 2)))
-    assert a != Subspace.from_vectors(3, [[1, 0, 0], [0, 0, 1]])
+    assert a != span(3, [[1, 0, 0], [0, 0, 1]])
 
 
 @pytest.mark.parametrize("build_bad", [
