@@ -106,6 +106,10 @@ class Matrix(Record):
         return cls(len(data), cols, data)
 
 
+# A sparse integer row: a {column: value} dict or its item pairs.
+_IntRow = Mapping[int, int] | Iterable[tuple[int, int]]
+
+
 def _sparse(v: Sequence[Fraction]) -> dict[int, Fraction]:
     return {c: x for c, x in enumerate(v) if x}
 
@@ -142,7 +146,7 @@ def _cancel(row: dict[int, int], p: int, prow: dict[int, int]) -> int:
     return a
 
 
-def _echelon(rows: Iterable[Iterable[tuple[int, int]]]) -> dict[int, dict[int, int]]:
+def _echelon(rows: Iterable[_IntRow]) -> dict[int, dict[int, int]]:
     """Row echelon form of sparse integer rows, keyed by pivot column.
 
     A row is a ``{col: value}`` dict (or its item pairs) without zero
@@ -286,7 +290,7 @@ class Subspace(Record):
         return tuple(r for r, p in zip(self.ints, self.pivots) if p not in taken)
 
 
-def _null_rows(rows: Iterable[Iterable[tuple[int, int]]], cols: int) -> list[dict[int, int]]:
+def _null_rows(rows: Iterable[_IntRow], cols: int) -> list[dict[int, int]]:
     """Sparse integer rows spanning {x in Q^cols : row . x = 0 for every
     row}: one per free column f of the RREF, with s at f and −s·x/l at
     each pivot whose row holds x at f and leads with l, s the lcm of
