@@ -1,77 +1,48 @@
-"""Exact-arithmetic multiplier dimensions and bounds for nilpotent Lie algebras."""
+"""Exact-arithmetic multiplier dimensions and bounds for nilpotent Lie algebras.
 
-from .analysis import (
-    BoundReport,
-    KernelProfile,
-    PsiWitness,
-    TheoremVerification,
-    VerificationFailure,
-    batten,
-    bound_report,
-    eq3_consistency,
-    hardy_stitzinger,
-    ker_lambda_dims,
-    niroomand_russo,
-    psi_witnesses,
-    rai_bound,
-    rai_refined,
-    verify_theorem,
-    witness_commutator,
-    yankosky_closed,
-)
-from .catalog import (
-    abelian,
-    build,
-    default_manifest,
-    filiform,
-    freenil,
-    heisenberg,
-    load_file,
-    parse_file,
-    serialize,
-)
-from .exactla import Matrix, Subspace, kernel_basis, rank, rref
-from .free_lie import (
-    BracketExpr,
-    FreeLieElement,
-    expand_to_lyndon,
-    free_nilpotent,
-    left_normed,
-    lemma31_expression,
-    lyndon_words,
-    right_normed,
-    verify_lemma31,
-)
-from .homology import MultiplierResult, d2_matrix, d3_matrix, multiplier_dim
-from .lie_core import (
-    JacobiViolation,
-    LieAlgebra,
-    NotAnIdeal,
-    NotNilpotent,
-    SeriesProfile,
-    direct_sum,
-    minimal_generators,
-    product_space,
-    quotient_algebra,
-    series_profile,
-    upper_series,
-)
+The package imports no layer when it loads.  ``nilmult.<name>`` imports
+the layer that defines ``name`` on first use (PEP 562), and
+``nilmult.<layer>`` the layer itself, so a caller pays only for the
+layers it reaches; ``from nilmult import *`` loads them all.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport", "BracketExpr", "FreeLieElement",
-    "JacobiViolation", "KernelProfile", "LieAlgebra", "Matrix",
-    "MultiplierResult", "NotAnIdeal", "NotNilpotent", "PsiWitness",
-    "SeriesProfile", "Subspace", "TheoremVerification", "VerificationFailure",
-    "abelian", "batten", "bound_report", "build", "d2_matrix", "d3_matrix",
-    "default_manifest", "direct_sum", "eq3_consistency", "expand_to_lyndon",
-    "filiform", "free_nilpotent", "freenil", "hardy_stitzinger",
-    "heisenberg", "ker_lambda_dims", "kernel_basis", "left_normed",
-    "lemma31_expression", "load_file", "lyndon_words", "minimal_generators",
-    "multiplier_dim", "niroomand_russo", "parse_file", "product_space",
-    "psi_witnesses", "quotient_algebra", "rai_bound", "rai_refined", "rank",
-    "right_normed", "rref", "serialize", "series_profile", "upper_series",
-    "verify_lemma31", "verify_theorem", "witness_commutator",
-    "yankosky_closed",
-]
+# layer -> the public names it defines
+_EXPORTS = {
+    "analysis": ("BoundReport", "KernelProfile", "PsiWitness",
+                 "TheoremVerification", "VerificationFailure", "batten",
+                 "bound_report", "eq3_consistency", "hardy_stitzinger",
+                 "ker_lambda_dims", "niroomand_russo", "psi_witnesses",
+                 "rai_bound", "rai_refined", "verify_theorem",
+                 "witness_commutator", "yankosky_closed"),
+    "catalog": ("abelian", "build", "default_manifest", "filiform", "freenil",
+                "heisenberg", "load_file", "parse_file", "serialize"),
+    "cli": (),
+    "exactla": ("Matrix", "Subspace", "kernel_basis", "rank", "rref"),
+    "free_lie": ("BracketExpr", "FreeLieElement", "expand_to_lyndon",
+                 "free_nilpotent", "left_normed", "lemma31_expression",
+                 "lyndon_words", "right_normed", "verify_lemma31"),
+    "homology": ("MultiplierResult", "d2_matrix", "d3_matrix", "multiplier_dim"),
+    "lie_core": ("JacobiViolation", "LieAlgebra", "NotAnIdeal", "NotNilpotent",
+                 "SeriesProfile", "direct_sum", "minimal_generators",
+                 "product_space", "quotient_algebra", "series_profile",
+                 "upper_series"),
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    layer = name if name in _EXPORTS else _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{layer}")
+    return module if layer == name else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

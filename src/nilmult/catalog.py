@@ -30,7 +30,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .free_lie import free_nilpotent
 from .lie_core import LieAlgebra, direct_sum
 
 DIM_GUARD = 64
@@ -108,6 +107,8 @@ def freenil(d: int, c: int) -> LieAlgebra:
     total = sum(_witt_dimension(d, k) for k in range(1, c + 1))
     if total > DIM_GUARD:
         raise SpecError(f"freenil:{d},{c} has dimension {total} > {DIM_GUARD}")
+    from .free_lie import free_nilpotent
+
     return free_nilpotent(d, c)
 
 

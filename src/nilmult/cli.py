@@ -13,28 +13,16 @@ process; ``--parallel`` is accepted for compatibility and changes
 nothing.  Exit codes: 0 all checks pass, 1 a checked property failed,
 2 bad input (spec string, file, or flags), 3 an internal error (any
 other exception).
+
+This module imports only ``argparse`` and ``sys``; each command imports
+the layers it calls when it runs, so ``--help`` loads no layer and
+``verify lemma`` only ``free_lie`` and ``exactla``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-from .analysis import (
-    RangeError,
-    VerificationFailure,
-    bound_report,
-    ker_lambda_dims,
-    verify_theorem,
-)
-from .catalog import ParseError, SpecError, build, default_manifest
-from .free_lie import lemma31_expression, verify_lemma31
-from .homology import multiplier_dim
-from .lie_core import (JacobiViolation, NotAnIdeal, NotNilpotent,
-                       series_profile, upper_series)
-
-INPUT_ERRORS = (SpecError, ParseError, JacobiViolation, NotNilpotent,
-                NotAnIdeal, RangeError)
 
 
 def _print_table(headers: list[str], rows: list[list]) -> None:
@@ -61,6 +49,9 @@ def _emit(fmt: str, headers: list[str], rows: list[list], payload) -> None:
 # -- single-algebra commands ---------------------------------------------------
 
 def cmd_info(args) -> int:
+    from .catalog import build
+    from .lie_core import series_profile, upper_series
+
     L = build(args.spec)
     prof = series_profile(L)
     lower = [s.dim for s in prof.lower]
@@ -83,6 +74,9 @@ def cmd_info(args) -> int:
 
 
 def cmd_multiplier(args) -> int:
+    from .catalog import build
+    from .homology import multiplier_dim
+
     L = build(args.spec)
     result = multiplier_dim(L)
     headers = ["name", "n", "rank_d2", "rank_d3", "dim_M"]
@@ -115,6 +109,9 @@ def _bound_row(report) -> list:
 
 
 def cmd_bounds(args) -> int:
+    from .analysis import bound_report
+    from .catalog import build
+
     L = build(args.spec)
     report = bound_report(L)
     _emit(args.format, _BOUND_HEADERS, [_bound_row(report)], report.to_dict())
@@ -132,6 +129,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from .analysis import ker_lambda_dims
+    from .catalog import build
+
     L = build(args.spec)
     profile = ker_lambda_dims(L)
     headers = ["name", "i", "dim_g_i/g_i+1", "dim_M(L/g_i)", "ker_lambda_i",
@@ -163,6 +163,8 @@ def cmd_verify_lemma(args) -> int:
     if args.arity_max > ARITY_MAX:
         print(f"error: --arity-max must be at most {ARITY_MAX}", file=sys.stderr)
         return 2
+    from .free_lie import lemma31_expression, verify_lemma31
+
     failures = 0
     records = []
     for i in range(3, args.arity_max + 1):
@@ -186,6 +188,9 @@ def cmd_verify_lemma(args) -> int:
 
 def _verify_spec(spec: str) -> dict:
     """Every check for one corpus member, as a JSON-safe dict."""
+    from .analysis import VerificationFailure, bound_report, verify_theorem
+    from .catalog import build
+
     L = build(spec)
     report = bound_report(L)
     record = {"name": L.name, "abelian": L.is_abelian, "ok": True,
@@ -219,6 +224,8 @@ def cmd_verify_corpus(args) -> int:
     if args.max_dim is not None and args.max_dim < 1:
         print("error: --max-dim must be at least 1", file=sys.stderr)
         return 2
+    from .catalog import default_manifest
+
     fmt = "json" if args.json else args.format
     results = [_verify_spec(spec) for spec in default_manifest(args.max_dim)]
 
@@ -300,13 +307,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except VerificationFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
+        # The error classes load on this path only.
+        from .analysis import RangeError, VerificationFailure
+        from .catalog import ParseError, SpecError
+        from .lie_core import JacobiViolation, NotAnIdeal, NotNilpotent
+
+        if isinstance(exc, VerificationFailure):
+            print(f"check failed: {exc}", file=sys.stderr)
+            return 1
+        if isinstance(exc, (SpecError, ParseError, JacobiViolation,
+                            NotNilpotent, NotAnIdeal, RangeError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import Record, rational
-from .lie_core import LieAlgebra
 
 Word = tuple[int, ...]
 
@@ -359,4 +358,6 @@ def free_nilpotent(d: int, c: int) -> LieAlgebra:
         entry = {index[w]: coeff for w, coeff in coords.items()}
         if entry:
             table[(a, b)] = entry
+    from .lie_core import LieAlgebra
+
     return LieAlgebra(len(basis), table, name=f"freenil:{d},{c}")

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import (
-    _ZERO,
     DimensionMismatch,
     Record,
     Subspace,
@@ -60,15 +59,13 @@ def _canonical_table(dim: int, table) -> dict[tuple[int, int], tuple[tuple[int, 
     for (i, j), entry in table.items():
         if not (0 <= i < j < dim):
             raise DimensionMismatch(f"bracket pair ({i},{j}) outside 0 <= i < j < {dim}")
-        if isinstance(entry, Mapping):
-            items = entry.items()
-        else:
-            items = entry
-        summed: dict[int, Fraction] = {}  # a pair list may repeat a target
-        for k, c in items:
+        summed: dict[int, Fraction] = {}
+        for k, c in (entry.items() if isinstance(entry, Mapping) else entry):
             if not 0 <= k < dim:
                 raise DimensionMismatch(f"bracket target index {k} outside basis")
-            summed[k] = summed.get(k, _ZERO) + rational(c)
+            c = rational(c)
+            # Only a pair list can repeat a target; a first sight needs no sum.
+            summed[k] = summed[k] + c if k in summed else c
         cleaned = sorted((k, c) for k, c in summed.items() if c)
         if cleaned:
             out[(i, j)] = tuple(cleaned)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nilmult import analysis, cli, free_lie, lie_core
+from nilmult import analysis, cli, free_lie, homology, lie_core
 from nilmult.analysis import VerificationFailure, bound_report
 from nilmult.catalog import build, default_manifest
 from nilmult.cli import main
@@ -145,7 +145,6 @@ def test_verify_lemma_prints_a_broken_residual_in_the_left_normed_basis(capsys, 
     # x1 x_a x_b x_c naming the left-normed basis element [[[x1, x_a], x_b], x_c].
     broken = free_lie.lemma31_expression(3)[:-1]
     monkeypatch.setattr(free_lie, "lemma31_expression", lambda i: broken)
-    monkeypatch.setattr(cli, "lemma31_expression", lambda i: broken)
     residual = "[x1x2x3x4] - [x1x2x4x3] - [x1x3x4x2] + [x1x4x3x2]"
     assert run_cli(capsys, "verify", "lemma", "--arity-max", "3") == (
         1,
@@ -238,7 +237,6 @@ def test_verify_corpus_builds_one_bound_report_per_algebra(capsys, monkeypatch):
         return bound_report(L)
 
     monkeypatch.setattr(analysis, "bound_report", counted)
-    monkeypatch.setattr(cli, "bound_report", counted)
     code, _, _ = run_cli(capsys, "verify", "corpus")
     assert code == 0
     assert sorted(calls) == sorted(build(spec).name for spec in default_manifest())
@@ -329,7 +327,7 @@ def test_internal_error_exit_three(capsys, monkeypatch):
     def broken(L):
         raise ValueError("boom")
 
-    monkeypatch.setattr(cli, "multiplier_dim", broken)
+    monkeypatch.setattr(homology, "multiplier_dim", broken)
     code, out, err = run_cli(capsys, "multiplier", "heisenberg:1")
     assert code == 3
     assert out == ""
@@ -387,6 +385,45 @@ def test_cli_import_leaves_out_slow_modules():
         env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _loaded_after(*argv):
+    """The nilmult modules and fractions/decimal loaded by importing the
+    CLI and then by main(argv), under -S in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import contextlib, io, sys\n"
+         "watched = lambda: sorted(m for m in sys.modules if m.startswith('nilmult')\n"
+         "                         or m in ('fractions', 'decimal'))\n"
+         "from nilmult.cli import main\n"
+         "print(*watched())\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    try:\n"
+         f"        main({list(argv)!r})\n"
+         "    except SystemExit:\n"
+         "        pass\n"
+         "print(*watched())"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()]
+
+
+def test_cli_import_and_help_load_no_layer():
+    # The parser needs no layer, and no layer means no Fraction arithmetic.
+    assert _loaded_after("--help") == [["nilmult", "nilmult.cli"]] * 2
+
+
+def test_verify_lemma_loads_only_the_free_lie_layers():
+    _, loaded = _loaded_after("verify", "lemma", "--arity-max", "3")
+    assert [m for m in loaded if m.startswith("nilmult.")] == [
+        "nilmult.cli", "nilmult.exactla", "nilmult.free_lie"]
+
+
+def test_multiplier_skips_the_analysis_layers():
+    _, loaded = _loaded_after("multiplier", "filiform:30")
+    assert "nilmult.homology" in loaded
+    assert "nilmult.analysis" not in loaded and "nilmult.free_lie" not in loaded
 
 
 SINGLE_SPEC_COMMANDS = ("info", "multiplier", "bounds", "kernel")

@@ -8,6 +8,7 @@ from test_invariance import generated_algebras
 
 from nilmult.catalog import DIM_GUARD, build, default_manifest
 from nilmult.exactla import basis_vector
+from nilmult.free_lie import evaluate_in, free_nilpotent, lyndon_bracketing, lyndon_words
 from nilmult.homology import d2_matrix, d3_matrix, exterior_basis, multiplier_dim
 from nilmult.lie_core import LieAlgebra, direct_sum, series_profile
 
@@ -188,3 +189,81 @@ def test_freenil_multiplier_is_witt_number(d, c):
 @pytest.mark.parametrize("k", range(2, 32))
 def test_heisenberg_multiplier_closed_form(k):
     assert multiplier_dim(build(f"heisenberg:{k}")).dim_M == 2 * k * k - k - 1
+
+
+# -- Hopf's formula: an oracle that shares no code with homology ---------------
+
+def _eliminate(rows, width):
+    """Gaussian elimination of sparse Fraction rows on their columns below
+    width: (rank there, the reduced rows with no entry left below width)."""
+    pivots, rest = {}, []
+    for row in rows:
+        row = dict(row)
+        while True:
+            lead = min((k for k in row if k < width), default=None)
+            if lead is None:
+                rest.append(row)
+                break
+            if lead not in pivots:
+                pivots[lead] = {k: x / row[lead] for k, x in row.items()}
+                break
+            f = row[lead]
+            for k, x in pivots[lead].items():
+                y = row.get(k, 0) - f * x
+                if y:
+                    row[k] = y
+                else:
+                    row.pop(k, None)
+    return len(pivots), rest
+
+
+def _hopf_dim_M(L):
+    """dim M(L) = dim R - dim [F, R] for L = F/R, F free nilpotent of class
+    c + 1 on d = n - m generators; F^{c+2} = 0 lies in [F, R].
+
+    F maps onto the adapted table by sending each Lyndon basis element
+    P_w to its value on the adapted generators; R is the kernel, read off
+    the identity columns appended to the images, and [F, R] is spanned by
+    the [x_j, r], since R is an ideal and the x_j generate F."""
+    prof = series_profile(L)
+    A, d, c, n = prof.adapted, prof.gen_count, prof.nilpotency_class, L.dim
+    F = free_nilpotent(d, c + 1)
+    gens = {j + 1: basis_vector(n, j) for j in range(d)}
+    rows = []
+    for t, w in enumerate(lyndon_words(d, c + 1)):
+        image = evaluate_in(lyndon_bracketing(w), A.bracket, gens)
+        rows.append({**{k: x for k, x in enumerate(image) if x}, n + t: 1})
+    rank, kernel = _eliminate(rows, n)
+    assert rank == n  # the generators generate A
+    R = [tuple(row.get(n + t, 0) for t in range(F.dim)) for row in kernel]
+    brackets = (F.bracket(basis_vector(F.dim, j), r) for j in range(d) for r in R)
+    rank_FR, _ = _eliminate(({k: x for k, x in enumerate(v) if x} for v in brackets), F.dim)
+    return len(R) - rank_FR
+
+
+def _free_dim(spec):
+    prof = series_profile(build(spec))
+    return sum(_witt(prof.gen_count, k) for k in range(1, prof.nilpotency_class + 2))
+
+
+# dim F grows fast with d and c (829 for dirsum:abelian:3+filiform:5), so
+# the oracle runs where F has dimension at most 60: 40 corpus members.
+HOPF_CORPUS = [spec for spec in default_manifest() if _free_dim(spec) <= 60]
+
+
+@pytest.mark.parametrize("spec", HOPF_CORPUS)
+def test_multiplier_matches_hopf_formula(spec):
+    L = build(spec)
+    assert multiplier_dim(L).dim_M == _hopf_dim_M(L)
+
+
+def test_hopf_oracle_covers_forty_corpus_members():
+    assert len(HOPF_CORPUS) == 40
+
+
+@given(generated_algebras())
+@settings(max_examples=30, deadline=None)
+def test_multiplier_matches_hopf_formula_on_generated_algebras(L):
+    # Quotients of freenil:2,3, 2,4 and 3,2 in dense unimodular bases: F has
+    # dimension at most 14.
+    assert multiplier_dim(L).dim_M == _hopf_dim_M(L)

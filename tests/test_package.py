@@ -1,0 +1,49 @@
+import importlib
+import types
+
+import pytest
+
+import nilmult
+
+LAYERS = ("analysis", "catalog", "cli", "exactla", "free_lie", "homology", "lie_core")
+
+
+def _home(obj):
+    """The layer that defines a public class or function."""
+    return obj.__module__.rpartition(".")[2]
+
+
+@pytest.mark.parametrize("name", nilmult.__all__)
+def test_public_name_is_its_defining_modules_object(name):
+    obj = getattr(nilmult, name)
+    module = importlib.import_module(f"nilmult.{_home(obj)}")
+    assert getattr(module, name) is obj
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from nilmult import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == nilmult.__all__
+    for name in nilmult.__all__:
+        assert namespace[name] is getattr(nilmult, name)
+
+
+def test_dir_lists_every_public_name_and_layer():
+    listed = dir(nilmult)
+    assert set(nilmult.__all__) <= set(listed)
+    assert set(LAYERS) <= set(listed)
+    assert listed == sorted(listed)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_resolves_as_a_module(layer):
+    module = getattr(nilmult, layer)
+    assert isinstance(module, types.ModuleType)
+    assert module is importlib.import_module(f"nilmult.{layer}")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        nilmult.not_a_name
+    assert not hasattr(nilmult, "_lower_series")
+    assert nilmult.__version__ == "0.1.0"
