@@ -19,9 +19,10 @@ the kernel of the bracket-induced map
 
     λ_i : L/γ₂ ⊗ γ_i/γ_{i+1}  -->  (section of weight i+1)
 
-obtained from multiplier dimensions of the quotients L/γ_i, and the
-witness machinery produces explicit kernel elements Ψ_i from the
-degree-(i+1) commutator identity.
+obtained from multiplier dimensions of the quotients L/γ_i: each is a
+pivot count of the d2 and d3 echelons of the adapted table, on which γ_i
+is a trailing coordinate span, so no quotient algebra is built.  The
+witnesses Ψ_i come from the degree-(i+1) commutator identity.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from math import comb
 
 from .exactla import Record, Subspace, _dense, _echelon
 from .free_lie import BracketExpr, evaluate_in, left_normed, lemma31_term_pairs
-from .homology import multiplier_dim
+from .homology import _quotient_dims, multiplier_dim
 from .lie_core import (
     LieAlgebra,
-    NotAnIdeal,
     SeriesProfile,
     _upper_step,
     minimal_generators,
@@ -194,35 +194,11 @@ class KernelProfile(Record):
         return all(row.satisfied for row in self.rows)
 
 
-def _truncation(A: LieAlgebra, k: int, name: str) -> LieAlgebra:
-    """A/span(e_k, ..., e_{n-1}): the brackets of e_0..e_{k-1}, cut to
-    their first k coordinates.  Raises NotAnIdeal unless that span is an
-    ideal, which it is for the γ_i of an adapted table."""
-    table = {}
-    for (a, b), entry in A._table.items():
-        if b < k:
-            table[(a, b)] = [(t, x) for t, x in entry if t < k]
-        elif any(t < k for t, _ in entry):
-            raise NotAnIdeal(f"{name}: the last {A.dim - k} basis vectors "
-                             f"do not span an ideal")
-    return LieAlgebra(k, table, name=name)
-
-
 def _quotient_multipliers(L: LieAlgebra, prof: SeriesProfile) -> list[int]:
-    """dim M(L/γ_i) for i = 2..c+1 (the last entry is dim M(L)).
-
-    Each L/γ_i is a truncation of the adapted table, which is isomorphic
-    to L, and dim M is an isomorphism invariant.
-    """
-    dims = []
-    for i in range(2, prof.nilpotency_class + 2):
-        gamma = prof.gamma(i)
-        if gamma.is_zero:
-            dims.append(multiplier_dim(prof.adapted).dim_M)
-        else:
-            quotient = _truncation(prof.adapted, L.dim - gamma.dim, f"{L.name}/g{i}")
-            dims.append(multiplier_dim(quotient).dim_M)
-    return dims
+    """dim M(L/γ_i) for i = 2..c+1 (the last is dim M(L)); on the adapted
+    table, L/γ_i is the first n − dim γ_i coordinates."""
+    return _quotient_dims(prof.adapted, [L.dim - prof.gamma(i).dim
+                                         for i in range(2, prof.nilpotency_class + 2)])
 
 
 def ker_lambda_dims(L: LieAlgebra) -> KernelProfile:

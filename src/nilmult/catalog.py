@@ -20,7 +20,7 @@ The .lie text format is line-oriented, with ``#`` starting a comment:
     end
 
 Unlisted pairs bracket to zero; coefficients are rationals written as
-``p`` or ``p/q``.
+``p`` or ``p/q`` with an optional sign.  Numbers take ASCII digits only.
 """
 
 from __future__ import annotations
@@ -201,6 +201,17 @@ def default_manifest(max_dim: int | None = None) -> tuple[str, ...]:
 
 # -- .lie files -------------------------------------------------------------------
 
+# int() and Fraction() also read signs, '_', spaces and other scripts'
+# digits (Fraction() reads '_' from Python 3.11 on); the format does not.
+_COEFFICIENT = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+
+
+def _ascii_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_file(text: str) -> LieAlgebra:
     """Parse the .lie format; raises ParseError with 1-based line numbers."""
     name: str | None = None
@@ -227,7 +238,7 @@ def parse_file(text: str) -> LieAlgebra:
                 raise ParseError(lineno, "'dim' before 'algebra'")
             if dim is not None:
                 raise ParseError(lineno, "duplicate 'dim' line")
-            if len(fields) != 2 or not fields[1].isdecimal():
+            if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
                 raise ParseError(lineno, "'dim' needs one nonnegative integer")
             try:
                 dim = int(fields[1])
@@ -262,7 +273,7 @@ def _parse_bracket(fields: list[str], lineno: int,
     if len(fields) < 5 or fields[3] != "->":
         raise ParseError(lineno, "expected 'bracket <i> <j> -> <c>*<k> ...'")
     try:
-        i, j = int(fields[1]), int(fields[2])
+        i, j = _ascii_int(fields[1]), _ascii_int(fields[2])
     except ValueError:
         raise ParseError(lineno, "bracket indices must be integers") from None
     if not i < j:
@@ -275,12 +286,14 @@ def _parse_bracket(fields: list[str], lineno: int,
         coeff_text, sep, target_text = term.partition("*")
         if not sep:
             raise ParseError(lineno, f"term {term!r} needs the form <c>*<k>")
+        if not _COEFFICIENT.fullmatch(coeff_text):
+            raise ParseError(lineno, f"non-rational coefficient {coeff_text!r}")
         try:
             coeff = Fraction(coeff_text)
         except (ValueError, ZeroDivisionError):
             raise ParseError(lineno, f"non-rational coefficient {coeff_text!r}") from None
         try:
-            target = int(target_text)
+            target = _ascii_int(target_text)
         except ValueError:
             raise ParseError(lineno, f"bad basis index {target_text!r}") from None
         if not 1 <= target <= dim:

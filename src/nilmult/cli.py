@@ -311,13 +311,12 @@ def main(argv=None) -> int:
         # The error classes load on this path only.
         from .analysis import RangeError, VerificationFailure
         from .catalog import ParseError, SpecError
-        from .lie_core import JacobiViolation, NotAnIdeal, NotNilpotent
+        from .lie_core import JacobiViolation, NotNilpotent
 
         if isinstance(exc, VerificationFailure):
             print(f"check failed: {exc}", file=sys.stderr)
             return 1
-        if isinstance(exc, (SpecError, ParseError, JacobiViolation,
-                            NotNilpotent, NotAnIdeal, RangeError)):
+        if isinstance(exc, (SpecError, ParseError, JacobiViolation, NotNilpotent, RangeError)):
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -5,14 +5,14 @@ dimension of the second homology of the complex
 
     Λ³L --d3--> Λ²L --d2--> L
 
-with trivial coefficients: dim M(L) = nullity(d2) - rank(d3).  Exterior
-power bases are index tuples in lexicographic order.  Both boundary
-maps are built from the integer table, D times the rational one, which
-leaves their ranks unchanged.  The nonzero columns of d2 are the table
-entries and d3 is assembled once as sparse columns; both are ranked by
-the integer elimination kernel of ``exactla``, and the dense rational
-matrices are views.
-"""
+with trivial coefficients: dim M(L) = nullity(d2) - rank(d3).  Both maps
+are built from the integer table, D times the rational one, which keeps
+their ranks.  The columns of d2 are the table entries; d3 is assembled as
+sparse columns keyed by triple, with e_s ∧ e_t (s < t) as row C(t,2) + s,
+its colex index.  Each is echelonised once per algebra by the integer
+kernel of ``exactla``, and each rank is a pivot count.  Colex rows make
+quotients by trailing ideals leading blocks (``_quotient_dims``).  The
+dense rational matrices are views in lexicographic exterior bases."""
 
 from __future__ import annotations
 
@@ -44,33 +44,30 @@ class MultiplierResult(Record):
         super().__init__(n, rank_d2, rank_d3, dim_M)
 
 
-_Columns = dict[int, dict[int, int]]
+_Columns = dict[tuple[int, int, int], dict[int, int]]
 
 
 def _d3_columns(L: LieAlgebra) -> _Columns:
     """Nonzero columns of D·d3, x∧y∧z ↦ [x,y]∧z − [x,z]∧y + [y,z]∧x, in
-    ints, D the common denominator of the table.
+    ints, D the common denominator of the table; keyed by triple, with
+    colex rows.
 
     Built from the nonzero brackets only: [e_a, e_b] with a < b enters the
     column of the triple {a, b, t} as ±[e_a, e_b] ∧ e_t, negated when t
     lies between a and b.
     """
-    n = L.dim
-    pair_index = {p: t for t, p in enumerate(exterior_basis(n, 2))}
-    triple_index = {p: t for t, p in enumerate(exterior_basis(n, 3))}
     columns: _Columns = {}
     for (a, b), image in L._ints.items():
-        for t in range(n):
+        for t in range(L.dim):
             if t == a or t == b:
                 continue
             sign = -1 if a < t < b else 1
-            col = columns.setdefault(triple_index[tuple(sorted((a, b, t)))], {})
+            col = columns.setdefault(tuple(sorted((a, b, t))), {})
             for s, x in image:
-                if s != t:  # e_s ∧ e_t = −e_t ∧ e_s in the pair basis
-                    key = pair_index[(min(s, t), max(s, t))]
+                if s != t:  # e_s ∧ e_t = −e_t ∧ e_s, in row C(max, 2) + min
+                    key = comb(t, 2) + s if s < t else comb(s, 2) + t
                     col[key] = col.get(key, 0) + (sign * x if s < t else -sign * x)
-    columns = {c: {r: x for r, x in col.items() if x} for c, col in columns.items()}
-    return {c: col for c, col in columns.items() if col}
+    return {c: kept for c, col in columns.items() if (kept := {r: x for r, x in col.items() if x})}
 
 
 def _dense_view(columns: _Columns, rows: int, cols: int, scale: int) -> Matrix:
@@ -91,13 +88,27 @@ def d2_matrix(L: LieAlgebra) -> Matrix:
 
 def d3_matrix(L: LieAlgebra) -> Matrix:
     """Boundary Λ³L → Λ²L as a dense matrix; columns follow the triple basis."""
-    return _dense_view(_d3_columns(L), comb(L.dim, 2), comb(L.dim, 3), L._scale)
+    row = {comb(t, 2) + s: r for r, (s, t) in enumerate(exterior_basis(L.dim, 2))}
+    column = {p: c for c, p in enumerate(exterior_basis(L.dim, 3))}
+    columns = {column[c]: {row[r]: x for r, x in col.items()} for c, col in _d3_columns(L).items()}
+    return _dense_view(columns, len(row), len(column), L._scale)
+
+
+@lru_cache(maxsize=None)
+def _pivots(L: LieAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Pivot columns of the d2 and the d3 echelon."""
+    return tuple(_echelon(L._ints.values())), tuple(_echelon(_d3_columns(L).values()))
+
+
+def _quotient_dims(L: LieAlgebra, cuts: list[int]) -> list[int]:
+    """dim M(L/⟨e_k, …, e_{n−1}⟩) for each k in ``cuts``, each span an ideal."""
+    d2, d3 = _pivots(L)
+    return [comb(k, 2) - sum(p < k for p in d2) - sum(p < comb(k, 2) for p in d3) for k in cuts]
 
 
 @lru_cache(maxsize=None)
 def multiplier_dim(L: LieAlgebra) -> MultiplierResult:
     """dim M(L) = C(n,2) − rank(d2) − rank(d3), all exact."""
-    r2 = len(_echelon(L._ints.values()))
-    r3 = len(_echelon(_d3_columns(L).values()))
-    return MultiplierResult(n=L.dim, rank_d2=r2, rank_d3=r3,
-                            dim_M=comb(L.dim, 2) - r2 - r3)
+    d2, d3 = _pivots(L)
+    return MultiplierResult(n=L.dim, rank_d2=len(d2), rank_d3=len(d3),
+                            dim_M=comb(L.dim, 2) - len(d2) - len(d3))

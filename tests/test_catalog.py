@@ -179,6 +179,19 @@ def test_parse_rejects_jacobi_failure():
     ("algebra a\ndim 3\nwibble\nend\n", "unknown keyword"),
     ("algebra a\ndim 3\nbracket 1 2 -> 1/0*3\nend\n", "non-rational"),
     ("algebra a\ndim ²\nend\n", "'dim' needs one nonnegative integer"),
+    # int() and Fraction() read these; the format takes ASCII digits only.
+    ("algebra a\ndim ٣\nend\n", "line 2: 'dim' needs one nonnegative integer"),
+    ("algebra a\ndim 3\nbracket 1 0_2 -> 1*3\nend\n", "line 3: bracket indices must be integers"),
+    ("algebra a\ndim 3\nbracket +1 2 -> 1*3\nend\n", "line 3: bracket indices must be integers"),
+    ("algebra a\ndim 3\nbracket 1 ٢ -> 1*3\nend\n", "line 3: bracket indices must be integers"),
+    ("algebra a\ndim 3\nbracket 1 2 -> 1*٣\nend\n", "line 3: bad basis index '٣'"),
+    ("algebra a\ndim 3\nbracket 1 2 -> 1*+3\nend\n", "line 3: bad basis index '+3'"),
+    ("algebra a\ndim 3\nbracket 1 2 -> 1_0*3\nend\n", "line 3: non-rational coefficient '1_0'"),
+    ("algebra a\ndim 3\nbracket 1 2 -> 1/2_0*3\nend\n", "line 3: non-rational coefficient"),
+    ("algebra a\ndim 3\nbracket 1 2 -> 1.5*3\nend\n", "line 3: non-rational coefficient '1.5'"),
+    ("algebra a\ndim 3\nbracket 1 2 -> 1e2*3\nend\n", "line 3: non-rational coefficient '1e2'"),
+    ("algebra a\ndim 3\nbracket 1 2 -> ١*3\nend\n", "line 3: non-rational coefficient '١'"),
+    ("algebra a\ndim 3\nbracket 1 2 -> -/2*3\nend\n", "line 3: non-rational coefficient"),
 ])
 def test_more_malformed_cases(text, fragment):
     with pytest.raises(ParseError) as info:
@@ -200,6 +213,11 @@ def test_round_trip_rational_coefficients():
     assert parse_file(serialize(L)) == L
     assert L.bracket(basis_vector(3, 0), basis_vector(3, 1)) == (
         Fraction(-2, 7), Fraction(0), Fraction(1, 2))
+
+
+def test_signed_coefficients():
+    signed = parse_file("algebra q\ndim 3\nbracket 1 2 -> +1/2*3 -2*1\nend\n")
+    assert signed == parse_file("algebra q\ndim 3\nbracket 1 2 -> 1/2*3 -2*1\nend\n")
 
 
 def test_file_spec_reads_from_disk():

@@ -334,6 +334,18 @@ def test_internal_error_exit_three(capsys, monkeypatch):
     assert err == "internal error: ValueError: boom\n"
 
 
+def test_not_an_ideal_is_an_internal_error(capsys, monkeypatch):
+    # No command builds a quotient by a user-given subspace, so a
+    # NotAnIdeal reaching main is a fault of the program, not bad input.
+    def broken(L):
+        raise lie_core.NotAnIdeal("h3: subspace is not an ideal")
+
+    monkeypatch.setattr(homology, "multiplier_dim", broken)
+    code, out, err = run_cli(capsys, "multiplier", "heisenberg:1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: NotAnIdeal: h3: subspace is not an ideal\n"
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as info:
         main(["bounds", "heisenberg:1", "--frobnicate"])

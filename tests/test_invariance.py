@@ -6,9 +6,10 @@ generators in general position.  Here the corpus is rewritten in random
 unimodular bases (lower- times upper-unitriangular, entries in {-1, 0, 1})
 and in reversed bases, and every invariant is compared with the source's.
 
-The quotient multipliers dim M(L/γ_i) are computed on the table adapted
-to the lower central series (``SeriesProfile.adapted``), truncated; the
-reference is ``quotient_algebra`` on the input table.  The Ψ_i witnesses
+The quotient multipliers dim M(L/γ_i) are read off the d2 and d3
+echelons of the table adapted to the lower central series
+(``SeriesProfile.adapted``), on which every γ_i is a trailing coordinate
+span; the reference is ``quotient_algebra`` on the input table.  The Ψ_i witnesses
 are computed on the adapted table too; the reference builds them on the
 input basis with RREF quotient coordinates.  Generated algebras,
 quotients of free nilpotent algebras by random central subspaces in a
@@ -31,7 +32,6 @@ from test_lie_core import _central_vectors, _change_basis, _seeded_unimodular, _
 from nilmult.analysis import (
     PsiWitness,
     _quotient_multipliers,
-    _truncation,
     psi_witnesses,
     rai_bound,
     rai_refined,
@@ -41,9 +41,8 @@ from nilmult.analysis import (
 from nilmult.catalog import build, default_manifest, parse_file, serialize
 from nilmult.exactla import Matrix, Subspace, basis_vector, rank
 from nilmult.free_lie import evaluate_in, left_normed, lemma31_term_pairs
-from nilmult.homology import multiplier_dim
+from nilmult.homology import _d3_columns, _quotient_dims, multiplier_dim
 from nilmult.lie_core import (
-    NotAnIdeal,
     minimal_generators,
     product_space,
     quotient_algebra,
@@ -110,8 +109,19 @@ def test_lower_series_oracle(spec):
     _check_lower_series(build(spec))
 
 
+def _trailing_ideal_blocks(A, k):
+    """Whether the brackets and d3 columns of A that reach e_k, …, e_{n−1}
+    vanish on the first k coordinates and the first C(k,2) colex pairs:
+    the block structure that makes the quotient by that span a leading
+    block of d2 and d3."""
+    return (all(t >= k for (a, b), entry in A.table.items() if b >= k for t in entry)
+            and all(r >= k * (k - 1) // 2 for triple, col in _d3_columns(A).items()
+                    if triple[2] >= k for r in col))
+
+
 def _check_adapted(L):
-    """The adapted table against L itself and against quotient_algebra."""
+    """The adapted table against L itself and against quotient_algebra,
+    and every L/γ_i a leading block of its boundaries."""
     prof = series_profile(L)
     n, c = L.dim, prof.nilpotency_class
     adapted, aprof = prof.adapted, series_profile(prof.adapted)
@@ -128,6 +138,8 @@ def _check_adapted(L):
     reference = [multiplier_dim(quotient_algebra(L, prof.gamma(i))[0]).dim_M
                  for i in range(2, c + 2)]
     assert _quotient_multipliers(L, prof) == reference
+    for i in range(2, c + 2):
+        assert _trailing_ideal_blocks(adapted, n - prof.gamma(i).dim)
 
 
 def _coords_in_quotient(space, sub, v):
@@ -220,14 +232,17 @@ def test_adapted_table_oracle(spec):
     _check_adapted(build(spec))
 
 
-def test_truncation_rejects_a_non_ideal():
+def test_trailing_blocks_need_an_ideal():
     # In the reversed basis of filiform:5 the first basis vector spans γ₄
-    # and the last is a generator, so cutting the last one off is no
-    # quotient; in the adapted basis the same cut is L/γ₄.
+    # and the last is a generator, so the last coordinate is no ideal and
+    # the quotient read would be wrong; in the adapted basis the same cut
+    # is L/γ₄.
     L = _change_basis(build("filiform:5"), _reversal(5))
-    assert _truncation(series_profile(L).adapted, 4, "L/g4").dim == 4
-    with pytest.raises(NotAnIdeal):
-        _truncation(L, 4, "L/g4")
+    prof = series_profile(L)
+    assert _trailing_ideal_blocks(prof.adapted, 4)
+    assert not _trailing_ideal_blocks(L, 4)
+    quotient = multiplier_dim(quotient_algebra(L, prof.gamma(4))[0]).dim_M
+    assert _quotient_dims(prof.adapted, [4]) == [quotient] != _quotient_dims(L, [4])
 
 
 GENERATED_SOURCES = ("freenil:2,3", "freenil:2,4", "freenil:3,2")
