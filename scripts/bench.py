@@ -1,32 +1,25 @@
-"""Run the benchmark and record its verdict as BENCH_<LABEL>.json.
+"""Run the benchmark on a parent revision and this checkout, in pairs.
 
-    python3 scripts/bench.py LABEL [run.py arguments ...]
     python3 scripts/bench.py --pair PARENT N LABEL [run.py arguments ...]
 
-Runs ``python3 perfbench/run.py`` in the checkout that holds this script,
-by default with ``--workload all --seed 1 --seconds 8 --trace 0``, and
-writes ``BENCH_<LABEL>.json`` at the checkout's root:
-
-    {"label", "commit", "python", "cpus", "argv", "result"}
-
-``result`` is run.py's final JSON line, unchanged.  ``commit`` is the
-checked-out commit, with ``+dirty`` when tracked files differ from it.
-Exits 1, writing nothing, when that line is missing or its ``correct``
-is not ``true``.
-
-``--pair`` checks the revision PARENT out with ``git worktree`` under
-``.bench_build/`` and runs each checkout's own run.py N times, the two
-alternating (pair k starts with the parent when k is even), so that both
-sides see the same drift in host load.  It writes
-``BENCH_<LABEL>-parent.json`` and ``BENCH_<LABEL>.json``, each
+Checks the revision PARENT out with ``git worktree`` under
+``.bench_build/`` and runs each checkout's own ``python3 perfbench/run.py``
+N times, by default with ``--workload all --seed 1 --seconds 8 --trace 0``,
+the two alternating (pair k starts with the parent when k is even), so
+that both sides see the same drift in host load.  It writes
+``BENCH_<LABEL>-parent.json`` and ``BENCH_<LABEL>.json`` at this
+checkout's root, each
 
     {"label", "commit", "python", "cpus", "argv", "pairs", "values", "won"}
 
-where ``values`` maps every metric of the verdicts to that side's N
-values in pair order, and ``won`` to the number of pairs in which that
-side read strictly better (lower, or higher for the metrics
-BENCHMARK.json marks ``"better": "higher"``); ties count for neither.
-The worktree is removed afterwards.
+where ``values`` maps every metric of the verdicts (run.py's final JSON
+lines) to that side's N values in pair order, and ``won`` to the number
+of pairs in which that side read strictly better (lower, or higher for
+the metrics BENCHMARK.json marks ``"better": "higher"``); ties count for
+neither.  ``commit`` is the checked-out commit, with ``+dirty`` when
+tracked files differ from it.  Exits 1, writing nothing, when a verdict
+is missing or its ``correct`` is not ``true``.  The worktree is removed
+afterwards.
 """
 
 from __future__ import annotations
@@ -42,8 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_ARGS = ["--workload", "all", "--seed", "1", "--seconds", "8", "--trace", "0"]
-USAGE = ("usage: python3 scripts/bench.py LABEL [run.py arguments ...]\n"
-         "       python3 scripts/bench.py --pair PARENT N LABEL [run.py arguments ...]\n"
+USAGE = ("usage: python3 scripts/bench.py --pair PARENT N LABEL [run.py arguments ...]\n"
          "LABEL: letters, digits, '.', '_' and '-' only; N: a positive integer")
 
 
@@ -151,27 +143,12 @@ def pair(parent: str, n: int, label: str, command: list[str]) -> int:
 
 
 def main(argv: list[str]) -> int:
-    paired = argv[:1] == ["--pair"]
-    if paired:
-        if len(argv) < 4 or not re.fullmatch(r"[1-9][0-9]*", argv[2]):
-            print(USAGE, file=sys.stderr)
-            return 2
-        parent, n, argv = argv[1], int(argv[2]), argv[3:]
-    if not argv or not re.fullmatch(r"[A-Za-z0-9._-]+", argv[0]):
+    if (argv[:1] != ["--pair"] or len(argv) < 4 or not re.fullmatch(r"[1-9][0-9]*", argv[2])
+            or not re.fullmatch(r"[A-Za-z0-9._-]+", argv[3])):
         print(USAGE, file=sys.stderr)
         return 2
-    label, run_args = argv[0], argv[1:] or DEFAULT_ARGS
-    command = ["python3", "perfbench/run.py", *run_args]
-    if paired:
-        return pair(parent, n, label, command)
-    result = _run(ROOT, command)
-    if result is None:
-        return 1
-    _write(label, {"label": label, "commit": _commit(),
-                   "python": platform.python_version(),
-                   "cpus": len(os.sched_getaffinity(0)),
-                   "argv": command, "result": result})
-    return 0
+    parent, n, label, run_args = argv[1], int(argv[2]), argv[3], argv[4:] or DEFAULT_ARGS
+    return pair(parent, n, label, ["python3", "perfbench/run.py", *run_args])
 
 
 if __name__ == "__main__":

@@ -114,10 +114,18 @@ def freenil(d: int, c: int) -> LieAlgebra:
 
 # -- spec strings ---------------------------------------------------------------
 
-def _int_param(text: str, spec: str) -> int:
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII digits; other text raises a bare ValueError."""
     if not (text.isascii() and text.isdigit()):
-        raise SpecError(f"bad integer {text!r} in spec {spec!r}")
+        raise ValueError
     return int(text)
+
+
+def _int_param(text: str, spec: str) -> int:
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise SpecError(f"bad integer {text!r} in spec {spec!r}") from None
 
 
 _ONE_PARAMETER = {"abelian": abelian, "heisenberg": heisenberg, "filiform": filiform}
@@ -206,12 +214,6 @@ def default_manifest(max_dim: int | None = None) -> tuple[str, ...]:
 _COEFFICIENT = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
-def _ascii_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(text)
-    return int(text)
-
-
 def parse_file(text: str) -> LieAlgebra:
     """Parse the .lie format; raises ParseError with 1-based line numbers."""
     name: str | None = None
@@ -238,12 +240,11 @@ def parse_file(text: str) -> LieAlgebra:
                 raise ParseError(lineno, "'dim' before 'algebra'")
             if dim is not None:
                 raise ParseError(lineno, "duplicate 'dim' line")
-            if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
-                raise ParseError(lineno, "'dim' needs one nonnegative integer")
             try:
-                dim = int(fields[1])
-            except ValueError:  # past int()'s digit limit
-                raise ParseError(lineno, f"'dim' value has {len(fields[1])} digits") from None
+                dim = _ascii_int(fields[1] if len(fields) == 2 else "")
+            except ValueError as exc:  # a message means past int()'s digit limit
+                raise ParseError(lineno, f"'dim' value has {len(fields[1])} digits" if exc.args
+                                 else "'dim' needs one nonnegative integer") from None
             if dim > DIM_GUARD:
                 raise ParseError(lineno, f"dimension {dim} exceeds guard {DIM_GUARD}")
         elif keyword == "bracket":

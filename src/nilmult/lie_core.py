@@ -3,10 +3,10 @@
 A bracket table stores [e_i, e_j] for i < j only; the diagonal and the
 lower triangle follow from antisymmetry.  The Jacobi identity is checked
 on construction, so every live ``LieAlgebra`` value is an actual Lie
-algebra.  The table is also kept as ``int`` numerators over D, the lcm of
-the denominators: the Jacobi check, the brackets, the central series and
-the adapted table run on it and on the integer kernel of ``exactla``, and
-``Fraction`` values appear only in tables, ``bracket`` and subspace rows.
+algebra.  The table is stored once, as ``int`` numerators over D, the lcm
+of the denominators: equality, hashing, the Jacobi check, the brackets, the
+central series and the adapted table read only these, and ``Fraction``
+values appear only in the input, ``table``, ``bracket`` and subspace rows.
 """
 
 from __future__ import annotations
@@ -80,20 +80,20 @@ class LieAlgebra:
             raise DimensionMismatch("negative dimension")
         self.dim = dim
         self.name = name
-        self._table = _canonical_table(dim, table)
-        self._key = (dim, tuple(sorted(self._table.items())))
+        table = _canonical_table(dim, table)
         # The table in ints: every constant times D, the lcm of their denominators.
-        self._scale = math.lcm(*(c.denominator for e in self._table.values() for _, c in e))
+        self._scale = math.lcm(*(c.denominator for e in table.values() for _, c in e))
         self._ints = {pair: tuple((q, c.numerator * (self._scale // c.denominator)) for q, c in e)
-                      for pair, e in self._table.items()}
+                      for pair, e in table.items()}
         self._check_jacobi()
 
-    # Structural identity: the name is a label, not part of the algebra.
+    # Structural identity: the name is a label; entries over the least D fix the table.
     def __eq__(self, other):
-        return isinstance(other, LieAlgebra) and self._key == other._key
+        return (isinstance(other, LieAlgebra) and self.dim == other.dim
+                and self._scale == other._scale and self._ints == other._ints)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.dim, self._scale, frozenset(self._ints.items())))
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
@@ -101,11 +101,11 @@ class LieAlgebra:
     @property
     def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """Copy of the sparse table, for display and serialisation."""
-        return {pair: dict(entry) for pair, entry in self._table.items()}
+        return {pair: {k: Fraction(c, self._scale) for k, c in e} for pair, e in self._ints.items()}
 
     @property
     def is_abelian(self) -> bool:
-        return not self._table
+        return not self._ints
 
     # -- bracket ---------------------------------------------------------
 
@@ -327,10 +327,10 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
         residual = ideal.reduce(v)
         return tuple(residual[k] for k in complement)
 
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table, entries = {}, L.table
     for a, b in itertools.combinations(complement, 2):
         # A residual mod I lives on the complement's coordinates.
-        image = ideal.residual(dict(L._table.get((a, b), ())))
+        image = ideal.residual(entries.get((a, b), {}))
         table[(pos[a], pos[b])] = {pos[k]: c for k, c in image.items()}
     qname = name if name is not None else f"{L.name}/I"
     return LieAlgebra(len(complement), table, name=qname), project
@@ -339,9 +339,8 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra, name: str | None = None) -> LieAlgebra:
     """Block-diagonal bracket table on the concatenated bases."""
     shift = L1.dim
-    table: dict[tuple[int, int], dict[int, Fraction]] = {
-        pair: dict(entry) for pair, entry in L1._table.items()}
-    for (i, j), entry in L2._table.items():
-        table[(i + shift, j + shift)] = {k + shift: c for k, c in entry}
+    table = L1.table
+    for (i, j), entry in L2.table.items():
+        table[(i + shift, j + shift)] = {k + shift: c for k, c in entry.items()}
     sname = name if name is not None else f"{L1.name}+{L2.name}"
     return LieAlgebra(L1.dim + L2.dim, table, name=sname)

@@ -35,6 +35,8 @@ def test_tally_counts_strict_wins_by_direction():
     [], ["bad/label"], ["--pair"], ["--pair", "HEAD", "0", "x"],
     ["--pair", "HEAD", "two", "x"], ["--pair", "HEAD", "3"],
     ["--pair", "HEAD", "3", "bad label"],
+    # a bare label: there is no single-run mode, every record is paired
+    ["x"], ["x", "--workload", "lemma"],
 ])
 def test_bad_arguments_exit_two(argv, capsys):
     assert bench.main(argv) == 2

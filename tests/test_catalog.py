@@ -80,6 +80,9 @@ def test_dirsum_of_built_summands_checks_jacobi_once(monkeypatch):
     # or other scripts' digits
     "abelian:3_0", "heisenberg:0_1", "freenil:2, 3", "abelian:+3",
     "abelian:\u0663", "dirsum:abelian:1_0+heisenberg:1",
+    # past int()'s digit limit (4300 digits, from Python 3.10.7 and 3.11)
+    pytest.param(f"abelian:{'9' * 5000}", id="abelian:<5000 nines>"),
+    pytest.param(f"freenil:2,{'9' * 5000}", id="freenil:2,<5000 nines>"),
 ])
 def test_bad_specs_rejected(bad):
     with pytest.raises(SpecError):
@@ -179,6 +182,10 @@ def test_parse_rejects_jacobi_failure():
     ("algebra a\ndim 3\nwibble\nend\n", "unknown keyword"),
     ("algebra a\ndim 3\nbracket 1 2 -> 1/0*3\nend\n", "non-rational"),
     ("algebra a\ndim ²\nend\n", "'dim' needs one nonnegative integer"),
+    ("algebra a\ndim\nend\n", "line 2: 'dim' needs one nonnegative integer"),
+    ("algebra a\ndim 3 4\nend\n", "line 2: 'dim' needs one nonnegative integer"),
+    pytest.param(f"algebra a\ndim {'9' * 5000}\nend\n", "line 2: 'dim' value has 5000 digits",
+                 id="dim-5000-nines"),
     # int() and Fraction() read these; the format takes ASCII digits only.
     ("algebra a\ndim ٣\nend\n", "line 2: 'dim' needs one nonnegative integer"),
     ("algebra a\ndim 3\nbracket 1 0_2 -> 1*3\nend\n", "line 3: bracket indices must be integers"),

@@ -592,6 +592,23 @@ def test_structural_equality_ignores_name():
     assert a == b
     assert hash(a) == hash(b)
     assert a != LieAlgebra(3, {(0, 1): {2: 2}})
+    # The same numerators over another D are another algebra.
+    assert LieAlgebra(3, {(0, 1): {2: Fraction(1, 2)}}) != a
+    halves = [LieAlgebra(3, {(0, 1): entry}) for entry in (
+        {2: "2/4"}, {2: Fraction(1, 2)}, [(2, Fraction(1, 4)), (2, Fraction(1, 4))])]
+    assert len(set(halves)) == 1 and len({hash(h) for h in halves}) == 1
+    pairs = [((0, 1), {3: 1}), ((1, 2), {3: Fraction(1, 3)})]
+    forward, backward = (LieAlgebra(4, dict(order)) for order in (pairs, pairs[::-1]))
+    assert forward == backward and hash(forward) == hash(backward)
+    # table rebuilds the input Fractions (D = 6 here) as a fresh dict
+    entries = {(0, 1): {3: Fraction(2, 3)}, (1, 2): {3: Fraction(-1, 6)}}
+    L = LieAlgebra(4, entries)
+    view = L.table
+    assert view == entries and view is not L.table
+    assert all(type(c) is Fraction for entry in view.values() for c in entry.values())
+    view[(0, 1)][3] = Fraction(5)
+    view[(0, 2)] = {3: Fraction(1)}
+    assert L.table == entries and L == LieAlgebra(4, entries)
 
 
 def test_all_jacobi_triples_vanish():
