@@ -31,7 +31,6 @@ from fractions import Fraction
 from math import comb
 
 from .exactla import Record, Subspace, _dense, _echelon
-from .free_lie import BracketExpr, evaluate_in, left_normed, lemma31_term_pairs
 from .homology import _quotient_dims, multiplier_dim
 from .lie_core import (
     LieAlgebra,
@@ -273,6 +272,8 @@ def witness_commutator(L: LieAlgebra, i: int) -> tuple[BracketExpr, Vector]:
     lexicographic order and the first hit is returned, with its value
     in L's basis.
     """
+    from .free_lie import evaluate_in, left_normed
+
     expr = left_normed(_witness_tuple(L, i, series_profile(L)))
     gens = minimal_generators(L)
     return expr, evaluate_in(expr, L.bracket, dict(enumerate(gens, start=1)))
@@ -309,6 +310,8 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
     together they have rank n-m-i, and that the induced bracket map
     u̅ ⊗ w̅ ↦ [w, u] mod γ_{i+2} kills each of them.
     """
+    from .free_lie import evaluate_in, lemma31_term_pairs
+
     prof = series_profile(L)
     n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
     if m < 1:

@@ -124,8 +124,9 @@ def _ascii_int(text: str) -> int:
 def _int_param(text: str, spec: str) -> int:
     try:
         return _ascii_int(text)
-    except ValueError:
-        raise SpecError(f"bad integer {text!r} in spec {spec!r}") from None
+    except ValueError as exc:  # a message means past int()'s digit limit
+        raise SpecError(f"spec integer has {len(text)} digits" if exc.args
+                        else f"bad integer {text!r} in spec {spec!r}") from None
 
 
 _ONE_PARAMETER = {"abelian": abelian, "heisenberg": heisenberg, "filiform": filiform}

@@ -7,8 +7,8 @@ faithful representation, and rewriting against the standard bracketings
 of Lyndon words produces the unique Lyndon-basis normal form
 (``FreeLieElement``, with ``Fraction`` coefficients; the rational edge
 is ``expand_to_lyndon``).  It builds the free-nilpotent algebras of given
-rank and class, and checks the multilinear degree-(i+1) commutator
-identity used for kernel witnesses by its words that start with x_1.
+rank and class, and checks the multilinear degree-(i+1) commutator identity
+of the kernel witnesses by its x_1-initial words, each packed into one int.
 """
 
 from __future__ import annotations
@@ -303,29 +303,52 @@ def _symbols(e: BracketExpr) -> list[int]:
     return [e.symbol] if e.is_generator else _symbols(e.left) + _symbols(e.right)
 
 
-def _initial_words(e: BracketExpr) -> dict[Word, int]:
-    """The x_1-initial words of ``tensor_expansion(e)``: init([p, q]) is
-    init(p)·exp(q) or -init(q)·exp(p), as only the factor holding x_1 opens
-    a word with it.  They determine e only if it holds x_1 and no generator
-    twice; any other e raises ``ValueError``."""
+def _width(e: BracketExpr) -> int:
+    """Bits per packed letter, the bit length of e's largest letter; ``ValueError`` unless
+    e holds x_1, no generator twice and none negative: the trees its packed words determine."""
     symbols = _symbols(e)
-    if 1 not in symbols or len(set(symbols)) < len(symbols):
+    if 1 not in symbols or len(set(symbols)) < len(symbols) or min(symbols) < 0:
         raise ValueError(f"{e} is not multilinear in x1 and other generators")
-    if e.is_generator:
-        return {(1,): 1}
-    head, tail, sign = (e.left, e.right, 1) if 1 in _symbols(e.left) else (e.right, e.left, -1)
-    tail_words = tensor_expansion(tail).items()
-    return {w + u: sign * c * a for w, c in _initial_words(head).items()
-            for u, a in tail_words}
+    return max(symbols).bit_length()
+
+
+def _packed(e: BracketExpr, width: int) -> tuple[int, bool, dict[int, int]]:
+    """(degree, holds x_1, words) of e, each word one int, ``width`` bits a letter
+    and the first one highest: init(e) if e holds x_1, else exp(e).  Only the
+    factor holding x_1 opens a word with it, so init([p, q]) is init(p)·exp(q)
+    or -init(q)·exp(p); no letter repeats, so the words of pq and qp differ."""
+    if e.symbol is not None:
+        return 1, e.symbol == 1, {e.symbol: 1}
+    (dp, p_holds, p), (dq, q_holds, q) = _packed(e.left, width), _packed(e.right, width)
+    if p_holds or q_holds:
+        head, tail, shift, sign = (p, q, width * dq, 1) if p_holds else (q, p, width * dp, -1)
+        return dp + dq, True, {u << shift | v: sign * c * a
+                               for u, c in head.items() for v, a in tail.items()}
+    words = {u << width * dq | v: c * a for u, c in p.items() for v, a in q.items()}
+    words.update({v << width * dp | u: -c * a for u, c in p.items() for v, a in q.items()})
+    return dp + dq, False, words
+
+
+def _unpack(w: int, width: int) -> Word:
+    """The letters of a packed x_1-initial word; its leading x_1 fixes the length."""
+    return tuple(w >> s & (1 << width) - 1 for s in reversed(range(0, w.bit_length(), width)))
+
+
+def _initial_words(e: BracketExpr) -> dict[Word, int]:
+    """The x_1-initial words of ``tensor_expansion(e)``, as letter tuples."""
+    width = _width(e)
+    return {_unpack(w, width): c for w, c in _packed(e, width)[2].items()}
 
 
 def verify_lemma31(i: int) -> FreeLieElement:
     """The identity sum in the left-normed basis [x_1, x_s2, ..., x_sk], named by its
     x_1-initial word (Reutenauer, Free Lie Algebras); zero when the identity holds."""
-    residual: dict[Word, int] = {}
-    for coeff, expr in lemma31_expression(i):
-        _tensor_add_into(residual, _initial_words(expr), int(coeff))
-    return FreeLieElement.from_dict({w: Fraction(c) for w, c in residual.items()})
+    terms = lemma31_expression(i)
+    width = max(_width(expr) for _, expr in terms)
+    residual: dict[int, int] = {}
+    for coeff, expr in terms:
+        _tensor_add_into(residual, _packed(expr, width)[2], int(coeff))
+    return FreeLieElement.from_dict({_unpack(w, width): Fraction(c) for w, c in residual.items()})
 
 
 # -- evaluation and free-nilpotent quotients --------------------------------

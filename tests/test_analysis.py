@@ -267,7 +267,7 @@ def test_psi_witnesses_range_checks():
 
 
 def test_psi_without_terms_gives_a_zero_tensor(monkeypatch):
-    monkeypatch.setattr("nilmult.analysis.lemma31_term_pairs", lambda i: [])
+    monkeypatch.setattr("nilmult.free_lie.lemma31_term_pairs", lambda i: [])
     with pytest.raises(VerificationFailure,
                        match="^freenil:3,3: Ψ_2 tensor for z=3 is zero$"):
         psi_witnesses(build("freenil:3,3"), 2)
@@ -277,7 +277,7 @@ def test_psi_without_terms_gives_a_zero_tensor(monkeypatch):
 def test_psi_with_a_term_dropped_escapes_the_kernel(monkeypatch, dropped):
     pairs = lemma31_term_pairs(2)
     del pairs[dropped]
-    monkeypatch.setattr("nilmult.analysis.lemma31_term_pairs", lambda i: pairs)
+    monkeypatch.setattr("nilmult.free_lie.lemma31_term_pairs", lambda i: pairs)
     with pytest.raises(VerificationFailure,
                        match="^freenil:3,3: Ψ_2 witness for z=3 escapes the kernel$"):
         psi_witnesses(build("freenil:3,3"), 2)

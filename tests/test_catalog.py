@@ -85,8 +85,12 @@ def test_dirsum_of_built_summands_checks_jacobi_once(monkeypatch):
     pytest.param(f"freenil:2,{'9' * 5000}", id="freenil:2,<5000 nines>"),
 ])
 def test_bad_specs_rejected(bad):
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError) as info:
         build(bad)
+    # the CLI prints one short line, naming a past-limit integer by its digit count
+    assert len(f"error: {info.value}".encode()) < 200
+    if "9" * 5000 in bad:
+        assert str(info.value) == "spec integer has 5000 digits"
 
 
 def test_dirsum_at_the_dimension_guard_builds():

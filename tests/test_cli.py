@@ -346,6 +346,39 @@ def test_not_an_ideal_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: NotAnIdeal: h3: subspace is not an ideal\n"
 
 
+def _nilmult_env(**extra):
+    """A child's environment: this checkout's sources, stdout buffered unless
+    ``extra`` sets PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(__file__).parent.parent / "src"), **extra}
+
+
+def test_reader_closing_the_pipe_exits_141_in_silence():
+    # Unbuffered, every line is written as it is printed, so the lines of
+    # the larger arities meet the closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilmult", "verify", "lemma", "--arity-max", "14"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_nilmult_env(PYTHONUNBUFFERED="1"))
+    assert proc.stdout.readline() == b"i=3: 0\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_buffered_output_into_a_closed_pipe_exits_141_in_silence():
+    # Buffered, the whole table is written by one flush, inside main.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nilmult", "kernel", "filiform:5"],
+                              stdout=write, stderr=subprocess.PIPE, env=_nilmult_env())
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as info:
         main(["bounds", "heisenberg:1", "--frobnicate"])
@@ -393,8 +426,7 @@ def test_cli_import_leaves_out_slow_modules():
         [sys.executable, "-S", "-c",
          "import sys, nilmult.cli\n"
          f"print([m for m in {slow!r} if m in sys.modules])"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
+        capture_output=True, text=True, env=_nilmult_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -415,8 +447,7 @@ def _loaded_after(*argv):
          "    except SystemExit:\n"
          "        pass\n"
          "print(*watched())"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
+        capture_output=True, text=True, env=_nilmult_env())
     assert proc.returncode == 0, proc.stderr
     return [line.split() for line in proc.stdout.splitlines()]
 
@@ -436,6 +467,18 @@ def test_multiplier_skips_the_analysis_layers():
     _, loaded = _loaded_after("multiplier", "filiform:30")
     assert "nilmult.homology" in loaded
     assert "nilmult.analysis" not in loaded and "nilmult.free_lie" not in loaded
+
+
+@pytest.mark.parametrize("command", ["kernel", "bounds"])
+def test_kernel_and_bounds_skip_the_free_lie_layer(command):
+    # only the witnesses evaluate bracket trees, and these commands build none
+    _, loaded = _loaded_after(command, "filiform:5")
+    assert "nilmult.analysis" in loaded and "nilmult.free_lie" not in loaded
+
+
+def test_verify_corpus_loads_the_free_lie_layer_for_its_witnesses():
+    _, loaded = _loaded_after("verify", "corpus", "--max-dim", "3")
+    assert "nilmult.free_lie" in loaded
 
 
 SINGLE_SPEC_COMMANDS = ("info", "multiplier", "bounds", "kernel")

@@ -273,13 +273,37 @@ def test_identity_residual_detects_a_broken_term(i, monkeypatch):
     br(gen(1), gen(1)),                       # x1 twice
     br(br(gen(1), gen(2)), gen(2)),           # x2 twice
     br(gen(3), br(gen(1), gen(3))),           # x3 twice, x1 in the right factor
+    br(gen(1), gen(-2)),                      # a negative letter
 ])
 def test_initial_words_reject_a_tree_they_cannot_determine(e):
     # a tree without x1 has no x1-initial word however nonzero it is, and
     # with a repeated generator the left-normed brackets are no basis, so
-    # such a tree must raise rather than pass as a zero residual
+    # such a tree must raise rather than pass as a zero residual; a packed
+    # letter is a nonnegative int, so a negative one is refused too
     with pytest.raises(ValueError):
         _initial_words(e)
+
+
+def _relabel(e, letter):
+    if e.is_generator:
+        return gen(letter[e.symbol])
+    return br(_relabel(e.left, letter), _relabel(e.right, letter))
+
+
+@pytest.mark.parametrize("i", [3, 5])
+def test_identity_residual_with_letters_past_five_bits(i, monkeypatch):
+    # x2 becomes x0 and the others pass x63, so a packed letter takes 7 bits
+    letter = {1: 1, 2: 0, **{k: 60 + k for k in range(3, i + 2)}}
+    terms = [(coeff, _relabel(expr, letter)) for coeff, expr in lemma31_expression(i)]
+    assert _residual(monkeypatch, i, terms).is_zero
+    for k in range(len(terms)):
+        dropped = terms[:k] + terms[k + 1:]
+        rebuilt, tensor = {}, {}
+        for w, c in _residual(monkeypatch, i, dropped).terms:
+            _ref_add_into(rebuilt, _ref_expansion(left_normed(w)), c)
+        for coeff, expr in dropped:
+            _ref_add_into(tensor, _ref_expansion(expr), Fraction(coeff))
+        assert rebuilt == tensor, k
 
 
 @pytest.mark.parametrize("i", range(3, 9))
@@ -480,9 +504,11 @@ def test_lyndonize_rejects_perturbed_lie_element(e, data):
 
 @st.composite
 def multilinear_trees(draw, max_degree=7):
-    """A bracket tree holding x1 and no generator twice, over x1..x9."""
+    """A bracket tree holding x1 and no generator twice, over x0..x70, so
+    that a packed letter takes from 1 up to 7 bits."""
     degree = draw(st.integers(1, max_degree))
-    symbols = [1] + draw(st.lists(st.integers(2, 9), min_size=degree - 1,
+    symbols = [1] + draw(st.lists(st.integers(0, 70).filter(lambda s: s != 1),
+                                  min_size=degree - 1,
                                   max_size=degree - 1, unique=True))
     symbols = draw(st.permutations(symbols))
 
