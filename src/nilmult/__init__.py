@@ -30,6 +30,7 @@ _EXPORTS = {
                  "SeriesProfile", "direct_sum", "minimal_generators",
                  "product_space", "quotient_algebra", "series_profile",
                  "upper_series"),
+    "record": (),
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

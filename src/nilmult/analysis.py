@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .exactla import Record, Subspace, _dense, _echelon
+from .exactla import Subspace, _dense, _echelon
 from .homology import _quotient_dims, multiplier_dim
 from .lie_core import (
     LieAlgebra,
@@ -39,6 +39,7 @@ from .lie_core import (
     minimal_generators,
     series_profile,
 )
+from .record import Record
 
 Vector = tuple[Fraction, ...]
 

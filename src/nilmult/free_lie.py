@@ -16,10 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from fractions import Fraction
 from functools import lru_cache
 
-from .exactla import Record, rational
+from .record import Record
 
 Word = tuple[int, ...]
 
@@ -245,7 +244,7 @@ class FreeLieElement(Record):
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-Combination = Iterable[tuple[Fraction, BracketExpr]]
+Combination = Iterable[tuple["Fraction", BracketExpr]]
 
 
 def expand_to_lyndon(e: "BracketExpr | Combination") -> FreeLieElement:
@@ -254,6 +253,10 @@ def expand_to_lyndon(e: "BracketExpr | Combination") -> FreeLieElement:
     The tensor sum is taken over the coefficients' common denominator
     ``scale``, so it stays integral.  Its cache of P_w expansions
     (``_lyndon_tensor``) is unbounded and lives as long as the process."""
+    from fractions import Fraction
+
+    from .exactla import rational
+
     combination = [(Fraction(1), e)] if isinstance(e, BracketExpr) else [
         (rational(coeff), expr) for coeff, expr in e]
     scale = math.lcm(*(coeff.denominator for coeff, _ in combination))
@@ -267,6 +270,20 @@ def expand_to_lyndon(e: "BracketExpr | Combination") -> FreeLieElement:
 
 # -- the degree-(i+1) commutator identity ----------------------------------
 
+@lru_cache(maxsize=None)
+def _lemma31_trees(i: int) -> tuple[tuple[BracketExpr, BracketExpr], ...]:
+    """(W_k, x_{t_k}) for the pairs of ``lemma31_term_pairs(i)``.  The W_k are made
+    of the prefixes [x_1, ..., x_b]_l and suffixes [x_a, ..., x_{i+1}]_r, two chains
+    of nodes that the terms share, so an arity holds O(i) nodes; unbounded."""
+    x = [None, *map(gen, range(1, i + 2))]
+    prefix = list(itertools.accumulate(x[2:i + 1], br, initial=x[1]))  # [x_1..x_b]_l at b-1
+    pairs, suffix = [(prefix[-1], x[i + 1])], x[i + 1]  # suffix: [x_a, ..., x_{i+1}]_r
+    for a in range(i + 1, 2, -1):
+        pairs.append((br(suffix, prefix[a - 3]), x[a - 1]))
+        suffix = br(x[a - 1], suffix)
+    return (*pairs, (suffix, x[1]))
+
+
 def lemma31_term_pairs(i: int) -> list[tuple[BracketExpr, int]]:
     """The i+1 pairs (W_k, t_k) with sum_k [W_k, x_{t_k}] = 0.
 
@@ -279,24 +296,20 @@ def lemma31_term_pairs(i: int) -> list[tuple[BracketExpr, int]]:
       k = i+1:      W = [x_2, ..., x_{i+1}]_r,                 t = 1
 
     For i = 2 the sum degenerates to the Jacobi identity.  Valid for
-    i >= 2.
+    i >= 2.  The trees are built once per arity and share their subtrees;
+    each call returns a new list of them.
     """
     if i < 2:
         raise ValueError("identity defined for arity i >= 2")
-    pairs: list[tuple[BracketExpr, int]] = [(left_normed(range(1, i + 1)), i + 1)]
-    for k in range(2, i + 1):
-        w = br(right_normed(range(i - k + 3, i + 2)),
-               left_normed(range(1, i - k + 2)))
-        pairs.append((w, i - k + 2))
-    pairs.append((right_normed(range(2, i + 2)), 1))
-    return pairs
+    return [(w, t.symbol) for w, t in _lemma31_trees(i)]
 
 
-def lemma31_expression(i: int) -> list[tuple[Fraction, BracketExpr]]:
-    """The identity as a combination of full bracket trees (arity >= 3)."""
+def lemma31_expression(i: int) -> list[tuple[int, BracketExpr]]:
+    """The identity as a combination of full bracket trees (arity >= 3), each
+    with coefficient 1; only the i+1 roots [W_k, x_{t_k}] are built per call."""
     if i < 3:
         raise ValueError("lemma31_expression requires arity i >= 3")
-    return [(Fraction(1), br(w, gen(t))) for w, t in lemma31_term_pairs(i)]
+    return [(1, br(w, t)) for w, t in _lemma31_trees(i)]
 
 
 def _symbols(e: BracketExpr) -> list[int]:
@@ -312,21 +325,45 @@ def _width(e: BracketExpr) -> int:
     return max(symbols).bit_length()
 
 
-def _packed(e: BracketExpr, width: int) -> tuple[int, bool, dict[int, int]]:
-    """(degree, holds x_1, words) of e, each word one int, ``width`` bits a letter
-    and the first one highest: init(e) if e holds x_1, else exp(e).  Only the
-    factor holding x_1 opens a word with it, so init([p, q]) is init(p)·exp(q)
-    or -init(q)·exp(p); no letter repeats, so the words of pq and qp differ."""
-    if e.symbol is not None:
-        return 1, e.symbol == 1, {e.symbol: 1}
-    (dp, p_holds, p), (dq, q_holds, q) = _packed(e.left, width), _packed(e.right, width)
-    if p_holds or q_holds:
-        head, tail, shift, sign = (p, q, width * dq, 1) if p_holds else (q, p, width * dp, -1)
-        return dp + dq, True, {u << shift | v: sign * c * a
-                               for u, c in head.items() for v, a in tail.items()}
-    words = {u << width * dq | v: c * a for u, c in p.items() for v, a in q.items()}
-    words.update({v << width * dp | u: -c * a for u, c in p.items() for v, a in q.items()})
-    return dp + dq, False, words
+def _packed(combination: list[tuple[int, BracketExpr]], width: int) -> dict[int, int]:
+    """sum c·words(e) over the (c, e) of the combination, each word one int, ``width``
+    bits a letter and the first one highest: words(e) is init(e) if e holds x_1, else
+    exp(e).  Only the factor holding x_1 opens a word with it, so init([p, q]) is
+    init(p)·exp(q) or -init(q)·exp(p); no letter repeats, so the words of pq and qp
+    differ.  The trees may share nodes: each node's words are made once, keyed on the
+    node, and dropped when the last of its parents (or entries) has taken them."""
+    uses: dict[int, int] = {}  # id(node) -> parents and entries yet to take its words
+    pending = [e for _, e in combination]
+    while pending:
+        e = pending.pop()
+        uses[id(e)] = uses.get(id(e), 0) + 1
+        if uses[id(e)] == 1 and e.symbol is None:
+            pending += (e.left, e.right)
+    made: dict[int, tuple[BracketExpr, int, bool, dict[int, int]]] = {}
+
+    def take(e: BracketExpr) -> tuple[int, bool, dict[int, int]]:
+        key = id(e)
+        if key not in made:
+            made[key] = (e, *words(e))
+        uses[key] -= 1
+        return (made[key] if uses[key] else made.pop(key))[1:]
+
+    def words(e: BracketExpr) -> tuple[int, bool, dict[int, int]]:
+        if e.symbol is not None:
+            return 1, e.symbol == 1, {e.symbol: 1}
+        (dp, p_holds, p), (dq, q_holds, q) = take(e.left), take(e.right)
+        if p_holds or q_holds:
+            head, tail, shift, sign = (p, q, width * dq, 1) if p_holds else (q, p, width * dp, -1)
+            return dp + dq, True, {u << shift | v: sign * c * a
+                                   for u, c in head.items() for v, a in tail.items()}
+        out = {u << width * dq | v: c * a for u, c in p.items() for v, a in q.items()}
+        out.update({v << width * dp | u: -c * a for u, c in p.items() for v, a in q.items()})
+        return dp + dq, False, out
+
+    total: dict[int, int] = {}
+    for c, e in combination:
+        _tensor_add_into(total, take(e)[2], c)
+    return total
 
 
 def _unpack(w: int, width: int) -> Word:
@@ -337,7 +374,7 @@ def _unpack(w: int, width: int) -> Word:
 def _initial_words(e: BracketExpr) -> dict[Word, int]:
     """The x_1-initial words of ``tensor_expansion(e)``, as letter tuples."""
     width = _width(e)
-    return {_unpack(w, width): c for w, c in _packed(e, width)[2].items()}
+    return {_unpack(w, width): c for w, c in _packed([(1, e)], width).items()}
 
 
 def verify_lemma31(i: int) -> FreeLieElement:
@@ -345,9 +382,11 @@ def verify_lemma31(i: int) -> FreeLieElement:
     x_1-initial word (Reutenauer, Free Lie Algebras); zero when the identity holds."""
     terms = lemma31_expression(i)
     width = max(_width(expr) for _, expr in terms)
-    residual: dict[int, int] = {}
-    for coeff, expr in terms:
-        _tensor_add_into(residual, _packed(expr, width)[2], int(coeff))
+    residual = _packed([(int(coeff), expr) for coeff, expr in terms], width)
+    if not residual:
+        return FreeLieElement(())
+    from fractions import Fraction
+
     return FreeLieElement.from_dict({_unpack(w, width): Fraction(c) for w, c in residual.items()})
 
 

@@ -21,8 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactla import Matrix, Record, _echelon
+from .exactla import Matrix, _echelon
 from .lie_core import LieAlgebra
+from .record import Record
 
 
 def exterior_basis(n: int, k: int) -> list[tuple[int, ...]]:

@@ -19,7 +19,6 @@ from functools import lru_cache
 
 from .exactla import (
     DimensionMismatch,
-    Record,
     Subspace,
     _cancel,
     _dense,
@@ -30,6 +29,7 @@ from .exactla import (
     basis_vector,
     rational,
 )
+from .record import Record
 
 Vector = tuple[Fraction, ...]
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -137,6 +139,21 @@ def test_verify_lemma_json(capsys):
     assert payload[0]["arity"] == 3
     assert payload[0]["residual"] == "0"
     assert len(payload[0]["terms"]) == 4
+
+
+def test_verify_lemma_csv_has_one_row_per_term(capsys):
+    code, out, _ = run_cli(capsys, "verify", "lemma", "--arity-max", "4",
+                           "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["arity", "term", "expression", "residual"]
+    assert rows[1:5] == [
+        ["3", "1", "[[[x1, x2], x3], x4]", "0"],
+        ["3", "2", "[[x4, [x1, x2]], x3]", "0"],
+        ["3", "3", "[[[x3, x4], x1], x2]", "0"],
+        ["3", "4", "[[x2, [x3, x4]], x1]", "0"],
+    ]
+    assert [row[:2] for row in rows[5:]] == [["4", str(t)] for t in range(1, 6)]
 
 
 def test_verify_lemma_prints_a_broken_residual_in_the_left_normed_basis(capsys, monkeypatch):
@@ -458,9 +475,10 @@ def test_cli_import_and_help_load_no_layer():
 
 
 def test_verify_lemma_loads_only_the_free_lie_layers():
+    # the identity is checked in int words: no exactla, and no Fraction
+    # unless a residual is nonzero
     _, loaded = _loaded_after("verify", "lemma", "--arity-max", "3")
-    assert [m for m in loaded if m.startswith("nilmult.")] == [
-        "nilmult.cli", "nilmult.exactla", "nilmult.free_lie"]
+    assert loaded == ["nilmult", "nilmult.cli", "nilmult.free_lie", "nilmult.record"]
 
 
 def test_multiplier_skips_the_analysis_layers():

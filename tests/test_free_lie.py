@@ -194,6 +194,21 @@ def test_term_pairs_arity_two_is_jacobi():
     assert rendered == [("[x1, x2]", 3), ("[x3, x1]", 2), ("[x2, x3]", 1)]
 
 
+@pytest.mark.parametrize("i", range(2, 19))
+def test_term_pairs_match_the_formula_tree_by_tree(i):
+    # the docstring's formula, every tree built on its own
+    expected = [(left_normed(range(1, i + 1)), i + 1)]
+    expected += [(br(right_normed(range(i - k + 3, i + 2)), left_normed(range(1, i - k + 2))),
+                  i - k + 2) for k in range(2, i + 1)]
+    expected.append((right_normed(range(2, i + 2)), 1))
+    pairs = lemma31_term_pairs(i)
+    assert pairs == expected
+    assert [(str(w), t) for w, t in pairs] == [(str(w), t) for w, t in expected]
+    assert lemma31_term_pairs(i) is not pairs
+    if i >= 3:
+        assert lemma31_expression(i) == [(1, br(w, gen(t))) for w, t in expected]
+
+
 def test_expression_arity_three_matches_written_form():
     terms = [str(expr) for _, expr in lemma31_expression(3)]
     assert terms == [
@@ -304,6 +319,23 @@ def test_identity_residual_with_letters_past_five_bits(i, monkeypatch):
         for coeff, expr in dropped:
             _ref_add_into(tensor, _ref_expansion(expr), Fraction(coeff))
         assert rebuilt == tensor, k
+
+
+@pytest.mark.parametrize("i", range(3, 14))
+def test_residuals_on_shared_trees_equal_those_on_unshared_copies(i, monkeypatch):
+    # the terms share their subtrees, and a node's packed words are made once
+    # and dropped after their last use; copies share nothing
+    terms = lemma31_expression(i)
+    assert terms[-1][1].left.right is terms[-2][1].left.left
+    same = {k: k for k in range(1, i + 2)}
+    for k, (dropped, doubled) in enumerate(_broken_identities(i)):
+        listed_twice = terms + [terms[k]]  # one tree object in two entries
+        for combination in (dropped, doubled, listed_twice):
+            shared = _residual(monkeypatch, i, combination)
+            unshared = [(coeff, _relabel(expr, same)) for coeff, expr in combination]
+            assert shared == _residual(monkeypatch, i, unshared), (i, k)
+            assert shared == _residual(monkeypatch, i, combination), (i, k)
+        assert _residual(monkeypatch, i, listed_twice) == _residual(monkeypatch, i, doubled)
 
 
 @pytest.mark.parametrize("i", range(3, 9))

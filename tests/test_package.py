@@ -5,7 +5,8 @@ import pytest
 
 import nilmult
 
-LAYERS = ("analysis", "catalog", "cli", "exactla", "free_lie", "homology", "lie_core")
+LAYERS = ("analysis", "catalog", "cli", "exactla", "free_lie", "homology", "lie_core",
+          "record")
 
 
 def _home(obj):
