@@ -194,13 +194,6 @@ class KernelProfile(Record):
         return all(row.satisfied for row in self.rows)
 
 
-def _quotient_multipliers(L: LieAlgebra, prof: SeriesProfile) -> list[int]:
-    """dim M(L/γ_i) for i = 2..c+1 (the last is dim M(L)); on the adapted
-    table, L/γ_i is the first n − dim γ_i coordinates."""
-    return _quotient_dims(prof.adapted, [L.dim - prof.gamma(i).dim
-                                         for i in range(2, prof.nilpotency_class + 2)])
-
-
 def ker_lambda_dims(L: LieAlgebra) -> KernelProfile:
     """dim ker(λ_i) for 2 <= i <= c by quotient-multiplier bookkeeping.
 
@@ -210,7 +203,10 @@ def ker_lambda_dims(L: LieAlgebra) -> KernelProfile:
     n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
     if m == 0:
         raise RangeError("kernel bookkeeping requires a nonabelian algebra")
-    quotient_dims = _quotient_multipliers(L, prof)
+    # dim M(L/γ_i) for i = 2..c+1 (the last is dim M(L)); on the adapted
+    # table, L/γ_i is the first n − dim γ_i coordinates.
+    quotient_dims = _quotient_dims(prof.adapted,
+                                   [n - prof.gamma(i).dim for i in range(2, c + 2)])
     rows = []
     for i in range(2, c + 1):
         layer = prof.gamma(i).dim - prof.gamma(i + 1).dim

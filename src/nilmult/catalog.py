@@ -71,40 +71,21 @@ def filiform(n: int) -> LieAlgebra:
     return LieAlgebra(n, table, name=f"filiform:{n}")
 
 
-def _witt_dimension(d: int, k: int) -> int:
-    """Number of Lyndon words of length k over d letters (necklace count)."""
-    total = 0
-    for e in range(1, k + 1):
-        if k % e:
-            continue
-        total += _moebius(k // e) * d ** e
-    return total // k
-
-
-def _moebius(n: int) -> int:
-    result, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def freenil(d: int, c: int) -> LieAlgebra:
     if d < 1 or c < 1:
         raise SpecError("freenil needs d >= 1 and c >= 1")
     # The dimension is at least d, and at least c once d >= 2.  freenil:1,c
-    # is one-dimensional, but the Witt sum below still runs over every
+    # is one-dimensional, but the Witt recursion below still runs over every
     # k <= c, so c is bounded for every d.
     if d > DIM_GUARD or c > DIM_GUARD:
         bounded = "dimension" if d > 1 else "class"
         raise SpecError(f"freenil:{d},{c} has {bounded} > {DIM_GUARD}")
-    total = sum(_witt_dimension(d, k) for k in range(1, c + 1))
+    # witt[k] counts the Lyndon words of length k over d letters, the
+    # dimension of the degree-k layer: d^k = sum over e | k of e * witt[e].
+    witt = [0]
+    for k in range(1, c + 1):
+        witt.append((d ** k - sum(e * witt[e] for e in range(1, k) if k % e == 0)) // k)
+    total = sum(witt)
     if total > DIM_GUARD:
         raise SpecError(f"freenil:{d},{c} has dimension {total} > {DIM_GUARD}")
     from .free_lie import free_nilpotent

@@ -56,7 +56,8 @@ def cmd_info(args) -> int:
     L = build(args.spec)
     prof = series_profile(L)
     lower = [s.dim for s in prof.lower]
-    upper = [s.dim for s in upper_series(L)]
+    # dimensions are invariants; the adapted table is cheap on a dense input basis
+    upper = [s.dim for s in upper_series(prof.adapted)]
     payload = {
         "name": L.name, "dim": L.dim, "abelian": L.is_abelian,
         "class": prof.nilpotency_class, "m": prof.derived_dim,

@@ -5,6 +5,7 @@ import pytest
 
 from nilmult import catalog
 from nilmult.catalog import (
+    DIM_GUARD,
     ParseError,
     SpecError,
     abelian,
@@ -19,6 +20,7 @@ from nilmult.catalog import (
 )
 from nilmult.exactla import basis_vector
 from nilmult.lie_core import JacobiViolation, LieAlgebra, direct_sum, series_profile
+from test_homology import _witt
 
 DATA = Path(__file__).parent / "data"
 
@@ -103,6 +105,25 @@ def test_freenil_rank_one_class_guard():
     assert build("freenil:1,64") == abelian(1)
     with pytest.raises(SpecError, match="class > 64"):
         build("freenil:1,65")
+
+
+def test_freenil_guard_totals_match_the_moebius_sum():
+    # The guard counts the dimension by the divisor recursion; this oracle
+    # is the Moebius sum over the divisors of each degree.
+    for d in range(1, DIM_GUARD + 1):
+        for c in range(1, DIM_GUARD + 1):
+            total = sum(_witt(d, k) for k in range(1, c + 1))
+            if total <= DIM_GUARD:
+                assert build(f"freenil:{d},{c}").dim == total, (d, c)
+                continue
+            with pytest.raises(SpecError) as info:
+                freenil(d, c)
+            assert str(info.value) == f"freenil:{d},{c} has dimension {total} > {DIM_GUARD}"
+    for spec, message in [("freenil:4,4", "freenil:4,4 has dimension 90 > 64"),
+                          ("freenil:11,2", "freenil:11,2 has dimension 66 > 64")]:
+        with pytest.raises(SpecError) as info:
+            build(spec)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

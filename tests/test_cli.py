@@ -186,6 +186,14 @@ def test_verify_lemma_rejects_small_arity(capsys):
     assert code == 2
 
 
+def test_verify_lemma_holds_at_every_accepted_arity(capsys):
+    # the only run past arity 14: about 0.8 s and 52 MB
+    code, out, err = run_cli(capsys, "verify", "lemma", "--arity-max", str(cli.ARITY_MAX))
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines() if line.startswith("i=")] == [
+        f"i={i}: 0" for i in range(3, 19)]
+
+
 def test_verify_lemma_rejects_large_arity(capsys):
     # Rejected before any expansion: nothing reaches stdout.
     code, out, err = run_cli(capsys, "verify", "lemma", "--arity-max", "19")

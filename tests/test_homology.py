@@ -4,7 +4,7 @@ from math import comb
 import pytest
 import sympy
 from hypothesis import given, settings
-from test_invariance import generated_algebras
+from test_invariance import central_extensions, generated_algebras
 
 from nilmult.catalog import DIM_GUARD, build, default_manifest
 from nilmult.exactla import basis_vector
@@ -266,4 +266,14 @@ def test_hopf_oracle_covers_forty_corpus_members():
 def test_multiplier_matches_hopf_formula_on_generated_algebras(L):
     # Quotients of freenil:2,3, 2,4 and 3,2 in dense unimodular bases: F has
     # dimension at most 14.
+    assert multiplier_dim(L).dim_M == _hopf_dim_M(L)
+
+
+@given(central_extensions())
+@settings(max_examples=30, deadline=None)
+def test_multiplier_matches_hopf_formula_on_central_extensions(L):
+    # classes up to 6 on 2 to 4 generators: F is checked where it stays small
+    prof = series_profile(L)
+    if sum(_witt(prof.gen_count, k) for k in range(1, prof.nilpotency_class + 2)) > 60:
+        return
     assert multiplier_dim(L).dim_M == _hopf_dim_M(L)

@@ -446,6 +446,8 @@ def _check_upper_series(L):
         assert znext.dim == n - stacked.rank(), (L.name, k)
     for k in range(c + 1):
         assert contains_subspace(upper[k], prof.gamma(c + 1 - k)), (L.name, k)
+    # info reads the dimensions off the adapted table
+    assert [Z.dim for Z in upper_series(prof.adapted)] == [Z.dim for Z in upper], L.name
 
 
 def test_quotient_by_derived_subalgebra():
