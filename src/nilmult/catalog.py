@@ -59,7 +59,7 @@ def heisenberg(k: int) -> LieAlgebra:
     """Dimension 2k+1: [e_j, e_{k+j}] = e_{2k} for j = 0..k-1."""
     if k < 1 or 2 * k + 1 > DIM_GUARD:
         raise SpecError(f"heisenberg parameter {k} outside range")
-    table = {(j, k + j): {2 * k: Fraction(1)} for j in range(k)}
+    table = {(j, k + j): {2 * k: 1} for j in range(k)}
     return LieAlgebra(2 * k + 1, table, name=f"heisenberg:{k}")
 
 
@@ -67,7 +67,7 @@ def filiform(n: int) -> LieAlgebra:
     """Maximal-class model: [e_0, e_i] = e_{i+1} for i = 1..n-2."""
     if not 3 <= n <= DIM_GUARD:
         raise SpecError(f"filiform dimension {n} outside 3..{DIM_GUARD}")
-    table = {(0, i): {i + 1: Fraction(1)} for i in range(1, n - 1)}
+    table = {(0, i): {i + 1: 1} for i in range(1, n - 1)}
     return LieAlgebra(n, table, name=f"filiform:{n}")
 
 
@@ -200,7 +200,7 @@ def parse_file(text: str) -> LieAlgebra:
     """Parse the .lie format; raises ParseError with 1-based line numbers."""
     name: str | None = None
     dim: int | None = None
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     ended = False
     end_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -252,7 +252,7 @@ def parse_file(text: str) -> LieAlgebra:
 
 
 def _parse_bracket(fields: list[str], lineno: int,
-                   dim: int) -> tuple[tuple[int, int], dict[int, Fraction]]:
+                   dim: int) -> tuple[tuple[int, int], dict[int, int | Fraction]]:
     if len(fields) < 5 or fields[3] != "->":
         raise ParseError(lineno, "expected 'bracket <i> <j> -> <c>*<k> ...'")
     try:
@@ -264,7 +264,7 @@ def _parse_bracket(fields: list[str], lineno: int,
     for index in (i, j):
         if not 1 <= index <= dim:
             raise ParseError(lineno, f"undeclared basis index {index} (dim {dim})")
-    entry: dict[int, Fraction] = {}
+    entry: dict[int, int | Fraction] = {}
     for term in fields[4:]:
         coeff_text, sep, target_text = term.partition("*")
         if not sep:
@@ -272,7 +272,7 @@ def _parse_bracket(fields: list[str], lineno: int,
         if not _COEFFICIENT.fullmatch(coeff_text):
             raise ParseError(lineno, f"non-rational coefficient {coeff_text!r}")
         try:
-            coeff = Fraction(coeff_text)
+            coeff = Fraction(coeff_text) if "/" in coeff_text else int(coeff_text)
         except (ValueError, ZeroDivisionError):
             raise ParseError(lineno, f"non-rational coefficient {coeff_text!r}") from None
         try:

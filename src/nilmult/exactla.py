@@ -5,10 +5,10 @@ RREF, subspace bases, kernels, residuals) runs through one sparse,
 fraction-free kernel, ``_echelon``, on ``int`` rows held as ``{column:
 value}`` dicts: rows are cross-multiplied (Bareiss style) and kept
 primitive, so the cost follows the nonzeros rather than the matrix shape.
-``Fraction`` values appear only at the edges: ``Matrix`` entries, the
-RREF rows of a ``Subspace`` and residuals.  Matrices and subspaces are
-immutable; a subspace is stored as the reduced row-echelon basis of its
-span, which makes equality, membership and quotient lifts canonical.
+``Fraction`` values appear only at the edges: ``Matrix`` entries,
+residuals and ``Subspace.basis``.  Matrices and subspaces are immutable; a
+subspace is stored as the primitive integer rows of its span's reduced
+row-echelon basis, which makes equality, membership and quotient lifts canonical.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _sparse(v: Sequence[Fraction]) -> dict[int, Fraction]:
 
 def _integral(row: Mapping[int, Fraction]) -> dict[int, int]:
     """s · row in ints for a sparse rational row, s the lcm of its
-    denominators; for an RREF row this is its primitive multiple."""
+    denominators."""
     s = math.lcm(*(x.denominator for x in row.values()))
     return {c: x.numerator * (s // x.denominator) for c, x in row.items()}
 
@@ -180,14 +180,16 @@ def rank(m: Matrix) -> int:
 class Subspace(Record):
     """A subspace of Q^n, held as the sparse rows of its RREF basis.
 
-    ``rows`` are ``{column: Fraction}`` dicts without zero values, one per
-    pivot, in ascending pivot order; they are shared, not copied, so
-    callers must not modify them.  ``basis`` is their dense view and
-    ``ints`` their primitive integer multiples, which the kernel works on.
+    ``rows`` are the primitive integer multiples of the RREF rows,
+    ``{column: int}`` dicts without zero values, one per pivot, in
+    ascending pivot order: each leads with a positive entry and is zero
+    on the other pivots.  They are shared, not copied, so callers must
+    not modify them.  ``basis`` is their dense view, each row divided by
+    its leading entry.
     """
 
     ambient_dim: int
-    rows: tuple[dict[int, Fraction], ...]
+    rows: tuple[dict[int, int], ...]
     pivots: tuple[int, ...]
 
     def __init__(self, ambient_dim, rows, pivots):
@@ -200,12 +202,10 @@ class Subspace(Record):
         return hash((self.ambient_dim, self.pivots))
 
     @classmethod
-    def from_rows(cls, ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
-        """Span of sparse rational rows whose columns lie below ``ambient_dim``."""
-        reduced = _reduced(_echelon(map(_integral, rows)))
-        return cls(ambient_dim,
-                   tuple({c: Fraction(x, row[p]) for c, x in row.items()} for p, row in reduced),
-                   tuple(p for p, _ in reduced))
+    def from_rows(cls, ambient_dim: int, rows: Iterable[_IntRow]) -> "Subspace":
+        """Span of sparse integer rows whose columns lie below ``ambient_dim``."""
+        reduced = _reduced(_echelon(rows))
+        return cls(ambient_dim, tuple(row for _, row in reduced), tuple(p for p, _ in reduced))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -213,17 +213,14 @@ class Subspace(Record):
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple({k: _ONE} for k in range(ambient_dim)),
+        return cls(ambient_dim, tuple({k: 1} for k in range(ambient_dim)),
                    tuple(range(ambient_dim)))
 
     @cached_property
     def basis(self) -> Matrix:
         return Matrix(self.dim, self.ambient_dim,
-                      tuple(_dense(row, self.ambient_dim) for row in self.rows))
-
-    @cached_property
-    def ints(self) -> tuple[dict[int, int], ...]:
-        return tuple(map(_integral, self.rows))
+                      tuple(_dense(row, self.ambient_dim, row[p])
+                            for p, row in zip(self.pivots, self.rows)))
 
     @property
     def dim(self) -> int:
@@ -237,7 +234,7 @@ class Subspace(Record):
         """The sparse rational row with this subspace's pivot coordinates
         cleared; each RREF row is zero on the other pivots."""
         s, w = math.lcm(*(x.denominator for x in row.values())), _integral(row)
-        for p, prow in zip(self.pivots, self.ints):
+        for p, prow in zip(self.pivots, self.rows):
             if p in w:
                 s *= _cancel(w, p, prow)  # w is s times the residual so far
         return {c: Fraction(x, s) for c, x in w.items()}
@@ -252,7 +249,7 @@ class Subspace(Record):
         """Canonical lifts of a basis of self/sub: the rows of self's RREF
         off sub's pivots, as primitive integer rows."""
         taken = set(sub.pivots)
-        return tuple(r for r, p in zip(self.ints, self.pivots) if p not in taken)
+        return tuple(r for r, p in zip(self.rows, self.pivots) if p not in taken)
 
 
 def _null_rows(rows: Iterable[_IntRow], cols: int) -> list[dict[int, int]]:

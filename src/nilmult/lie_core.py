@@ -5,8 +5,9 @@ lower triangle follow from antisymmetry.  The Jacobi identity is checked
 on construction, so every live ``LieAlgebra`` value is an actual Lie
 algebra.  The table is stored once, as ``int`` numerators over D, the lcm
 of the denominators: equality, hashing, the Jacobi check, the brackets, the
-central series and the adapted table read only these, and ``Fraction``
-values appear only in the input, ``table``, ``bracket`` and subspace rows.
+central series and the adapted table read only these.  ``int`` input stays
+``int``: ``Fraction`` appears only in rational input, ``table``, ``bracket``,
+``_adapted``'s entries and the upper series.
 """
 
 from __future__ import annotations
@@ -54,16 +55,16 @@ class NotAnIdeal(ValueError):
     """Attempted quotient by a subspace that is not an ideal."""
 
 
-def _canonical_table(dim: int, table) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-    out: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+def _canonical_table(dim: int, table) -> dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]:
+    out: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
     for (i, j), entry in table.items():
         if not (0 <= i < j < dim):
             raise DimensionMismatch(f"bracket pair ({i},{j}) outside 0 <= i < j < {dim}")
-        summed: dict[int, Fraction] = {}
+        summed: dict[int, int | Fraction] = {}
         for k, c in (entry.items() if isinstance(entry, Mapping) else entry):
             if not 0 <= k < dim:
                 raise DimensionMismatch(f"bracket target index {k} outside basis")
-            c = rational(c)
+            c = c if isinstance(c, int) else rational(c)
             # Only a pair list can repeat a target; a first sight needs no sum.
             summed[k] = summed[k] + c if k in summed else c
         cleaned = sorted((k, c) for k, c in summed.items() if c)
@@ -189,7 +190,7 @@ def product_space(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """Span of all [a, b] with a in A, b in B."""
     if A.ambient_dim != L.dim or B.ambient_dim != L.dim:
         raise DimensionMismatch("subspace ambient dimension does not match algebra")
-    return Subspace.from_rows(L.dim, (L._bracket(a, b) for a in A.ints for b in B.ints))
+    return Subspace.from_rows(L.dim, (L._bracket(a, b) for a in A.rows for b in B.rows))
 
 
 def _lower_series(L: LieAlgebra) -> tuple[Subspace, ...]:
@@ -317,7 +318,7 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
         raise DimensionMismatch("ideal ambient dimension does not match algebra")
     # [L, I] is spanned by the [v, e_j] over I's basis rows v and all j.
     if any(ideal.residual(L._bracket(row, {j: 1}))
-           for row in ideal.ints for j in range(L.dim)):
+           for row in ideal.rows for j in range(L.dim)):
         raise NotAnIdeal(f"{L.name}: subspace is not an ideal")
     taken = set(ideal.pivots)
     complement = [k for k in range(L.dim) if k not in taken]

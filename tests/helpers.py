@@ -1,7 +1,7 @@
 """Helpers that only the tests use: spans of dense vectors and
 membership."""
 
-from nilmult.exactla import DimensionMismatch, Subspace, _sparse, vector
+from nilmult.exactla import DimensionMismatch, Subspace, _integral, _sparse, vector
 
 
 def is_zero_vector(v):
@@ -13,7 +13,7 @@ def span(ambient_dim, vectors):
     rows = [vector(v) for v in vectors]
     if any(len(r) != ambient_dim for r in rows):
         raise DimensionMismatch("vector length does not match ambient dimension")
-    return Subspace.from_rows(ambient_dim, map(_sparse, rows))
+    return Subspace.from_rows(ambient_dim, (_integral(_sparse(r)) for r in rows))
 
 
 def contains(space, v):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from nilmult import catalog
+from nilmult import catalog, free_lie, homology
 from nilmult.catalog import (
     DIM_GUARD,
     ParseError,
@@ -19,7 +19,7 @@ from nilmult.catalog import (
     serialize,
 )
 from nilmult.exactla import basis_vector
-from nilmult.lie_core import JacobiViolation, LieAlgebra, direct_sum, series_profile
+from nilmult.lie_core import JacobiViolation, LieAlgebra, _lower_series, direct_sum, series_profile
 from test_homology import _witt
 
 DATA = Path(__file__).parent / "data"
@@ -229,6 +229,39 @@ def test_more_malformed_cases(text, fragment):
     with pytest.raises(ParseError) as info:
         parse_file(text)
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("integral, rational", [("2", "2/1"), ("-1", "-2/2")])
+def test_integer_and_rational_coefficients_parse_alike(integral, rational):
+    """An integer coefficient is read as an int and p/q as a Fraction; the
+    two spellings of one value give equal algebras with equal hashes."""
+    text = "algebra a\ndim 3\nbracket 1 2 -> {}*3\nend\n"
+    a, b = parse_file(text.format(integral)), parse_file(text.format(rational))
+    assert a == b and hash(a) == hash(b)
+    assert a.table == {(0, 1): {2: Fraction(int(integral))}}
+
+
+def test_integer_inputs_create_no_fraction(monkeypatch):
+    """Integer tables reach the echelon without a Fraction: building the
+    families and parsing an integer .lie text, then ranking d2 and d3 and
+    the lower central series, all with their caches bypassed."""
+    text = "algebra ints\ndim 5\nbracket 1 2 -> 2*3 -1*4\nbracket 1 3 -> +3*5\nbracket 2 4 -> -2*5\nend\n"
+    calls = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    homology._pivots.cache_clear()
+    free_lie._lyndon_tensor.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    algebras = [freenil(2, 5), filiform(12), heisenberg(4), parse_file(text)]
+    for L in algebras:
+        homology.multiplier_dim.__wrapped__(L)
+        _lower_series(L)
+    monkeypatch.undo()
+    assert calls == []
 
 
 def test_round_trip_whole_corpus():

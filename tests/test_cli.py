@@ -340,6 +340,13 @@ def test_binary_file_exit_two(capsys, tmp_path):
     assert err.startswith(f"error: cannot read {path}")
 
 
+def test_zero_denominator_exit_two(capsys, tmp_path):
+    path = tmp_path / "zero.lie"
+    path.write_text("algebra a\ndim 3\nbracket 1 2 -> 1/0*3\nend\n")
+    assert run_cli(capsys, "info", f"file:{path}") == (
+        2, "", "error: line 3: non-rational coefficient '1/0'\n")
+
+
 def test_huge_dim_exit_two(capsys, tmp_path):
     path = tmp_path / "huge.lie"
     path.write_text(f"algebra big\ndim {'9' * 5000}\nend\n")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from nilmult.exactla import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _sparse,
     basis_vector,
     kernel_basis,
     rank,
@@ -65,9 +67,27 @@ def _sympy(m):
                                          for row in m.entries for x in row])
 
 
-@given(oracle_matrices())
-@settings(max_examples=300)
-def test_rref_and_rank_match_sympy(m):
+def _integer_rows(m):
+    """m with each row times the lcm of its denominators: int entries, some
+    rows with a common factor, and the same row space."""
+    return Matrix(m.rows, m.cols, tuple(
+        tuple((x * math.lcm(*(y.denominator for y in row))).numerator for x in row)
+        for row in m.entries))
+
+
+def _check_rows(space):
+    """Each row of the subspace is primitive, in ints, leads at its pivot
+    with a positive entry and is zero on the other pivots."""
+    assert len(space.rows) == len(space.pivots)
+    for p, row in zip(space.pivots, space.rows):
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert math.gcd(*row.values()) == 1
+        assert not any(q in row for q in space.pivots if q != p)
+
+
+def _check_against_sympy(m, space):
+    """rref, rank, the span ``space`` of m's rows and the kernel against sympy."""
     expected, pivots = _sympy(m).rref()
     echelon, r = rref(m)
     assert (echelon.rows, echelon.cols) == (m.rows, m.cols)
@@ -76,11 +96,27 @@ def test_rref_and_rank_match_sympy(m):
             x = expected[i, j]
             assert echelon.entries[i][j] == Fraction(int(x.p), int(x.q)), (i, j)
     assert r == rank(m) == _sympy(m).rank() == len(pivots)
-    assert span(m.cols, m.entries).pivots == tuple(pivots)
+    assert space.pivots == tuple(pivots)
+    _check_rows(space)
+    assert space.basis.entries == echelon.entries[:r]
     kernel = kernel_basis(m)
+    _check_rows(kernel)
     assert kernel.dim == m.cols - r
     for row in kernel.basis.entries:
         assert all(_dot(r, row) == 0 for r in m.entries)
+
+
+@given(oracle_matrices())
+@settings(max_examples=300)
+def test_rref_and_rank_match_sympy(m):
+    _check_against_sympy(m, span(m.cols, m.entries))
+
+
+@given(oracle_matrices().map(_integer_rows))
+@settings(max_examples=200)
+def test_integer_rows_match_sympy(m):
+    """Integer rows go to Subspace.from_rows as they are."""
+    _check_against_sympy(m, Subspace.from_rows(m.cols, map(_sparse, m.entries)))
 
 
 def _dot(u, v):
@@ -164,7 +200,7 @@ def test_float_entries_are_refused():
         span(2, [[1, 0.1]])
     with pytest.raises(TypeError):
         vector([0.5])
-    assert span(2, [[1, "0.1"]]).rows == ({0: 1, 1: Fraction(1, 10)},)
+    assert span(2, [[1, "0.1"]]).rows == ({0: 10, 1: 1},)
 
 
 def test_subspace_sum_of_axes():
