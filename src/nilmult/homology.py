@@ -7,9 +7,10 @@ dimension of the second homology of the complex
 
 with trivial coefficients: dim M(L) = nullity(d2) - rank(d3).  Both maps
 are built from the integer table, D times the rational one, which keeps
-their ranks.  The columns of d2 are the table entries; d3 is assembled as
-sparse columns keyed by triple, with e_s ∧ e_t (s < t) as row C(t,2) + s,
-its colex index.  Each is echelonised once per algebra by the integer
+their ranks.  The columns of d2 are the table entries; those of d3 are
+``lie_core._d3_columns``, keyed by triple, with e_s ∧ e_t (s < t) as row
+C(t,2) + s, its colex index (the Jacobi check on construction is
+d2∘d3 = 0 on them).  Each is echelonised once per algebra by the integer
 kernel of ``exactla``, and each rank is a pivot count.  Colex rows make
 quotients by trailing ideals leading blocks (``_quotient_dims``).  The
 dense rational matrices are views in lexicographic exterior bases."""
@@ -22,7 +23,7 @@ from functools import lru_cache
 from math import comb
 
 from .exactla import Matrix, _echelon
-from .lie_core import LieAlgebra
+from .lie_core import LieAlgebra, _d3_columns
 from .record import Record
 
 
@@ -45,33 +46,7 @@ class MultiplierResult(Record):
         super().__init__(n, rank_d2, rank_d3, dim_M)
 
 
-_Columns = dict[tuple[int, int, int], dict[int, int]]
-
-
-def _d3_columns(L: LieAlgebra) -> _Columns:
-    """Nonzero columns of D·d3, x∧y∧z ↦ [x,y]∧z − [x,z]∧y + [y,z]∧x, in
-    ints, D the common denominator of the table; keyed by triple, with
-    colex rows.
-
-    Built from the nonzero brackets only: [e_a, e_b] with a < b enters the
-    column of the triple {a, b, t} as ±[e_a, e_b] ∧ e_t, negated when t
-    lies between a and b.
-    """
-    columns: _Columns = {}
-    for (a, b), image in L._ints.items():
-        for t in range(L.dim):
-            if t == a or t == b:
-                continue
-            sign = -1 if a < t < b else 1
-            col = columns.setdefault(tuple(sorted((a, b, t))), {})
-            for s, x in image:
-                if s != t:  # e_s ∧ e_t = −e_t ∧ e_s, in row C(max, 2) + min
-                    key = comb(t, 2) + s if s < t else comb(s, 2) + t
-                    col[key] = col.get(key, 0) + (sign * x if s < t else -sign * x)
-    return {c: kept for c, col in columns.items() if (kept := {r: x for r, x in col.items() if x})}
-
-
-def _dense_view(columns: _Columns, rows: int, cols: int, scale: int) -> Matrix:
+def _dense_view(columns: dict[int, dict[int, int]], rows: int, cols: int, scale: int) -> Matrix:
     """The integer columns divided by ``scale``, as a dense rational matrix."""
     entries = [[Fraction(0)] * cols for _ in range(rows)]
     for c, col in columns.items():

@@ -2,12 +2,13 @@
 
 A bracket table stores [e_i, e_j] for i < j only; the diagonal and the
 lower triangle follow from antisymmetry.  The Jacobi identity is checked
-on construction, so every live ``LieAlgebra`` value is an actual Lie
-algebra.  The table is stored once, as ``int`` numerators over D, the lcm
-of the denominators: equality, hashing, the Jacobi check, the brackets, the
-central series and the adapted table read only these.  ``int`` input stays
-``int``: ``Fraction`` appears only in rational input, ``table``, ``bracket``,
-``_adapted``'s entries and the upper series.
+on construction, as d2∘d3 = 0 on the boundary columns that ``homology``
+ranks (``_d3_columns``), so every live ``LieAlgebra`` value is an actual
+Lie algebra.  The table is stored once, as ``int`` numerators over D, the
+lcm of the denominators: equality, hashing, the Jacobi check, the brackets,
+the central series and the adapted table read only these.  ``int`` input
+stays ``int``: ``Fraction`` appears only in rational input, ``table``,
+``bracket``, ``_adapted``'s entries and the upper series.
 """
 
 from __future__ import annotations
@@ -135,29 +136,50 @@ class LieAlgebra:
     def _check_jacobi(self):
         """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for i < j < k.
 
-        Walks only nonzero table entries: [e_a, e_b] = Σ x_q e_q, then
-        [e_q, e_t].  The walk runs on the integer table: the residual is
-        quadratic in the constants, so its integer value is D² times the
-        rational one.  Triples are tried in lexicographic order, so the
-        first failing one is the one reported.
+        That sum is d2 of the d3 column of e_i ∧ e_j ∧ e_k, so the check
+        applies d2 (e_s ∧ e_t ↦ [e_s, e_t]) to each column of
+        ``_d3_columns``; a triple without a column has no nonzero term.
+        Both maps carry a factor D, so the residual is D² times the
+        rational one.  Columns are taken in sorted triple order, so the
+        first failing triple is the one reported.
         """
         table, scale = self._ints, self._scale
-        for i, j, k in itertools.combinations(range(self.dim), 3):
+        pairs = [(s, t) for t in range(self.dim) for s in range(t)]  # colex rows
+        for triple, column in sorted(_d3_columns(self).items()):
             res: dict[int, int] = {}
-            # [[e_k, e_i], e_j] = -[[e_i, e_k], e_j]
-            for pair, t, negate in (((i, j), k, False), ((j, k), i, False),
-                                    ((i, k), j, True)):
-                for q, x in table.get(pair, ()):
-                    if q == t:
-                        continue
-                    inner = table.get((q, t) if q < t else (t, q), ())
-                    if inner and negate != (q > t):  # [e_q, e_t] = -[e_t, e_q]
-                        x = -x
-                    for m, c in inner:
-                        res[m] = res.get(m, 0) + x * c
+            for r, x in column.items():
+                for m, c in table.get(pairs[r], ()):
+                    res[m] = res.get(m, 0) + x * c
             if any(res.values()):
-                raise JacobiViolation(i, j, k, tuple(
+                raise JacobiViolation(*triple, tuple(
                     Fraction(res.get(m, 0), scale * scale) for m in range(self.dim)))
+
+
+_Columns = dict[tuple[int, int, int], dict[int, int]]
+
+
+def _d3_columns(L: LieAlgebra) -> _Columns:
+    """Nonzero columns of D·d3, x∧y∧z ↦ [x,y]∧z − [x,z]∧y + [y,z]∧x, in
+    ints, D the common denominator of the table; keyed by triple, with
+    e_s ∧ e_t (s < t) as row C(t,2) + s, its colex index.
+
+    Built from the nonzero brackets only: [e_a, e_b] with a < b enters the
+    column of the triple {a, b, t} as ±[e_a, e_b] ∧ e_t, negated when t
+    lies between a and b.
+    """
+    columns: _Columns = {}
+    colex = [t * (t - 1) // 2 for t in range(L.dim)]  # C(t, 2)
+    for (a, b), image in L._ints.items():
+        for t in range(L.dim):
+            if t == a or t == b:
+                continue
+            sign = -1 if a < t < b else 1
+            col = columns.setdefault((t, a, b) if t < a else (a, t, b) if t < b else (a, b, t), {})
+            for s, x in image:
+                if s != t:  # e_s ∧ e_t = −e_t ∧ e_s, in row C(max, 2) + min
+                    key, y = (colex[t] + s, sign * x) if s < t else (colex[s] + t, -sign * x)
+                    col[key] = col.get(key, 0) + y
+    return {c: kept for c, col in columns.items() if (kept := {r: x for r, x in col.items() if x})}
 
 
 class SeriesProfile(Record):
@@ -199,13 +221,14 @@ def _lower_series(L: LieAlgebra) -> tuple[Subspace, ...]:
     gamma_2 is the span of the table entries; after it gamma_{i+1} =
     [gamma_i, X] for X the unit vectors off gamma_2's pivots.  That holds
     when L is nilpotent, since X then generates L; ``_adapted`` certifies
-    it, and ``_stall`` reports a series that stops shrinking.
+    it, and ``_stall`` reports a series that stops shrinking (or, were the
+    loop at fault, one that runs past n steps).
     """
     series = [{k: {k: 1} for k in range(L.dim)}]
     rows = _echelon(L._ints.values())
     gens = [k for k in range(L.dim) if k not in rows]
     while series[-1]:
-        if len(rows) >= len(series[-1]):
+        if len(rows) >= len(series[-1]) or len(series) > L.dim:
             raise _stall(L)
         series.append(rows)
         rows = _echelon(L._bracket(row, {x: 1}) for row in rows.values() for x in gens)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from test_invariance import central_extensions, generated_algebras
 
 from nilmult.catalog import DIM_GUARD, build, default_manifest
-from nilmult.exactla import basis_vector
+from nilmult.exactla import _echelon, basis_vector
 from nilmult.free_lie import evaluate_in, free_nilpotent, lyndon_bracketing, lyndon_words
 from nilmult.homology import d2_matrix, d3_matrix, exterior_basis, multiplier_dim
 from nilmult.lie_core import LieAlgebra, direct_sum, series_profile
@@ -277,3 +277,52 @@ def test_multiplier_matches_hopf_formula_on_central_extensions(L):
     if sum(_witt(prof.gen_count, k) for k in range(1, prof.nilpotency_class + 2)) > 60:
         return
     assert multiplier_dim(L).dim_M == _hopf_dim_M(L)
+
+
+# -- The whole Chevalley–Eilenberg complex: an oracle with its own signs --------
+
+def _betti_numbers(L):
+    """[b_0, ..., b_n], b_k = dim H_k(L) = C(n,k) − rank d_k − rank d_{k+1}.
+
+    Every boundary d_k(e_{a_1} ∧ … ∧ e_{a_k}) = Σ_{i<j} (−1)^{i+j}
+    [e_{a_i}, e_{a_j}] ∧ (the other k − 2 factors) is assembled here from
+    the integer table, D times L's, which keeps every rank, with its own
+    sign code: homology's d3 columns, which also carry the Jacobi check,
+    are not used.  The ranks are pivot counts of ``exactla._echelon``,
+    which test_exactla checks against sympy.
+    """
+    n = L.dim
+    ranks = [0] * (n + 2)
+    for k in range(2, n + 1):
+        row = {w: r for r, w in enumerate(itertools.combinations(range(n), k - 1))}
+        columns = []
+        for word in itertools.combinations(range(n), k):
+            col = {}
+            for (i, a), (j, b) in itertools.combinations(enumerate(word), 2):
+                rest = word[:i] + word[i + 1:j] + word[j + 1:]
+                for m, c in L._ints.get((a, b), ()):
+                    if m not in rest:  # moving e_m into place past the smaller factors
+                        sign = (-1) ** (i + j + sum(x < m for x in rest))
+                        r = row[tuple(sorted(rest + (m,)))]
+                        col[r] = col.get(r, 0) + sign * c
+            if col := {r: x for r, x in col.items() if x}:
+                columns.append(col)
+        ranks[k] = len(_echelon(columns))
+    return [comb(n, k) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("spec", default_manifest(max_dim=9))
+def test_betti_numbers_of_the_whole_complex(spec):
+    L = build(spec)
+    b = _betti_numbers(L)
+    assert (b[2] if L.dim >= 2 else 0) == multiplier_dim(L).dim_M
+    assert b == b[::-1]  # Poincaré duality, L unimodular (Hazewinkel 1970)
+    assert all(x >= 2 for x in b[1:-1])  # Dixmier 1955
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_heisenberg_betti_numbers(m):
+    # Santharoubane (Proc. AMS 87, 1983): b_k = C(2m,k) − C(2m,k−2) for k ≤ m
+    b = _betti_numbers(build(f"heisenberg:{m}"))
+    assert b[:m + 1] == [comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0)
+                         for k in range(m + 1)]

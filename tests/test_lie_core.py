@@ -64,14 +64,20 @@ def test_jacobi_violation_detected():
     assert info.value.residual == vector([0, 0, -1])
 
 
-def test_jacobi_violation_away_from_first_triple():
+@pytest.mark.parametrize("dim, table, triple, residual", [
     # the table above shifted onto e_1..e_3; e_0 is central
-    table = {(1, 2): {3: 1}, (1, 3): {1: 1}}
+    (4, {(1, 2): {3: 1}, (1, 3): {1: 1}}, (1, 2, 3), [0, 0, 0, -1]),
+    # two copies of it, failing on (0,1,2) and (3,4,5); the later copy is
+    # listed first, so the column of (3,4,5) is built before that of (0,1,2)
+    (6, {(3, 4): {5: 1}, (3, 5): {3: 1}, (0, 1): {2: 1}, (0, 2): {0: 1}},
+     (0, 1, 2), [0, 0, -1, 0, 0, 0]),
+], ids=["one-failure", "two-failures"])
+def test_jacobi_violation_away_from_first_triple(dim, table, triple, residual):
     with pytest.raises(JacobiViolation) as info:
-        LieAlgebra(4, table)
-    assert info.value.triple == (1, 2, 3)
-    assert info.value.residual == vector([0, 0, 0, -1])
-    assert _reference_jacobi(4, table) == ((1, 2, 3), vector([0, 0, 0, -1]))
+        LieAlgebra(dim, table)
+    assert info.value.triple == triple
+    assert info.value.residual == vector(residual)
+    assert _reference_jacobi(dim, table) == (triple, vector(residual))
 
 
 def test_jacobi_residual_keeps_its_denominator():
@@ -114,17 +120,18 @@ def test_float_coefficients_are_refused():
 def _reference_jacobi(dim, table):
     """The dense triple loop: (triple, residual) of the first failure, or None.
 
-    ``table`` maps (i, j), i < j, to {k: coefficient}.
+    ``table`` maps (i, j), i < j, to {k: coefficient}.  The unit vectors
+    are ``int``, so an integer table is checked without ``Fraction``.
     """
     def bracket(x, y):
-        acc = [Fraction(0)] * dim
+        acc = [0] * dim
         for (i, j), entry in table.items():
             w = x[i] * y[j] - x[j] * y[i]
             for k, c in entry.items():
                 acc[k] += w * c
         return acc
 
-    e = [basis_vector(dim, k) for k in range(dim)]
+    e = [[int(k == i) for k in range(dim)] for i in range(dim)]
     for i, j, k in itertools.combinations(range(dim), 3):
         res = [a + b + c for a, b, c in zip(bracket(bracket(e[i], e[j]), e[k]),
                                             bracket(bracket(e[j], e[k]), e[i]),
@@ -207,8 +214,22 @@ def perturbed_tables(draw):
     return dim, table
 
 
+@st.composite
+def sparse_perturbed_tables(draw):
+    """A sparse member past n = 16 with one constant changed or added on a
+    pair in the upper half of the basis, so that the check passes many
+    triples with no d3 column before any failing one."""
+    L = build(draw(st.sampled_from(["filiform:18", "heisenberg:8"])))
+    table = {pair: dict(entry) for pair, entry in L._ints.items()}  # D = 1
+    pair = draw(st.sampled_from(list(itertools.combinations(range(L.dim // 2, L.dim), 2))))
+    k = draw(st.integers(0, L.dim - 1))
+    entry = table.setdefault(pair, {})
+    entry[k] = entry.get(k, 0) + draw(coefficients.filter(bool))
+    return L.dim, table
+
+
 @given(st.one_of(valid_tables(), dense_tables(), rescaled_tables(), random_tables(),
-                 perturbed_tables()))
+                 perturbed_tables(), sparse_perturbed_tables()))
 @settings(max_examples=300, deadline=None)
 def test_jacobi_check_matches_dense_reference(case):
     dim, table = case
