@@ -103,10 +103,6 @@ def rai_refined(L: LieAlgebra) -> int:
 
 # -- bound report -------------------------------------------------------------
 
-_SLACK_KEYS = ("batten", "hardy_stitzinger", "yankosky_closed",
-               "niroomand_russo", "rai", "rai_refined")
-
-
 class BoundReport(Record):
     """Every bound value for one algebra, with slacks against dim M(L).
 
@@ -151,8 +147,7 @@ def bound_report(L: LieAlgebra) -> BoundReport:
         values["niroomand_russo"] = niroomand_russo(n, m)
         values["rai"] = rai_bound(n, m, c)
         values["rai_refined"] = rai_refined(L)
-    slack = {key: values[key] - dim_m for key in _SLACK_KEYS
-             if values[key] is not None}
+    slack = {key: v - dim_m for key, v in values.items() if v is not None}
     return BoundReport(
         name=L.name, n=n, m=m, c=c, dim_M=dim_m, **values, slack=slack,
         theorem_holds=None if m == 0 else dim_m <= values["rai"],

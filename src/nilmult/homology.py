@@ -9,8 +9,9 @@ with trivial coefficients: dim M(L) = nullity(d2) - rank(d3).  Both maps
 are built from the integer table, D times the rational one, which keeps
 their ranks.  The columns of d2 are the table entries; those of d3 are
 ``lie_core._d3_columns``, keyed by triple, with e_s ∧ e_t (s < t) as row
-C(t,2) + s, its colex index (the Jacobi check on construction is
-d2∘d3 = 0 on them).  Each is echelonised once per algebra by the integer
+C(t,2) + s, its colex index, built and checked (d2∘d3 = 0, the Jacobi
+identity) when the algebra is constructed and read here from their memo,
+never modified.  Each is echelonised once per algebra by the integer
 kernel of ``exactla``, and each rank is a pivot count.  Colex rows make
 quotients by trailing ideals leading blocks (``_quotient_dims``).  The
 dense rational matrices are views in lexicographic exterior bases."""

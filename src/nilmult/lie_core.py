@@ -1,14 +1,15 @@
 """Finite-dimensional Lie algebras given by rational structure constants.
 
 A bracket table stores [e_i, e_j] for i < j only; the diagonal and the
-lower triangle follow from antisymmetry.  The Jacobi identity is checked
-on construction, as d2∘d3 = 0 on the boundary columns that ``homology``
-ranks (``_d3_columns``), so every live ``LieAlgebra`` value is an actual
-Lie algebra.  The table is stored once, as ``int`` numerators over D, the
-lcm of the denominators: equality, hashing, the Jacobi check, the brackets,
-the central series and the adapted table read only these.  ``int`` input
-stays ``int``: ``Fraction`` appears only in rational input, ``table``,
-``bracket``, ``_adapted``'s entries and the upper series.
+lower triangle follow from antisymmetry.  The constructor builds the d3
+boundary columns (``_d3_columns``) and checks the Jacobi identity on them
+as d2∘d3 = 0, so every live ``LieAlgebra`` value is an actual Lie
+algebra; a memo of the last table built hands the same columns to
+``homology``'s rank.  The table is stored once, as ``int`` numerators
+over D, the lcm of the denominators: equality, hashing, the Jacobi check,
+the brackets, the central series and the adapted table read only these.
+``int`` input stays ``int``: ``Fraction`` appears only in rational
+input, ``table``, ``bracket``, ``_adapted``'s entries and the upper series.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class LieAlgebra:
         self._scale = math.lcm(*(c.denominator for e in table.values() for _, c in e))
         self._ints = {pair: tuple((q, c.numerator * (self._scale // c.denominator)) for q, c in e)
                       for pair, e in table.items()}
-        self._check_jacobi()
+        _d3_columns(self)  # the Jacobi check; the rank reads the memo
 
     # Structural identity: the name is a label; entries over the least D fix the table.
     def __eq__(self, other):
@@ -131,33 +132,11 @@ class LieAlgebra:
             raise DimensionMismatch("vector length does not match algebra dimension")
         return _dense(self._bracket(_sparse(x), _sparse(y)), self.dim, self._scale)
 
-    # -- validation ------------------------------------------------------
-
-    def _check_jacobi(self):
-        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for i < j < k.
-
-        That sum is d2 of the d3 column of e_i ∧ e_j ∧ e_k, so the check
-        applies d2 (e_s ∧ e_t ↦ [e_s, e_t]) to each column of
-        ``_d3_columns``; a triple without a column has no nonzero term.
-        Both maps carry a factor D, so the residual is D² times the
-        rational one.  Columns are taken in sorted triple order, so the
-        first failing triple is the one reported.
-        """
-        table, scale = self._ints, self._scale
-        pairs = [(s, t) for t in range(self.dim) for s in range(t)]  # colex rows
-        for triple, column in sorted(_d3_columns(self).items()):
-            res: dict[int, int] = {}
-            for r, x in column.items():
-                for m, c in table.get(pairs[r], ()):
-                    res[m] = res.get(m, 0) + x * c
-            if any(res.values()):
-                raise JacobiViolation(*triple, tuple(
-                    Fraction(res.get(m, 0), scale * scale) for m in range(self.dim)))
-
 
 _Columns = dict[tuple[int, int, int], dict[int, int]]
 
 
+@lru_cache(maxsize=1)
 def _d3_columns(L: LieAlgebra) -> _Columns:
     """Nonzero columns of D·d3, x∧y∧z ↦ [x,y]∧z − [x,z]∧y + [y,z]∧x, in
     ints, D the common denominator of the table; keyed by triple, with
@@ -166,6 +145,15 @@ def _d3_columns(L: LieAlgebra) -> _Columns:
     Built from the nonzero brackets only: [e_a, e_b] with a < b enters the
     column of the triple {a, b, t} as ±[e_a, e_b] ∧ e_t, negated when t
     lies between a and b.
+
+    Certified as they are returned: d2 (e_s ∧ e_t ↦ [e_s, e_t]) of the
+    column of i < j < k is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
+    [[e_k,e_i],e_j] times D², and a triple without a column has no
+    nonzero term.  Columns are taken in sorted triple order, so the first
+    failing triple is the one ``JacobiViolation`` reports.  The
+    constructor calls this; the memo, keyed on the table, hands the same
+    columns to the rank of the last algebra built, which is the one every
+    command ranks.  An error is not memoised.
     """
     columns: _Columns = {}
     colex = [t * (t - 1) // 2 for t in range(L.dim)]  # C(t, 2)
@@ -179,7 +167,17 @@ def _d3_columns(L: LieAlgebra) -> _Columns:
                 if s != t:  # e_s ∧ e_t = −e_t ∧ e_s, in row C(max, 2) + min
                     key, y = (colex[t] + s, sign * x) if s < t else (colex[s] + t, -sign * x)
                     col[key] = col.get(key, 0) + y
-    return {c: kept for c, col in columns.items() if (kept := {r: x for r, x in col.items() if x})}
+    columns = {c: kept for c, col in columns.items() if (kept := {r: x for r, x in col.items() if x})}
+    pairs = [(s, t) for t in range(L.dim) for s in range(t)]  # colex rows
+    for triple, column in sorted(columns.items()):
+        res: dict[int, int] = {}
+        for r, x in column.items():
+            for m, c in L._ints.get(pairs[r], ()):
+                res[m] = res.get(m, 0) + x * c
+        if any(res.values()):
+            raise JacobiViolation(*triple, tuple(
+                Fraction(res.get(m, 0), L._scale ** 2) for m in range(L.dim)))
+    return columns
 
 
 class SeriesProfile(Record):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from nilmult import catalog, free_lie, homology
+from nilmult import catalog, free_lie, homology, lie_core
 from nilmult.catalog import (
     DIM_GUARD,
     ParseError,
@@ -19,7 +19,7 @@ from nilmult.catalog import (
     serialize,
 )
 from nilmult.exactla import basis_vector
-from nilmult.lie_core import JacobiViolation, LieAlgebra, _lower_series, direct_sum, series_profile
+from nilmult.lie_core import JacobiViolation, _lower_series, direct_sum, series_profile
 from test_homology import _witt
 
 DATA = Path(__file__).parent / "data"
@@ -56,20 +56,16 @@ def test_dirsum_of_three_keeps_name_and_table():
     assert L.table == {(0, 1): {2: 1}, (4, 5): {6: 1}, (4, 6): {7: 1}}
 
 
-def test_dirsum_of_built_summands_checks_jacobi_once(monkeypatch):
+def test_dirsum_of_built_summands_checks_jacobi_once():
     for summand in ("heisenberg:1", "filiform:4"):
         build(summand)  # cached from here on
-    checked = []
-    check = LieAlgebra._check_jacobi
-
-    def counted(self):
-        checked.append(self.name)
-        check(self)
-
-    monkeypatch.setattr(LieAlgebra, "_check_jacobi", counted)
+    certify = lie_core._d3_columns  # builds and certifies, memo of one table
+    certify.cache_clear()
     spec = "dirsum:heisenberg:1+filiform:4"
-    catalog._build(spec)  # the uncached builder, so the sum itself is built
-    assert checked == [spec]
+    L = catalog._build(spec)  # the uncached builder, so the sum itself is built
+    assert certify.cache_info().misses == 1
+    certify(L)  # and the one table certified was the sum's
+    assert certify.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 @pytest.mark.parametrize("bad", [

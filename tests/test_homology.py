@@ -1,16 +1,21 @@
 import itertools
+import random
 from math import comb
 
 import pytest
 import sympy
 from hypothesis import given, settings
-from test_invariance import central_extensions, generated_algebras
+from hypothesis import strategies as st
+from test_invariance import central_extensions, generated_algebras, unimodular
+from test_lie_core import _change_basis, _seeded_unimodular
 
-from nilmult.catalog import DIM_GUARD, build, default_manifest
+from nilmult import catalog, homology, lie_core
+from nilmult.catalog import DIM_GUARD, build, default_manifest, serialize
+from nilmult.cli import main
 from nilmult.exactla import _echelon, basis_vector
 from nilmult.free_lie import evaluate_in, free_nilpotent, lyndon_bracketing, lyndon_words
 from nilmult.homology import d2_matrix, d3_matrix, exterior_basis, multiplier_dim
-from nilmult.lie_core import LieAlgebra, direct_sum, series_profile
+from nilmult.lie_core import JacobiViolation, LieAlgebra, direct_sum, series_profile
 
 SMALL_CORPUS = list(default_manifest(max_dim=6))
 
@@ -326,3 +331,66 @@ def test_heisenberg_betti_numbers(m):
     b = _betti_numbers(build(f"heisenberg:{m}"))
     assert b[:m + 1] == [comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0)
                          for k in range(m + 1)]
+
+
+@given(central_extensions(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_betti_numbers_of_central_extensions(L, data):
+    # the corpus checks above, on generated algebras and a dense copy of each
+    b = _betti_numbers(L)
+    assert b[2] == multiplier_dim(L).dim_M
+    assert b == b[::-1]
+    assert all(x >= 2 for x in b[1:-1])
+    assert _betti_numbers(_change_basis(L, data.draw(unimodular(L.dim)))) == b
+
+
+# -- The d3 columns: built and certified once per table -------------------------
+
+def _fresh_caches():
+    catalog._build_cached.cache_clear()
+    for cached in (series_profile, homology._pivots, multiplier_dim, lie_core._d3_columns):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("spec", ["filiform:30", "heisenberg:15", "freenil:3,4", "freenil:2,7"])
+def test_multiplier_builds_the_columns_once(spec, capsys):
+    # the constructor's Jacobi check builds them, and the rank reads the memo
+    _fresh_caches()
+    assert main(["multiplier", spec]) == 0
+    assert lie_core._d3_columns.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def test_kernel_of_a_dense_copy_builds_the_columns_twice(tmp_path, capsys):
+    # for the input table and for the adapted table that kernel ranks
+    source = build("filiform:7")
+    path = tmp_path / "copy.lie"
+    path.write_text(serialize(_change_basis(source, _seeded_unimodular(7, random.Random(1)))))
+    _fresh_caches()
+    assert main(["kernel", f"file:{path}"]) == 0
+    assert lie_core._d3_columns.cache_info()[:2] == (1, 2)  # hits, misses
+
+
+def test_a_failed_check_is_not_memoised():
+    table = {(0, 1): {2: 1}, (0, 2): {0: 1}}
+    raised = []
+    for _ in range(2):
+        with pytest.raises(JacobiViolation) as info:
+            LieAlgebra(3, table)
+        raised.append((info.value.triple, info.value.residual, str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] == (0, 1, 2)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_ranking_leaves_the_shared_columns_as_built(seed):
+    # a dense copy, so the echelon cancels inside the columns it is given
+    source = build("freenil:2,4")
+    L = _change_basis(source, _seeded_unimodular(source.dim, random.Random(seed)))
+    homology._pivots.cache_clear()
+    shared = lie_core._d3_columns(L)
+    builds = lie_core._d3_columns.cache_info().misses
+    homology._pivots(L)
+    d3_matrix(L)
+    assert lie_core._d3_columns.cache_info().misses == builds
+    assert lie_core._d3_columns(L) is shared
+    assert shared == lie_core._d3_columns.__wrapped__(L)

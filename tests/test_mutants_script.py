@@ -1,0 +1,47 @@
+"""scripts/mutants.py: argument checks and applying a mutant."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "mutants.py"
+spec = importlib.util.spec_from_file_location("mutants_script", SCRIPT)
+mutants = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mutants)
+
+SIGN = ["src/nilmult/lie_core.py", "sign = -1 if a < t < b else 1", "sign = 1"]
+
+
+def test_mutate_replaces_the_one_occurrence():
+    assert mutants.mutate("a = 1\nb = 2\n", "b = 2", "b = 3") == "a = 1\nb = 3\n"
+
+
+@pytest.mark.parametrize("text", ["a = 1\n", "b = 2\nb = 2\n"])
+def test_mutate_refuses_an_absent_or_repeated_text(text):
+    with pytest.raises(ValueError, match="not once"):
+        mutants.mutate(text, "b = 2", "b = 3")
+
+
+@pytest.mark.parametrize("content, extra", [
+    (None, []), ("not json", []), ("[[1, 2]]", []), ('{"a": 1}', []),
+    (json.dumps([SIGN]), ["0"]), (json.dumps([SIGN]), ["-1"]), (json.dumps([SIGN]), ["x"]),
+    (json.dumps([SIGN]), ["1", "2"]),
+    (json.dumps([["src/nilmult/no_such_module.py", "a", "b"]]), []),
+    # the text must apply to the checkout: here it does not occur
+    (json.dumps([[SIGN[0], "sign = 2", "sign = 1"]]), []),
+])
+def test_bad_arguments_exit_two(content, extra, tmp_path, capsys):
+    argv = [] if content is None else [str(tmp_path / "mutants.json")]
+    if content is not None:
+        (tmp_path / "mutants.json").write_text(content)
+    assert mutants.main(argv + extra) == 2
+    assert capsys.readouterr().err.startswith("usage: ")
+
+
+def test_a_mutant_runs_on_a_copy_and_leaves_the_checkout_alone():
+    # one second is far too short for the suite, so the run times out
+    source = (SCRIPT.parent.parent / SIGN[0]).read_text()
+    assert mutants.run(*SIGN, timeout=1) == "timeout"
+    assert (SCRIPT.parent.parent / SIGN[0]).read_text() == source
