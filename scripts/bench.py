@@ -2,13 +2,14 @@
 
     python3 scripts/bench.py --pair PARENT N LABEL [run.py arguments ...]
 
-Checks the revision PARENT out with ``git worktree`` under
-``.bench_build/`` and runs each checkout's own ``python3 perfbench/run.py``
-N times, by default with ``--workload all --seed 1 --seconds 8 --trace 0``,
-the two alternating (pair k starts with the parent when k is even), so
-that both sides see the same drift in host load.  It writes
-``BENCH_<LABEL>-parent.json`` and ``BENCH_<LABEL>.json`` at this
-checkout's root, each
+Exports the revision PARENT with ``git archive`` and copies this checkout
+(without ``.git``, ``.bench_build`` and the caches) into two sibling
+trees of one temporary directory, and runs each tree's own ``python3
+perfbench/run.py`` N times, by default with ``--workload all --seed 1
+--seconds 8 --trace 0``, the two alternating (pair k starts with the
+parent when k is even), so that both sides see the same drift in host
+load.  It writes ``BENCH_<LABEL>-parent.json`` and ``BENCH_<LABEL>.json``
+at this checkout's root, each
 
     {"label", "commit", "python", "cpus", "argv", "pairs", "values", "won"}
 
@@ -18,8 +19,8 @@ of pairs in which that side read strictly better (lower, or higher for
 the metrics BENCHMARK.json marks ``"better": "higher"``); ties count for
 neither.  ``commit`` is the checked-out commit, with ``+dirty`` when
 tracked files differ from it.  Exits 1, writing nothing, when a verdict
-is missing or its ``correct`` is not ``true``.  The worktree is removed
-afterwards.
+is missing or its ``correct`` is not ``true``.  The temporary directory
+is removed afterwards.
 """
 
 from __future__ import annotations
@@ -28,15 +29,18 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_ARGS = ["--workload", "all", "--seed", "1", "--seconds", "8", "--trace", "0"]
 USAGE = ("usage: python3 scripts/bench.py --pair PARENT N LABEL [run.py arguments ...]\n"
          "LABEL: letters, digits, '.', '_' and '-' only; N: a positive integer")
+SKIP = shutil.ignore_patterns(".git", ".bench_build", "__pycache__", ".hypothesis", ".pytest_cache")
 
 
 def _git(*args: str) -> str | None:
@@ -113,23 +117,20 @@ def pair(parent: str, n: int, label: str, command: list[str]) -> int:
     if sha is None:
         print(f"error: {parent!r} names no commit", file=sys.stderr)
         return 2
-    tree = ROOT / ".bench_build" / f"parent-{sha[:12]}"
-    _git("worktree", "remove", "--force", str(tree))
-    if _git("worktree", "add", "--detach", str(tree), sha) is None:
-        print(f"error: git worktree add {tree} failed", file=sys.stderr)
-        return 1
     runs = {"parent": [], "change": []}
-    try:
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", "--prefix=parent/", sha], cwd=ROOT,
+                                 stdout=subprocess.PIPE, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        shutil.copytree(ROOT, Path(tmp) / "change", ignore=SKIP)
         for k in range(n):
-            order = [("parent", tree), ("change", ROOT)]
-            for side, root in order if k % 2 == 0 else order[::-1]:
+            order = ["parent", "change"]
+            for side in order if k % 2 == 0 else order[::-1]:
                 print(f"# pair {k + 1}/{n}: {side}", file=sys.stderr)
-                result = _run(root, command)
+                result = _run(Path(tmp) / side, command)
                 if result is None:
                     return 1
                 runs[side].append(result)
-    finally:
-        _git("worktree", "remove", "--force", str(tree))
     common = {"python": platform.python_version(),
               "cpus": len(os.sched_getaffinity(0)), "argv": command, "pairs": n}
     old, new = tally(runs["parent"], runs["change"], _higher_is_better())

@@ -1,7 +1,17 @@
 """Helpers that only the tests use: spans of dense vectors and
-membership."""
+membership, basis changes, generated algebras and the Witt numbers.
+Every test module imports what it shares from here, never from another
+test module."""
 
+import itertools
+from fractions import Fraction
+
+import sympy
+from hypothesis import strategies as st
+
+from nilmult.catalog import build, parse_file, serialize
 from nilmult.exactla import DimensionMismatch, Subspace, _integral, _sparse, vector
+from nilmult.lie_core import LieAlgebra, quotient_algebra, upper_series
 
 
 def is_zero_vector(v):
@@ -22,3 +32,136 @@ def contains(space, v):
 
 def contains_subspace(space, other):
     return not any(space.residual(row) for row in other.rows)
+
+
+def _witt(d, k):
+    """Number of Lyndon words of length k over d letters."""
+    def moebius(n):
+        result, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                result = -result
+            p += 1
+        return -result if n > 1 else result
+    return sum(moebius(k // e) * d ** e for e in range(1, k + 1) if k % e == 0) // k
+
+
+@st.composite
+def unimodular(draw, n):
+    cells = n * (n - 1) // 2
+    below, above = (iter(draw(st.lists(st.integers(-1, 1), min_size=cells,
+                                       max_size=cells))) for _ in range(2))
+    lower = [[1 if i == j else next(below) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else next(above) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _change_basis(L, p):
+    """L rewritten in the basis f_a = Σ_i p[a][i] e_i, p unimodular."""
+    n = L.dim
+    # A row vector v over the e_i is v·p⁻¹ over the f_a.
+    q = [[int(x) for x in row] for row in sympy.Matrix(p).inv().tolist()]
+    table = {}
+    for a, b in itertools.combinations(range(n), 2):
+        image = [Fraction(0)] * n  # [f_a, f_b] over the e_i
+        for (i, j), entry in L.table.items():
+            w = p[a][i] * p[b][j] - p[a][j] * p[b][i]
+            for k, c in entry.items():
+                image[k] += w * c
+        coords = {t: sum(image[k] * q[k][t] for k in range(n)) for t in range(n)}
+        entry = {t: c for t, c in coords.items() if c}
+        if entry:
+            table[(a, b)] = entry
+    return LieAlgebra(n, table, name=L.name)
+
+
+def _seeded_unimodular(n, rng):
+    """A unimodular integer matrix: the product of random unitriangular
+    lower and upper factors with entries in -1..1."""
+    lower = [[1 if i == j else rng.randint(-1, 1) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _sympy_ads(L):
+    """ad(e_j) for each j as a matrix acting on coordinate columns: column
+    l is [e_l, e_j], read straight from the table."""
+    n = L.dim
+    ads = [sympy.zeros(n, n) for _ in range(n)]
+    for (a, b), entry in L.table.items():
+        for k, x in entry.items():
+            ads[b][k, a] = sympy.Rational(x)
+            ads[a][k, b] = -sympy.Rational(x)
+    return ads
+
+
+def _central_vectors(draw, L, count):
+    """count random integer combinations of the centre's basis rows."""
+    center = upper_series(L)[1]
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=center.dim,
+                                    max_size=center.dim),
+                           min_size=count, max_size=count))
+    return [[sum(a * row[k] for a, row in zip(combo, center.basis.entries))
+             for k in range(L.dim)] for combo in combos]
+
+
+GENERATED_SOURCES = ("freenil:2,3", "freenil:2,4", "freenil:3,2")
+
+
+@st.composite
+def generated_algebras(draw):
+    """A free nilpotent algebra modulo a random central subspace, in a
+    random unimodular basis, round-tripped through the .lie format."""
+    L = build(draw(st.sampled_from(GENERATED_SOURCES)))
+    count = draw(st.integers(0, upper_series(L)[1].dim))
+    if count:
+        ideal = span(L.dim, _central_vectors(draw, L, count))
+        L, _ = quotient_algebra(L, ideal, name=f"{L.name}/Z{ideal.dim}")
+    L = _change_basis(L, draw(unimodular(L.dim)))
+    return parse_file(serialize(L))
+
+
+def _cocycle_basis(L):
+    """A basis of the 2-cocycles of L, by sympy: functionals θ on the pairs
+    i < j with θ([x, y], z) + θ([y, z], x) + θ([z, x], y) = 0 on every
+    basis triple, the columns of d3 as written here."""
+    pairs = {pair: t for t, pair in enumerate(itertools.combinations(range(L.dim), 2))}
+    table = L.table
+    rows = [[0] * len(pairs)]  # a matrix even where there is no triple
+    for a, b, c in itertools.combinations(range(L.dim), 3):
+        row = [0] * len(pairs)
+        for x, y, z, sign in ((a, b, c, 1), (b, c, a, 1), (a, c, b, -1)):
+            for k, coeff in table.get((x, y), {}).items():
+                if k != z:
+                    row[pairs[min(k, z), max(k, z)]] += sign * coeff * (1 if k < z else -1)
+        rows.append(row)
+    return list(pairs), sympy.Matrix(rows).nullspace()
+
+
+@st.composite
+def central_extensions(draw):
+    """abelian:2..4 extended 1 to 9 − n times by ℚz, each time with
+    [x, y]' = [x, y] + θ(x ∧ y)z for a random nonzero integer 2-cocycle θ:
+    every nilpotent algebra arises so, and the class can grow by one a step."""
+    L = build(f"abelian:{draw(st.integers(2, 4))}")
+    for _ in range(draw(st.integers(1, 9 - L.dim))):
+        pairs, basis = _cocycle_basis(L)
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                               max_size=len(basis)).filter(any))
+        theta = sum((x * v for x, v in zip(coeffs, basis)), sympy.zeros(len(pairs), 1))
+        theta *= sympy.ilcm(1, *(x.q for x in theta))
+        table = L.table
+        for pair, x in zip(pairs, theta):
+            if x:
+                table.setdefault(pair, {})[L.dim] = int(x)
+        L = LieAlgebra(L.dim + 1, table, name=f"ext{L.dim + 1}")
+    return L

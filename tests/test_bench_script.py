@@ -46,3 +46,27 @@ def test_bad_arguments_exit_two(argv, capsys):
 def test_pair_rejects_an_unknown_revision(capsys):
     assert bench.main(["--pair", "no-such-revision-anywhere", "1", "x"]) == 2
     assert "names no commit" in capsys.readouterr().err
+
+
+def test_pair_runs_two_temporary_sibling_trees(monkeypatch):
+    # A copy of the checkout without .git (scripts/mutants.py makes one)
+    # has no revision to export.
+    if bench._git("rev-parse", "--verify", "HEAD") is None:
+        pytest.skip("the checkout is not a git work tree")
+    worktrees = bench._git("worktree", "list")
+    roots = []
+
+    def run(root, command):
+        assert (root / "perfbench" / "run.py").is_file()
+        assert (root / "src" / "nilmult" / "cli.py").is_file()
+        roots.append(root)
+        return _verdict(0.1, 0.5)
+
+    monkeypatch.setattr(bench, "_run", run)
+    monkeypatch.setattr(bench, "_write", lambda label, record: None)
+    # HEAD, not HEAD~1: a CI checkout may hold a single commit
+    assert bench.main(["--pair", "HEAD", "1", "x"]) == 0
+    assert len(roots) == 2 and roots[0] != roots[1] and roots[0].parent == roots[1].parent
+    assert not roots[0].parent.is_relative_to(bench.ROOT)
+    assert not any(root.exists() for root in roots)
+    assert bench._git("worktree", "list") == worktrees

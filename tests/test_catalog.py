@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import _witt
+
 from nilmult import catalog, free_lie, homology, lie_core
 from nilmult.catalog import (
     DIM_GUARD,
@@ -20,7 +22,6 @@ from nilmult.catalog import (
 )
 from nilmult.exactla import basis_vector
 from nilmult.lie_core import JacobiViolation, _lower_series, direct_sum, series_profile
-from test_homology import _witt
 
 DATA = Path(__file__).parent / "data"
 

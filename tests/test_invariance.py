@@ -26,8 +26,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import contains, contains_subspace, span
-from test_lie_core import _central_vectors, _change_basis, _seeded_unimodular, _sympy_ads
+from helpers import (
+    _change_basis,
+    _seeded_unimodular,
+    _sympy_ads,
+    central_extensions,
+    contains,
+    contains_subspace,
+    generated_algebras,
+    unimodular,
+)
 
 from nilmult.analysis import (
     PsiWitness,
@@ -41,14 +49,7 @@ from nilmult.catalog import build, default_manifest, parse_file, serialize
 from nilmult.exactla import Matrix, Subspace, basis_vector, rank
 from nilmult.free_lie import evaluate_in, left_normed, lemma31_term_pairs
 from nilmult.homology import _d3_columns, _quotient_dims, multiplier_dim
-from nilmult.lie_core import (
-    LieAlgebra,
-    minimal_generators,
-    product_space,
-    quotient_algebra,
-    series_profile,
-    upper_series,
-)
+from nilmult.lie_core import minimal_generators, product_space, quotient_algebra, series_profile
 
 SMALL_CORPUS = default_manifest(max_dim=8)
 NONABELIAN_CORPUS = [spec for spec in default_manifest()
@@ -57,19 +58,6 @@ NONABELIAN_CORPUS = [spec for spec in default_manifest()
 
 def _reversal(n):
     return [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
-
-
-@st.composite
-def unimodular(draw, n):
-    cells = n * (n - 1) // 2
-    below, above = (iter(draw(st.lists(st.integers(-1, 1), min_size=cells,
-                                       max_size=cells))) for _ in range(2))
-    lower = [[1 if i == j else next(below) if j < i else 0 for j in range(n)]
-             for i in range(n)]
-    upper = [[1 if i == j else next(above) if j > i else 0 for j in range(n)]
-             for i in range(n)]
-    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
 
 
 @st.composite
@@ -246,22 +234,6 @@ def test_trailing_blocks_need_an_ideal():
     assert _quotient_dims(prof.adapted, [4]) == [quotient] != _quotient_dims(L, [4])
 
 
-GENERATED_SOURCES = ("freenil:2,3", "freenil:2,4", "freenil:3,2")
-
-
-@st.composite
-def generated_algebras(draw):
-    """A free nilpotent algebra modulo a random central subspace, in a
-    random unimodular basis, round-tripped through the .lie format."""
-    L = build(draw(st.sampled_from(GENERATED_SOURCES)))
-    count = draw(st.integers(0, upper_series(L)[1].dim))
-    if count:
-        ideal = span(L.dim, _central_vectors(draw, L, count))
-        L, _ = quotient_algebra(L, ideal, name=f"{L.name}/Z{ideal.dim}")
-    L = _change_basis(L, draw(unimodular(L.dim)))
-    return parse_file(serialize(L))
-
-
 @given(generated_algebras())
 @settings(max_examples=100, deadline=None)
 def test_generated_algebras(L):
@@ -275,43 +247,6 @@ def test_generated_algebras(L):
     assert verification.eq3_ok
     _check_witnesses(L)
     _check_rai_refined(L)
-
-
-def _cocycle_basis(L):
-    """A basis of the 2-cocycles of L, by sympy: functionals θ on the pairs
-    i < j with θ([x, y], z) + θ([y, z], x) + θ([z, x], y) = 0 on every
-    basis triple, the columns of d3 as this test writes them."""
-    pairs = {pair: t for t, pair in enumerate(itertools.combinations(range(L.dim), 2))}
-    table = L.table
-    rows = [[0] * len(pairs)]  # a matrix even where there is no triple
-    for a, b, c in itertools.combinations(range(L.dim), 3):
-        row = [0] * len(pairs)
-        for x, y, z, sign in ((a, b, c, 1), (b, c, a, 1), (a, c, b, -1)):
-            for k, coeff in table.get((x, y), {}).items():
-                if k != z:
-                    row[pairs[min(k, z), max(k, z)]] += sign * coeff * (1 if k < z else -1)
-        rows.append(row)
-    return list(pairs), sympy.Matrix(rows).nullspace()
-
-
-@st.composite
-def central_extensions(draw):
-    """abelian:2..4 extended 1 to 9 − n times by ℚz, each time with
-    [x, y]' = [x, y] + θ(x ∧ y)z for a random nonzero integer 2-cocycle θ:
-    every nilpotent algebra arises so, and the class can grow by one a step."""
-    L = build(f"abelian:{draw(st.integers(2, 4))}")
-    for _ in range(draw(st.integers(1, 9 - L.dim))):
-        pairs, basis = _cocycle_basis(L)
-        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis),
-                               max_size=len(basis)).filter(any))
-        theta = sum((x * v for x, v in zip(coeffs, basis)), sympy.zeros(len(pairs), 1))
-        theta *= sympy.ilcm(1, *(x.q for x in theta))
-        table = L.table
-        for pair, x in zip(pairs, theta):
-            if x:
-                table.setdefault(pair, {})[L.dim] = int(x)
-        L = LieAlgebra(L.dim + 1, table, name=f"ext{L.dim + 1}")
-    return L
 
 
 @given(central_extensions(), st.data())

@@ -8,7 +8,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import contains, contains_subspace, is_zero_vector, span
+from helpers import (
+    _central_vectors,
+    _change_basis,
+    _seeded_unimodular,
+    _sympy_ads,
+    contains,
+    contains_subspace,
+    is_zero_vector,
+    span,
+)
 
 from nilmult.catalog import build, default_manifest
 from nilmult.exactla import DimensionMismatch, Subspace, basis_vector, vector
@@ -145,16 +154,6 @@ coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=5)
 JACOBI_SOURCES = ["heisenberg:1", "heisenberg:2", "filiform:5", "filiform:7",
                   "freenil:2,3", "freenil:2,4", "freenil:3,2",
                   "dirsum:heisenberg:1+filiform:4"]
-
-
-def _central_vectors(draw, L, count):
-    """count random integer combinations of the centre's basis rows."""
-    center = upper_series(L)[1]
-    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=center.dim,
-                                    max_size=center.dim),
-                           min_size=count, max_size=count))
-    return [[sum(a * row[k] for a, row in zip(combo, center.basis.entries))
-             for k in range(L.dim)] for combo in combos]
 
 
 @st.composite
@@ -392,36 +391,6 @@ def _reversed_basis(L):
     return LieAlgebra(n, table, name=L.name)
 
 
-def _change_basis(L, p):
-    """L rewritten in the basis f_a = Σ_i p[a][i] e_i, p unimodular."""
-    n = L.dim
-    # A row vector v over the e_i is v·p⁻¹ over the f_a.
-    q = [[int(x) for x in row] for row in sympy.Matrix(p).inv().tolist()]
-    table = {}
-    for a, b in itertools.combinations(range(n), 2):
-        image = [Fraction(0)] * n  # [f_a, f_b] over the e_i
-        for (i, j), entry in L.table.items():
-            w = p[a][i] * p[b][j] - p[a][j] * p[b][i]
-            for k, c in entry.items():
-                image[k] += w * c
-        coords = {t: sum(image[k] * q[k][t] for k in range(n)) for t in range(n)}
-        entry = {t: c for t, c in coords.items() if c}
-        if entry:
-            table[(a, b)] = entry
-    return LieAlgebra(n, table, name=L.name)
-
-
-def _seeded_unimodular(n, rng):
-    """A unimodular integer matrix: the product of random unitriangular
-    lower and upper factors with entries in -1..1."""
-    lower = [[1 if i == j else rng.randint(-1, 1) if j < i else 0 for j in range(n)]
-             for i in range(n)]
-    upper = [[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(n)]
-             for i in range(n)]
-    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
 # Every family puts a central element last; the reversed copies put one
 # first, so neither end of the basis is exempt from the oracle.  Each
 # input is also checked in a seeded dense basis.
@@ -432,18 +401,6 @@ def test_upper_series_oracle(spec, reverse):
     _check_upper_series(L)
     p = _seeded_unimodular(L.dim, random.Random(f"{spec}:{reverse}"))
     _check_upper_series(_change_basis(L, p))
-
-
-def _sympy_ads(L):
-    """ad(e_j) for each j as a matrix acting on coordinate columns: column
-    l is [e_l, e_j], read straight from the table."""
-    n = L.dim
-    ads = [sympy.zeros(n, n) for _ in range(n)]
-    for (a, b), entry in L.table.items():
-        for k, x in entry.items():
-            ads[b][k, a] = sympy.Rational(x)
-            ads[a][k, b] = -sympy.Rational(x)
-    return ads
 
 
 def _check_upper_series(L):
