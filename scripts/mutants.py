@@ -33,7 +33,9 @@ def run(file: str, old: str, new: str, timeout: float) -> str:
                                   capture_output=True, text=True, timeout=timeout)
         except subprocess.TimeoutExpired:
             return "timeout"
-    failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    # a test the time limit stopped is named on the "! KeyboardInterrupt" line
+    failed = [line for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED", "ERROR", "! KeyboardInterrupt"))]
     return f"killed by {(failed + [proc.returncode])[0]}" if proc.returncode else "survived"
 
 

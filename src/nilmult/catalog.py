@@ -301,7 +301,7 @@ def serialize(L: LieAlgebra) -> str:
 def load_file(path: str) -> LieAlgebra:
     """Read and parse a .lie file from disk."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is dropped
             text = handle.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise SpecError(f"cannot read {path}: {exc}") from None

@@ -10,8 +10,8 @@ are built from the integer table, D times the rational one, which keeps
 their ranks.  The columns of d2 are the table entries; those of d3 are
 ``lie_core._d3_columns``, keyed by triple, with e_s ∧ e_t (s < t) as row
 C(t,2) + s, its colex index, built and checked (d2∘d3 = 0, the Jacobi
-identity) when the algebra is constructed and read here from their memo,
-never modified.  Each is echelonised once per algebra by the integer
+identity) when the algebra is constructed, kept as ``L._d3`` and read
+here, never modified.  Each is echelonised once per algebra by the integer
 kernel of ``exactla``, and each rank is a pivot count.  Colex rows make
 quotients by trailing ideals leading blocks (``_quotient_dims``).  The
 dense rational matrices are views in lexicographic exterior bases."""
@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb
 
 from .exactla import Matrix, _echelon
-from .lie_core import LieAlgebra, _d3_columns
+from .lie_core import LieAlgebra
 from .record import Record
 
 
@@ -67,14 +67,14 @@ def d3_matrix(L: LieAlgebra) -> Matrix:
     """Boundary Λ³L → Λ²L as a dense matrix; columns follow the triple basis."""
     row = {comb(t, 2) + s: r for r, (s, t) in enumerate(exterior_basis(L.dim, 2))}
     column = {p: c for c, p in enumerate(exterior_basis(L.dim, 3))}
-    columns = {column[c]: {row[r]: x for r, x in col.items()} for c, col in _d3_columns(L).items()}
+    columns = {column[c]: {row[r]: x for r, x in col.items()} for c, col in L._d3.items()}
     return _dense_view(columns, len(row), len(column), L._scale)
 
 
 @lru_cache(maxsize=None)
 def _pivots(L: LieAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Pivot columns of the d2 and the d3 echelon."""
-    return tuple(_echelon(L._ints.values())), tuple(_echelon(_d3_columns(L).values()))
+    return tuple(_echelon(L._ints.values())), tuple(_echelon(L._d3.values()))
 
 
 def _quotient_dims(L: LieAlgebra, cuts: list[int]) -> list[int]:

@@ -4,8 +4,8 @@ A bracket table stores [e_i, e_j] for i < j only; the diagonal and the
 lower triangle follow from antisymmetry.  The constructor builds the d3
 boundary columns (``_d3_columns``) and checks the Jacobi identity on them
 as d2∘d3 = 0, so every live ``LieAlgebra`` value is an actual Lie
-algebra; a memo of the last table built hands the same columns to
-``homology``'s rank.  The table is stored once, as ``int`` numerators
+algebra; it keeps them (``_d3``), and ``homology``'s rank reads those
+same columns.  The table is stored once, as ``int`` numerators
 over D, the lcm of the denominators: equality, hashing, the Jacobi check,
 the brackets, the central series and the adapted table read only these.
 ``int`` input stays ``int``: ``Fraction`` appears only in rational
@@ -88,7 +88,7 @@ class LieAlgebra:
         self._scale = math.lcm(*(c.denominator for e in table.values() for _, c in e))
         self._ints = {pair: tuple((q, c.numerator * (self._scale // c.denominator)) for q, c in e)
                       for pair, e in table.items()}
-        _d3_columns(self)  # the Jacobi check; the rank reads the memo
+        self._d3 = _d3_columns(self)  # the Jacobi check; the rank reads them
 
     # Structural identity: the name is a label; entries over the least D fix the table.
     def __eq__(self, other):
@@ -136,7 +136,6 @@ class LieAlgebra:
 _Columns = dict[tuple[int, int, int], dict[int, int]]
 
 
-@lru_cache(maxsize=1)
 def _d3_columns(L: LieAlgebra) -> _Columns:
     """Nonzero columns of D·d3, x∧y∧z ↦ [x,y]∧z − [x,z]∧y + [y,z]∧x, in
     ints, D the common denominator of the table; keyed by triple, with
@@ -151,9 +150,7 @@ def _d3_columns(L: LieAlgebra) -> _Columns:
     [[e_k,e_i],e_j] times D², and a triple without a column has no
     nonzero term.  Columns are taken in sorted triple order, so the first
     failing triple is the one ``JacobiViolation`` reports.  The
-    constructor calls this; the memo, keyed on the table, hands the same
-    columns to the rank of the last algebra built, which is the one every
-    command ranks.  An error is not memoised.
+    constructor calls this once and keeps the result as ``L._d3``.
     """
     columns: _Columns = {}
     colex = [t * (t - 1) // 2 for t in range(L.dim)]  # C(t, 2)
@@ -188,7 +185,7 @@ class SeriesProfile(Record):
     minimal generating set.  ``adapted`` is the algebra rewritten in a
     basis adapted to the lower series: gamma_i is spanned by its last
     dim gamma_i basis vectors, so L/gamma_i is its table truncated to the
-    first n - dim gamma_i indices.
+    first n - dim gamma_i indices; it is L itself if L's basis is adapted.
     """
 
     lower: tuple[Subspace, ...]
@@ -278,8 +275,9 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
     from one sweep in pivot order on their primitive integer multiples,
     ``scale`` being the factor the integer image carries.  The filtration
     must be central (each [e_a, e_b] in the layer after b's), or the
-    series is not the lower central one and L is not nilpotent.  The
-    constructor checks Jacobi again on the rewritten table.
+    series is not the lower central one and L is not nilpotent.  When
+    every row is the unit vector of its own slot, L is returned itself;
+    otherwise the constructor checks Jacobi again on the rewritten table.
     """
     rows = [row for outer, inner in zip(lower, lower[1:])
             for row in outer.quotient_basis_rows(inner)]
@@ -300,6 +298,8 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
         if entry and min(entry) < bound[b]:
             raise _stall(L)
         table[(a, b)] = entry
+    if all(row == {t: 1} for t, row in enumerate(rows)):
+        return L  # the input basis is already adapted: the same table
     return LieAlgebra(L.dim, table, name="adapted")
 
 

@@ -1,17 +1,19 @@
 """Helpers that only the tests use: spans of dense vectors and
-membership, basis changes, generated algebras and the Witt numbers.
+membership, basis changes, generated algebras, the Witt numbers, the
+Betti numbers of the whole complex and the small nilpotent algebras.
 Every test module imports what it shares from here, never from another
 test module."""
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import sympy
 from hypothesis import strategies as st
 
 from nilmult.catalog import build, parse_file, serialize
-from nilmult.exactla import DimensionMismatch, Subspace, _integral, _sparse, vector
-from nilmult.lie_core import LieAlgebra, quotient_algebra, upper_series
+from nilmult.exactla import DimensionMismatch, Subspace, _echelon, _integral, _null_rows, _sparse, vector
+from nilmult.lie_core import LieAlgebra, _lower_series, product_space, quotient_algebra, upper_series
 
 
 def is_zero_vector(v):
@@ -32,6 +34,18 @@ def contains(space, v):
 
 def contains_subspace(space, other):
     return not any(space.residual(row) for row in other.rows)
+
+
+def counted_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for one test; the returned list gets the first
+    argument of every call (``self`` for a method such as ``__init__``)."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def _witt(d, k):
@@ -165,3 +179,79 @@ def central_extensions(draw):
                 table.setdefault(pair, {})[L.dim] = int(x)
         L = LieAlgebra(L.dim + 1, table, name=f"ext{L.dim + 1}")
     return L
+
+
+def _betti_numbers(L):
+    """[b_0, ..., b_n], b_k = dim H_k(L) = C(n,k) − rank d_k − rank d_{k+1}.
+
+    Every boundary d_k(e_{a_1} ∧ … ∧ e_{a_k}) = Σ_{i<j} (−1)^{i+j}
+    [e_{a_i}, e_{a_j}] ∧ (the other k − 2 factors) is assembled here from
+    the integer table, D times L's, which keeps every rank, with its own
+    sign code: homology's d3 columns, which also carry the Jacobi check,
+    are not used.  The ranks are pivot counts of ``exactla._echelon``,
+    which test_exactla checks against sympy.
+    """
+    n = L.dim
+    ranks = [0] * (n + 2)
+    for k in range(2, n + 1):
+        row = {w: r for r, w in enumerate(itertools.combinations(range(n), k - 1))}
+        columns = []
+        for word in itertools.combinations(range(n), k):
+            col = {}
+            for (i, a), (j, b) in itertools.combinations(enumerate(word), 2):
+                rest = word[:i] + word[i + 1:j] + word[j + 1:]
+                for m, c in L._ints.get((a, b), ()):
+                    if m not in rest:  # moving e_m into place past the smaller factors
+                        sign = (-1) ** (i + j + sum(x < m for x in rest))
+                        r = row[tuple(sorted(rest + (m,)))]
+                        col[r] = col.get(r, 0) + sign * c
+            if col := {r: x for r, x in col.items() if x}:
+                columns.append(col)
+        # last-first is faster on dense tables; the rank is the same in any order
+        ranks[k] = len(_echelon(reversed(columns)))
+    return [comb(n, k) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
+
+
+def _invariants(L):
+    """Dimensions of the lower and the upper central series, of [γ₂, γ₂]
+    and of the centraliser of γ₂, and the Betti numbers: isomorphism
+    invariants that tell apart the nilpotent algebras of dimension ≤ 5."""
+    lower = _lower_series(L)
+    derived = lower[1] if len(lower) > 1 else lower[0]  # γ₂, or 0 when n = 0
+    # x centralises γ₂ when each coordinate m of [x, y] vanishes, y in γ₂
+    ads = [[L._bracket({l: 1}, y) for l in range(L.dim)] for y in derived.rows]
+    rows = ({l: ad[l][m] for l in range(L.dim) if m in ad[l]} for ad in ads for m in range(L.dim))
+    return (tuple(S.dim for S in lower), tuple(Z.dim for Z in upper_series(L)),
+            product_space(L, derived, derived).dim, L.dim - len(_echelon(rows)),
+            tuple(_betti_numbers(L)))
+
+
+def nilpotent_classes(max_dim):
+    """One nilpotent Lie algebra over ℚ per isomorphism class, for each
+    dimension 0..max_dim, by Skjelbred–Sund central extensions.
+
+    Each algebra of dimension n + 1 is a central extension of one of
+    dimension n by ℚe_n: [x, y]' = [x, y] + θ(x ∧ y)e_n for a 2-cocycle
+    θ, a cochain on the colex pair rows that vanishes on the d3 columns.
+    Each representative is extended by every Σ c_j φ_j, c_j ∈ {−1, 0, 1},
+    over the cocycle basis φ_j, the split extension (all c_j = 0) first,
+    and the first algebra of each ``_invariants`` tuple is kept.  That
+    those tuples count the classes is what the caller checks, against a
+    known count.
+    """
+    classes = [[LieAlgebra(0, {})]]
+    for n in range(max_dim):
+        kept = {}
+        for L in classes[-1]:
+            pairs = [(s, t) for t in range(n) for s in range(t)]  # colex order
+            basis = _null_rows(L._d3.values(), len(pairs))
+            for coeffs in itertools.product((0, 1, -1), repeat=len(basis)):
+                table = L.table
+                for phi, c in zip(basis, coeffs):
+                    for r, x in phi.items():
+                        entry = table.setdefault(pairs[r], {})
+                        entry[n] = entry.get(n, 0) + c * x
+                E = LieAlgebra(n + 1, table, name=f"L{n + 1}.{len(kept) + 1}")
+                kept.setdefault(_invariants(E), E)
+        classes.append(list(kept.values()))
+    return classes

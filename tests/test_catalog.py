@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import _witt
+from helpers import _witt, counted_calls
 
 from nilmult import catalog, free_lie, homology, lie_core
 from nilmult.catalog import (
@@ -20,6 +20,7 @@ from nilmult.catalog import (
     parse_file,
     serialize,
 )
+from nilmult.cli import main
 from nilmult.exactla import basis_vector
 from nilmult.lie_core import JacobiViolation, _lower_series, direct_sum, series_profile
 
@@ -57,16 +58,13 @@ def test_dirsum_of_three_keeps_name_and_table():
     assert L.table == {(0, 1): {2: 1}, (4, 5): {6: 1}, (4, 6): {7: 1}}
 
 
-def test_dirsum_of_built_summands_checks_jacobi_once():
+def test_dirsum_of_built_summands_checks_jacobi_once(monkeypatch):
     for summand in ("heisenberg:1", "filiform:4"):
         build(summand)  # cached from here on
-    certify = lie_core._d3_columns  # builds and certifies, memo of one table
-    certify.cache_clear()
+    certified = counted_calls(monkeypatch, lie_core, "_d3_columns")  # builds and certifies
     spec = "dirsum:heisenberg:1+filiform:4"
     L = catalog._build(spec)  # the uncached builder, so the sum itself is built
-    assert certify.cache_info().misses == 1
-    certify(L)  # and the one table certified was the sum's
-    assert certify.cache_info()[:2] == (1, 1)  # hits, misses
+    assert len(certified) == 1 and certified[0] is L  # the one table certified is the sum's
 
 
 @pytest.mark.parametrize("bad", [
@@ -172,6 +170,19 @@ def test_parse_good_file():
     L = load_file(str(DATA / "good_heisenberg.lie"))
     assert L.name == "h3-from-file"
     assert L == build("heisenberg:1")
+
+
+def test_a_byte_order_mark_is_dropped(tmp_path, capsys):
+    plain = DATA / "good_heisenberg.lie"
+    marked = tmp_path / "bom.lie"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    L = load_file(str(marked))
+    assert (L, L.name) == (load_file(str(plain)), "h3-from-file")
+    printed = []
+    for path in (plain, marked):
+        assert main(["multiplier", f"file:{path}"]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize("name,lineno,fragment", [

@@ -8,18 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _betti_numbers,
     _change_basis,
     _seeded_unimodular,
     _witt,
     central_extensions,
+    counted_calls,
     generated_algebras,
+    nilpotent_classes,
     unimodular,
 )
 
 from nilmult import catalog, homology, lie_core
+from nilmult.analysis import verify_theorem
 from nilmult.catalog import DIM_GUARD, build, default_manifest, serialize
 from nilmult.cli import main
-from nilmult.exactla import _echelon, basis_vector
+from nilmult.exactla import basis_vector
 from nilmult.free_lie import evaluate_in, free_nilpotent, lyndon_bracketing, lyndon_words
 from nilmult.homology import d2_matrix, d3_matrix, exterior_basis, multiplier_dim
 from nilmult.lie_core import JacobiViolation, LieAlgebra, direct_sum, series_profile
@@ -289,37 +293,6 @@ def test_multiplier_matches_hopf_formula_on_central_extensions(L):
 
 # -- The whole Chevalley–Eilenberg complex: an oracle with its own signs --------
 
-def _betti_numbers(L):
-    """[b_0, ..., b_n], b_k = dim H_k(L) = C(n,k) − rank d_k − rank d_{k+1}.
-
-    Every boundary d_k(e_{a_1} ∧ … ∧ e_{a_k}) = Σ_{i<j} (−1)^{i+j}
-    [e_{a_i}, e_{a_j}] ∧ (the other k − 2 factors) is assembled here from
-    the integer table, D times L's, which keeps every rank, with its own
-    sign code: homology's d3 columns, which also carry the Jacobi check,
-    are not used.  The ranks are pivot counts of ``exactla._echelon``,
-    which test_exactla checks against sympy.
-    """
-    n = L.dim
-    ranks = [0] * (n + 2)
-    for k in range(2, n + 1):
-        row = {w: r for r, w in enumerate(itertools.combinations(range(n), k - 1))}
-        columns = []
-        for word in itertools.combinations(range(n), k):
-            col = {}
-            for (i, a), (j, b) in itertools.combinations(enumerate(word), 2):
-                rest = word[:i] + word[i + 1:j] + word[j + 1:]
-                for m, c in L._ints.get((a, b), ()):
-                    if m not in rest:  # moving e_m into place past the smaller factors
-                        sign = (-1) ** (i + j + sum(x < m for x in rest))
-                        r = row[tuple(sorted(rest + (m,)))]
-                        col[r] = col.get(r, 0) + sign * c
-            if col := {r: x for r, x in col.items() if x}:
-                columns.append(col)
-        # last-first is faster on dense tables; the rank is the same in any order
-        ranks[k] = len(_echelon(reversed(columns)))
-    return [comb(n, k) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
-
-
 @pytest.mark.parametrize("spec", default_manifest(max_dim=9))
 def test_betti_numbers_of_the_whole_complex(spec):
     L = build(spec)
@@ -348,30 +321,80 @@ def test_betti_numbers_of_central_extensions(L, data):
     assert _betti_numbers(_change_basis(L, data.draw(unimodular(L.dim)))) == b
 
 
-# -- The d3 columns: built and certified once per table -------------------------
+# de Graaf, J. Algebra 309 (2007): the nilpotent Lie algebras over ℚ of each
+# dimension up to 5; from 6 on there are infinitely many.
+CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 9}
+
+
+def test_every_nilpotent_algebra_through_dimension_five():
+    classes = nilpotent_classes(5)
+    assert {n: len(found) for n, found in enumerate(classes) if n} == CLASS_COUNTS
+    rng = random.Random(1)
+    for L in itertools.chain(*classes[1:]):
+        b, dim_M = _betti_numbers(L), multiplier_dim(L).dim_M
+        assert (b[2] if L.dim >= 2 else 0) == dim_M
+        assert b == b[::-1]
+        assert multiplier_dim(_change_basis(L, _seeded_unimodular(L.dim, rng))).dim_M == dim_M
+        if not L.is_abelian:
+            verify_theorem(L)  # raises on any failed check
+
+
+# -- The d3 columns: built and certified once per algebra -----------------------
 
 def _fresh_caches():
     catalog._build_cached.cache_clear()
-    for cached in (series_profile, homology._pivots, multiplier_dim, lie_core._d3_columns):
+    for cached in (series_profile, homology._pivots, multiplier_dim):
         cached.cache_clear()
 
 
+def _column_builds(monkeypatch):
+    return counted_calls(monkeypatch, lie_core, "_d3_columns")
+
+
 @pytest.mark.parametrize("spec", ["filiform:30", "heisenberg:15", "freenil:3,4", "freenil:2,7"])
-def test_multiplier_builds_the_columns_once(spec, capsys):
-    # the constructor's Jacobi check builds them, and the rank reads the memo
+def test_multiplier_builds_the_columns_once(spec, monkeypatch, capsys):
+    # the constructor's Jacobi check builds them, and the rank reads L._d3
     _fresh_caches()
+    builds = _column_builds(monkeypatch)
     assert main(["multiplier", spec]) == 0
-    assert lie_core._d3_columns.cache_info()[:2] == (1, 1)  # hits, misses
+    assert len(builds) == 1
 
 
-def test_kernel_of_a_dense_copy_builds_the_columns_twice(tmp_path, capsys):
+def test_kernel_of_a_dense_copy_builds_the_columns_twice(tmp_path, monkeypatch, capsys):
     # for the input table and for the adapted table that kernel ranks
     source = build("filiform:7")
     path = tmp_path / "copy.lie"
     path.write_text(serialize(_change_basis(source, _seeded_unimodular(7, random.Random(1)))))
     _fresh_caches()
+    builds = _column_builds(monkeypatch)
     assert main(["kernel", f"file:{path}"]) == 0
-    assert lie_core._d3_columns.cache_info()[:2] == (1, 2)  # hits, misses
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "corpus"], ["verify", "corpus", "--max-dim", "8"]])
+def test_verify_corpus_builds_each_algebras_columns_once(argv, monkeypatch, capsys):
+    # 79 algebras: the 70 specs and the adapted tables that differ from
+    # their source; --max-dim builds every spec first and changes nothing
+    _fresh_caches()
+    builds = _column_builds(monkeypatch)
+    assert main(argv) == 0
+    assert len(builds) == len({id(L) for L in builds}) == 79
+
+
+def test_bounds_constructs_one_algebra(monkeypatch, capsys):
+    # filiform:64's basis is adapted already, so its profile keeps L itself
+    _fresh_caches()
+    constructed = counted_calls(monkeypatch, LieAlgebra, "__init__")
+    assert main(["bounds", "filiform:64"]) == 0
+    assert len(constructed) == 1
+
+
+def test_an_adapted_basis_is_kept():
+    L = build("filiform:7")
+    assert series_profile(L).adapted is L
+    dense = _change_basis(L, _seeded_unimodular(7, random.Random(1)))
+    adapted = series_profile(dense).adapted
+    assert adapted is not dense and adapted != dense
 
 
 def test_a_failed_check_is_not_memoised():
@@ -386,15 +409,16 @@ def test_a_failed_check_is_not_memoised():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_ranking_leaves_the_shared_columns_as_built(seed):
+def test_ranking_leaves_the_shared_columns_as_built(seed, monkeypatch):
     # a dense copy, so the echelon cancels inside the columns it is given
     source = build("freenil:2,4")
     L = _change_basis(source, _seeded_unimodular(source.dim, random.Random(seed)))
     homology._pivots.cache_clear()
-    shared = lie_core._d3_columns(L)
-    builds = lie_core._d3_columns.cache_info().misses
+    shared = L._d3
+    builds = _column_builds(monkeypatch)
     homology._pivots(L)
     d3_matrix(L)
-    assert lie_core._d3_columns.cache_info().misses == builds
-    assert lie_core._d3_columns(L) is shared
-    assert shared == lie_core._d3_columns.__wrapped__(L)
+    assert builds == []
+    assert L._d3 is shared
+    monkeypatch.undo()
+    assert shared == lie_core._d3_columns(L)

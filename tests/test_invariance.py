@@ -48,8 +48,8 @@ from nilmult.analysis import (
 from nilmult.catalog import build, default_manifest, parse_file, serialize
 from nilmult.exactla import Matrix, Subspace, basis_vector, rank
 from nilmult.free_lie import evaluate_in, left_normed, lemma31_term_pairs
-from nilmult.homology import _d3_columns, _quotient_dims, multiplier_dim
-from nilmult.lie_core import minimal_generators, product_space, quotient_algebra, series_profile
+from nilmult.homology import _quotient_dims, multiplier_dim
+from nilmult.lie_core import _d3_columns, minimal_generators, product_space, quotient_algebra, series_profile
 
 SMALL_CORPUS = default_manifest(max_dim=8)
 NONABELIAN_CORPUS = [spec for spec in default_manifest()

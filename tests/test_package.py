@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import types
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +50,23 @@ def test_unknown_name_raises_attribute_error():
         nilmult.not_a_name
     assert not hasattr(nilmult, "_lower_series")
     assert nilmult.__version__ == "0.1.0"
+
+
+def test_every_name_the_benchmark_traces_exists():
+    # perfbench/tracer.py wraps these by name, and perfbench/run.py reads
+    # multiplier_dim's cache_info, so none of them may be renamed away
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    needed = [(layer, name) for layer, names in tracer.TRACED.items() for name in names]
+    needed += [(tracer.CONSTRUCT.partition(".")[0], "LieAlgebra.__init__"),
+               ("homology", "multiplier_dim.cache_info")]
+    missing = []
+    for layer, dotted in needed:
+        obj = importlib.import_module(f"nilmult.{layer}")
+        for attr in dotted.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(f"nilmult.{layer}.{dotted}")
+    assert not missing, "perfbench needs " + ", ".join(missing)
