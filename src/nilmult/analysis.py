@@ -22,7 +22,9 @@ the kernel of the bracket-induced map
 obtained from multiplier dimensions of the quotients L/γ_i: each is a
 pivot count of the d2 and d3 echelons of the adapted table, on which γ_i
 is a trailing coordinate span, so no quotient algebra is built.  The
-witnesses Ψ_i come from the degree-(i+1) commutator identity.
+witnesses Ψ_i (``psi_witnesses``) evaluate the degree-(i+1) commutator
+identity at the first tuple of minimal generators whose left-normed
+bracket leaves γ_{i+1}, a search on the adapted table (``_witness_tuple``).
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ from math import comb
 
 from .exactla import Subspace, _dense, _echelon
 from .homology import _quotient_dims, multiplier_dim
-from .lie_core import (
-    LieAlgebra,
-    SeriesProfile,
-    _upper_step,
-    minimal_generators,
-    series_profile,
-)
+from .lie_core import LieAlgebra, SeriesProfile, _upper_step, series_profile
 from .record import Record
 
 Vector = tuple[Fraction, ...]
@@ -256,27 +252,11 @@ class PsiWitness(Record):
     bracket_images: tuple[Vector, ...]
 
 
-def witness_commutator(L: LieAlgebra, i: int) -> tuple[BracketExpr, Vector]:
-    """A left-normed bracket of i minimal generators outside γ_{i+1}.
-
-    Symbols in the returned expression are 1-based positions into
-    minimal_generators(L); repeats are allowed.  Tuples are searched in
-    lexicographic order and the first hit is returned, with its value
-    in L's basis.
-    """
-    from .free_lie import evaluate_in, left_normed
-
-    expr = left_normed(_witness_tuple(L, i, series_profile(L)))
-    gens = minimal_generators(L)
-    return expr, evaluate_in(expr, L.bracket, dict(enumerate(gens, start=1)))
-
-
 def _witness_tuple(L: LieAlgebra, i: int, prof: SeriesProfile) -> tuple[int, ...]:
     """The first generator tuple whose left-normed bracket leaves γ_{i+1},
-    by a walk that brackets each prefix once on the adapted table: there
-    the generators are the first n-m unit vectors and γ_k the last dim γ_k."""
-    if not 2 <= i <= prof.nilpotency_class:
-        raise RangeError(f"witness weight {i} outside 2..{prof.nilpotency_class}")
+    2 <= i <= c, by a walk that brackets each prefix once on the adapted
+    table: there the generators are the first n-m unit vectors and γ_k the
+    last dim γ_k."""
     A, gens = prof.adapted, range(prof.gen_count - 1, -1, -1)
     stack = [((g,), {g: 1}) for g in gens]  # pops in lexicographic order
     while stack:

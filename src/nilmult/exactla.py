@@ -173,10 +173,6 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     return Matrix(m.rows, m.cols, tuple(rows)), len(reduced)
 
 
-def rank(m: Matrix) -> int:
-    return len(_echelon(_integral(_sparse(r)) for r in m.entries))
-
-
 class Subspace(Record):
     """A subspace of Q^n, held as the sparse rows of its RREF basis.
 
@@ -225,10 +221,6 @@ class Subspace(Record):
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def residual(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """The sparse rational row with this subspace's pivot coordinates

@@ -1,21 +1,20 @@
 """Symbolic free Lie algebra over numbered generators.
 
-Elements are handled in two forms.  A ``BracketExpr`` is a formal
-bracket tree; expanding it into the tensor algebra (words with integer
-coefficients, bracket = xy - yx on concatenation products) gives a
-faithful representation, and rewriting against the standard bracketings
-of Lyndon words produces the unique Lyndon-basis normal form
-(``FreeLieElement``, with ``Fraction`` coefficients; the rational edge
-is ``expand_to_lyndon``).  It builds the free-nilpotent algebras of given
-rank and class, and checks the multilinear degree-(i+1) commutator identity
-of the kernel witnesses by its x_1-initial words, each packed into one int.
+A ``BracketExpr`` is a formal bracket tree.  Expanding it into the tensor
+algebra (words with integer coefficients, bracket = xy - yx on
+concatenation products) gives a faithful representation, and rewriting
+a tensor against the standard bracketings of Lyndon words
+(``_lyndonize``) gives its unique Lyndon-basis coordinates, in integers.
+The module builds the free-nilpotent algebras of given rank and class on
+that basis, and checks the multilinear degree-(i+1) commutator identity
+of the kernel witnesses by its x_1-initial words, each packed into one
+int; only a nonzero residual (a ``FreeLieElement``) holds ``Fraction``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from functools import lru_cache
 
 from .record import Record
@@ -48,12 +47,6 @@ class BracketExpr(Record):
     def is_generator(self) -> bool:
         return self.symbol is not None
 
-    @property
-    def degree(self) -> int:
-        if self.is_generator:
-            return 1
-        return self.left.degree + self.right.degree
-
     def __str__(self):
         if self.is_generator:
             return f"x{self.symbol}"
@@ -68,30 +61,6 @@ def gen(j: int) -> BracketExpr:
 def br(a: BracketExpr, b: BracketExpr) -> BracketExpr:
     """Formal bracket [a, b]."""
     return BracketExpr(symbol=None, left=a, right=b)
-
-
-def _as_expr(x) -> BracketExpr:
-    return x if isinstance(x, BracketExpr) else gen(int(x))
-
-
-def left_normed(xs: Sequence) -> BracketExpr:
-    """[...[[x1, x2], x3], ..., xk] — brackets nested to the left."""
-    if not xs:
-        raise ValueError("left_normed needs at least one factor")
-    acc = _as_expr(xs[0])
-    for x in xs[1:]:
-        acc = br(acc, _as_expr(x))
-    return acc
-
-
-def right_normed(xs: Sequence) -> BracketExpr:
-    """[x1, [x2, [..., [x_{k-1}, xk]]]] — brackets nested to the right."""
-    if not xs:
-        raise ValueError("right_normed needs at least one factor")
-    acc = _as_expr(xs[-1])
-    for x in reversed(xs[:-1]):
-        acc = br(_as_expr(x), acc)
-    return acc
 
 
 # -- tensor-algebra representation ----------------------------------------
@@ -118,13 +87,6 @@ def _tensor_bracket(p: Mapping[Word, int], q: Mapping[Word, int]) -> dict[Word, 
                 else:
                     out.pop(w, None)
     return out
-
-
-def tensor_expansion(e: BracketExpr) -> dict[Word, int]:
-    """Image of the expression in the tensor algebra (integer coefficients)."""
-    if e.is_generator:
-        return {(e.symbol,): 1}
-    return _tensor_bracket(tensor_expansion(e.left), tensor_expansion(e.right))
 
 
 # -- Lyndon words ----------------------------------------------------------
@@ -167,16 +129,6 @@ def std_factorization(w: Word) -> tuple[Word, Word]:
         if is_lyndon(w[s:]):
             return w[:s], w[s:]
     raise AssertionError("unreachable: single letters are Lyndon")
-
-
-def lyndon_bracketing(w: Word) -> BracketExpr:
-    """Standard bracketing P_w of a Lyndon word."""
-    if not is_lyndon(w):
-        raise ValueError(f"{w} is not a Lyndon word")
-    if len(w) == 1:
-        return gen(w[0])
-    u, v = std_factorization(w)
-    return br(lyndon_bracketing(u), lyndon_bracketing(v))
 
 
 @lru_cache(maxsize=None)
@@ -242,30 +194,6 @@ class FreeLieElement(Record):
             parts.append(("- " if c < 0 else "+ ") + piece)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-Combination = Iterable[tuple["Fraction", BracketExpr]]
-
-
-def expand_to_lyndon(e: "BracketExpr | Combination") -> FreeLieElement:
-    """Lyndon normal form of a bracket expression or linear combination.
-
-    The tensor sum is taken over the coefficients' common denominator
-    ``scale``, so it stays integral.  Its cache of P_w expansions
-    (``_lyndon_tensor``) is unbounded and lives as long as the process."""
-    from fractions import Fraction
-
-    from .exactla import rational
-
-    combination = [(Fraction(1), e)] if isinstance(e, BracketExpr) else [
-        (rational(coeff), expr) for coeff, expr in e]
-    scale = math.lcm(*(coeff.denominator for coeff, _ in combination))
-    tensor: dict[Word, int] = {}
-    for coeff, expr in combination:
-        _tensor_add_into(tensor, tensor_expansion(expr),
-                         coeff.numerator * (scale // coeff.denominator))
-    return FreeLieElement.from_dict(
-        {w: Fraction(c, scale) for w, c in _lyndonize(tensor).items()})
 
 
 # -- the degree-(i+1) commutator identity ----------------------------------
@@ -372,7 +300,7 @@ def _unpack(w: int, width: int) -> Word:
 
 
 def _initial_words(e: BracketExpr) -> dict[Word, int]:
-    """The x_1-initial words of ``tensor_expansion(e)``, as letter tuples."""
+    """The x_1-initial words of e's tensor expansion, as letter tuples."""
     width = _width(e)
     return {_unpack(w, width): c for w, c in _packed([(1, e)], width).items()}
 

@@ -9,7 +9,10 @@ same columns.  The table is stored once, as ``int`` numerators
 over D, the lcm of the denominators: equality, hashing, the Jacobi check,
 the brackets, the central series and the adapted table read only these.
 ``int`` input stays ``int``: ``Fraction`` appears only in rational
-input, ``table``, ``bracket``, ``_adapted``'s entries and the upper series.
+input, ``table``, ``bracket``, the upper series and the entries of an
+adapted table that differs from its input.  ``bracket`` (dense),
+``minimal_generators`` and ``quotient_algebra`` are public references
+that no command calls.
 """
 
 from __future__ import annotations
@@ -276,13 +279,19 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
     ``scale`` being the factor the integer image carries.  The filtration
     must be central (each [e_a, e_b] in the layer after b's), or the
     series is not the lower central one and L is not nilpotent.  When
-    every row is the unit vector of its own slot, L is returned itself;
-    otherwise the constructor checks Jacobi again on the rewritten table.
+    every row is the unit vector of its own slot, L is returned itself
+    and its centrality is read off the least target of each integer
+    entry; otherwise the constructor checks Jacobi again on the
+    rewritten table.
     """
     rows = [row for outer, inner in zip(lower, lower[1:])
             for row in outer.quotient_basis_rows(inner)]
     bound = [L.dim - inner.dim for outer, inner in zip(lower, lower[1:])
              for _ in range(outer.dim - inner.dim)]
+    if all(row == {t: 1} for t, row in enumerate(rows)):
+        if any(entry[0][0] < bound[b] for (_, b), entry in L._ints.items()):
+            raise _stall(L)
+        return L  # the input basis is already adapted: the same table
     slot = {min(row): t for t, row in enumerate(rows)}
     lead = [row[min(row)] for row in rows]
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -298,8 +307,6 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
         if entry and min(entry) < bound[b]:
             raise _stall(L)
         table[(a, b)] = entry
-    if all(row == {t: 1} for t, row in enumerate(rows)):
-        return L  # the input basis is already adapted: the same table
     return LieAlgebra(L.dim, table, name="adapted")
 
 

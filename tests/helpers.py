@@ -1,10 +1,13 @@
 """Helpers that only the tests use: spans of dense vectors and
-membership, basis changes, generated algebras, the Witt numbers, the
-Betti numbers of the whole complex and the small nilpotent algebras.
-Every test module imports what it shares from here, never from another
-test module."""
+membership, the free-Lie references (normed brackets, tensor expansion,
+Lyndon bracketing and normal form), basis changes, generated algebras,
+the Witt numbers, the Betti numbers of the whole complex and the small
+nilpotent algebras.  Every test module imports what it shares from
+here, never from another test module."""
 
 import itertools
+import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb
 
@@ -12,7 +15,9 @@ import sympy
 from hypothesis import strategies as st
 
 from nilmult.catalog import build, parse_file, serialize
-from nilmult.exactla import DimensionMismatch, Subspace, _echelon, _integral, _null_rows, _sparse, vector
+from nilmult.exactla import DimensionMismatch, Subspace, _echelon, _integral, _null_rows, _sparse, rational, vector
+from nilmult.free_lie import (BracketExpr, FreeLieElement, Word, _lyndonize, _tensor_add_into,
+                              _tensor_bracket, br, gen, is_lyndon, std_factorization)
 from nilmult.lie_core import LieAlgebra, _lower_series, product_space, quotient_algebra, upper_series
 
 
@@ -34,6 +39,71 @@ def contains(space, v):
 
 def contains_subspace(space, other):
     return not any(space.residual(row) for row in other.rows)
+
+
+# -- free-Lie references ------------------------------------------------------
+#
+# No command reaches these; the tests compare the free-Lie layer against them.
+
+def _as_expr(x) -> BracketExpr:
+    return x if isinstance(x, BracketExpr) else gen(int(x))
+
+
+def left_normed(xs: Sequence) -> BracketExpr:
+    """[...[[x1, x2], x3], ..., xk] — brackets nested to the left."""
+    if not xs:
+        raise ValueError("left_normed needs at least one factor")
+    acc = _as_expr(xs[0])
+    for x in xs[1:]:
+        acc = br(acc, _as_expr(x))
+    return acc
+
+
+def right_normed(xs: Sequence) -> BracketExpr:
+    """[x1, [x2, [..., [x_{k-1}, xk]]]] — brackets nested to the right."""
+    if not xs:
+        raise ValueError("right_normed needs at least one factor")
+    acc = _as_expr(xs[-1])
+    for x in reversed(xs[:-1]):
+        acc = br(_as_expr(x), acc)
+    return acc
+
+
+def tensor_expansion(e: BracketExpr) -> dict[Word, int]:
+    """Image of the expression in the tensor algebra (integer coefficients)."""
+    if e.is_generator:
+        return {(e.symbol,): 1}
+    return _tensor_bracket(tensor_expansion(e.left), tensor_expansion(e.right))
+
+
+def lyndon_bracketing(w: Word) -> BracketExpr:
+    """Standard bracketing P_w of a Lyndon word."""
+    if not is_lyndon(w):
+        raise ValueError(f"{w} is not a Lyndon word")
+    if len(w) == 1:
+        return gen(w[0])
+    u, v = std_factorization(w)
+    return br(lyndon_bracketing(u), lyndon_bracketing(v))
+
+
+Combination = Iterable[tuple[Fraction, BracketExpr]]
+
+
+def expand_to_lyndon(e: "BracketExpr | Combination") -> FreeLieElement:
+    """Lyndon normal form of a bracket expression or linear combination.
+
+    The tensor sum is taken over the coefficients' common denominator
+    ``scale``, so it stays integral.  Its cache of P_w expansions
+    (``_lyndon_tensor``) is unbounded and lives as long as the process."""
+    combination = [(Fraction(1), e)] if isinstance(e, BracketExpr) else [
+        (rational(coeff), expr) for coeff, expr in e]
+    scale = math.lcm(*(coeff.denominator for coeff, _ in combination))
+    tensor: dict[Word, int] = {}
+    for coeff, expr in combination:
+        _tensor_add_into(tensor, tensor_expansion(expr),
+                         coeff.numerator * (scale // coeff.denominator))
+    return FreeLieElement.from_dict(
+        {w: Fraction(c, scale) for w, c in _lyndonize(tensor).items()})
 
 
 def counted_calls(monkeypatch, owner, name):

@@ -1,9 +1,8 @@
 import pytest
 
-from helpers import contains, is_zero_vector
+from helpers import is_zero_vector
 
 from nilmult.catalog import build, default_manifest
-from nilmult.exactla import vector
 from nilmult.analysis import (
     RangeError,
     VerificationFailure,
@@ -18,7 +17,6 @@ from nilmult.analysis import (
     rai_bound,
     rai_refined,
     verify_theorem,
-    witness_commutator,
     yankosky_closed,
 )
 from nilmult.free_lie import lemma31_term_pairs
@@ -186,27 +184,6 @@ def test_kernel_invariants(spec):
 @pytest.mark.parametrize("spec", NONABELIAN_SMALL)
 def test_eq3_exact(spec):
     assert eq3_consistency(build(spec))
-
-
-def test_witness_commutator_h3():
-    expr, value = witness_commutator(build("heisenberg:1"), 2)
-    assert str(expr) == "[x1, x2]"
-    assert value == vector([0, 0, 1])
-
-
-def test_witness_commutator_filiform4():
-    L = build("filiform:4")
-    _, value = witness_commutator(L, 3)
-    prof = series_profile(L)
-    assert contains(prof.gamma(3), value)
-    assert not contains(prof.gamma(4), value)
-
-
-def test_witness_commutator_range():
-    with pytest.raises(RangeError):
-        witness_commutator(build("heisenberg:1"), 3)
-    with pytest.raises(RangeError):
-        witness_commutator(build("heisenberg:1"), 1)
 
 
 def test_witness_search_failure_is_a_check_failure():

@@ -15,7 +15,6 @@ from nilmult.exactla import (
     _sparse,
     basis_vector,
     kernel_basis,
-    rank,
     rref,
     vector,
 )
@@ -95,7 +94,7 @@ def _check_against_sympy(m, space):
         for j in range(m.cols):
             x = expected[i, j]
             assert echelon.entries[i][j] == Fraction(int(x.p), int(x.q)), (i, j)
-    assert r == rank(m) == _sympy(m).rank() == len(pivots)
+    assert r == _sympy(m).rank() == len(pivots)
     assert space.pivots == tuple(pivots)
     _check_rows(space)
     assert space.basis.entries == echelon.entries[:r]
@@ -163,17 +162,17 @@ def test_rref_idempotent(m):
 @given(matrices())
 @settings(max_examples=60)
 def test_rank_transpose(m):
-    assert rank(m) == rank(Matrix.from_rows(zip(*m.entries), cols=m.rows))
+    assert rref(m)[1] == rref(Matrix.from_rows(zip(*m.entries), cols=m.rows))[1]
 
 
 @given(matrices())
 @settings(max_examples=60)
 def test_kernel_dimension(m):
-    assert kernel_basis(m).dim + rank(m) == m.cols
+    assert kernel_basis(m).dim + rref(m)[1] == m.cols
 
 
 def test_kernel_of_identity_is_zero():
-    assert kernel_basis(Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).is_zero
+    assert kernel_basis(Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).dim == 0
 
 
 def test_kernel_of_zero_is_full():

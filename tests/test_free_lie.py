@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _witt, is_zero_vector
+from helpers import (
+    _witt,
+    expand_to_lyndon,
+    is_zero_vector,
+    left_normed,
+    lyndon_bracketing,
+    right_normed,
+    tensor_expansion,
+)
 
 from nilmult import free_lie
 from nilmult.catalog import SpecError, freenil
@@ -18,21 +26,17 @@ from nilmult.free_lie import (
     _initial_words,
     _lyndon_tensor,
     _lyndonize,
+    _symbols,
     _tensor_add_into,
     br,
     evaluate_in,
-    expand_to_lyndon,
     free_nilpotent,
     gen,
     is_lyndon,
-    left_normed,
     lemma31_expression,
     lemma31_term_pairs,
-    lyndon_bracketing,
     lyndon_words,
-    right_normed,
     std_factorization,
-    tensor_expansion,
     verify_lemma31,
 )
 from nilmult.lie_core import LieAlgebra, series_profile
@@ -151,6 +155,15 @@ def test_lyndon_bracketing_triangular():
         assert all(u >= w for u in t)
 
 
+def test_lyndon_tensor_is_the_expansion_of_the_standard_bracketing():
+    # free_nilpotent brackets the cached expansions of P_w; the reference
+    # expands the whole bracket tree of each word
+    words = lyndon_words(3, 6)
+    assert len(words) == sum(_witt(3, k) for k in range(1, 7))
+    for w in words:
+        assert _lyndon_tensor(w) == tensor_expansion(lyndon_bracketing(w)), w
+
+
 def test_lyndonize_rejects_non_lie_input():
     with pytest.raises(NotALieElement):
         _lyndonize({(1, 1): Fraction(1)})
@@ -205,7 +218,7 @@ def test_expression_term_count(i):
     assert len(lemma31_expression(i)) == i + 1
     for coeff, expr in lemma31_expression(i):
         assert coeff == 1
-        assert expr.degree == i + 1
+        assert len(_symbols(expr)) == i + 1
 
 
 def test_expression_arity_below_three_rejected():
@@ -516,14 +529,14 @@ def test_expand_keeps_rational_coefficients():
     assert e.terms == (((1, 2), Fraction(1, 6)), ((1, 1, 2), Fraction(-3, 4)))
 
 
-@given(bracket_trees().filter(lambda e: e.degree >= 2), st.data())
+@given(bracket_trees().filter(lambda e: not e.is_generator), st.data())
 @settings(max_examples=200, deadline=None)
 def test_lyndonize_rejects_perturbed_lie_element(e, data):
     # a homogeneous Lie polynomial of degree >= 2 has coefficient sum 0
     # (send every generator to one commuting variable), so adding c*w with
     # c != 0 and len(w) = degree leaves the free Lie algebra
-    tensor = tensor_expansion(e)
-    w = tuple(data.draw(st.lists(st.integers(1, 4), min_size=e.degree, max_size=e.degree)))
+    tensor, degree = tensor_expansion(e), len(_symbols(e))
+    w = tuple(data.draw(st.lists(st.integers(1, 4), min_size=degree, max_size=degree)))
     c = data.draw(st.integers(-3, 3).filter(bool))
     tensor[w] = tensor.get(w, 0) + c
     with pytest.raises(NotALieElement):

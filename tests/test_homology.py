@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     central_extensions,
     counted_calls,
     generated_algebras,
+    lyndon_bracketing,
     nilpotent_classes,
     unimodular,
 )
@@ -24,7 +26,7 @@ from nilmult.analysis import verify_theorem
 from nilmult.catalog import DIM_GUARD, build, default_manifest, serialize
 from nilmult.cli import main
 from nilmult.exactla import basis_vector
-from nilmult.free_lie import evaluate_in, free_nilpotent, lyndon_bracketing, lyndon_words
+from nilmult.free_lie import evaluate_in, free_nilpotent, lyndon_words
 from nilmult.homology import d2_matrix, d3_matrix, exterior_basis, multiplier_dim
 from nilmult.lie_core import JacobiViolation, LieAlgebra, direct_sum, series_profile
 
@@ -395,6 +397,17 @@ def test_an_adapted_basis_is_kept():
     dense = _change_basis(L, _seeded_unimodular(7, random.Random(1)))
     adapted = series_profile(dense).adapted
     assert adapted is not dense and adapted != dense
+
+
+@pytest.mark.parametrize("spec", ["filiform:64", "freenil:2,7", "heisenberg:31"])
+def test_an_adapted_basis_is_kept_without_a_fraction(spec, monkeypatch):
+    # the centrality certificate reads the integer entries of an adapted
+    # input; no rewritten entry is built for a table that is kept
+    L = build(spec)
+    made = counted_calls(monkeypatch, Fraction, "__new__")
+    assert series_profile.__wrapped__(L).adapted is L
+    monkeypatch.undo()
+    assert made == []
 
 
 def test_a_failed_check_is_not_memoised():

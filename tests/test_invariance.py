@@ -39,15 +39,15 @@ from helpers import (
 
 from nilmult.analysis import (
     PsiWitness,
+    _witness_tuple,
     psi_witnesses,
     rai_bound,
     rai_refined,
     verify_theorem,
-    witness_commutator,
 )
 from nilmult.catalog import build, default_manifest, parse_file, serialize
-from nilmult.exactla import Matrix, Subspace, basis_vector, rank
-from nilmult.free_lie import evaluate_in, left_normed, lemma31_term_pairs
+from nilmult.exactla import Matrix, Subspace, basis_vector, rref
+from nilmult.free_lie import evaluate_in, lemma31_term_pairs
 from nilmult.homology import _quotient_dims, multiplier_dim
 from nilmult.lie_core import _d3_columns, minimal_generators, product_space, quotient_algebra, series_profile
 
@@ -86,7 +86,7 @@ def _check_lower_series(L):
     every gamma_i bracketed with the whole algebra."""
     full = Subspace.full(L.dim)
     reference = [full]
-    while not reference[-1].is_zero:
+    while reference[-1].dim:
         reference.append(product_space(L, reference[-1], full))
     lower = series_profile(L).lower
     assert [(g.rows, g.pivots) for g in lower] == [(g.rows, g.pivots) for g in reference]
@@ -146,7 +146,7 @@ def _reference_witness_tuple(L, i, prof, gens):
         for t in tup[1:]:
             value = L.bracket(value, gens[t - 1])
         if not contains(prof.gamma(i + 1), value):
-            return left_normed(tup), value, tup
+            return tup
     raise AssertionError(f"{L.name}: no weight-{i} witness commutator")
 
 
@@ -156,7 +156,7 @@ def _reference_psi_witnesses(L, i):
     prof = series_profile(L)
     n, m = L.dim, prof.derived_dim
     gens = minimal_generators(L)
-    _, _, y = _reference_witness_tuple(L, i, prof, gens)
+    y = _reference_witness_tuple(L, i, prof, gens)
     z = tuple(g for g in range(1, len(gens) + 1) if g not in set(y))[:n - m - i]
     gi, gi1, gi2 = prof.gamma(i), prof.gamma(i + 1), prof.gamma(i + 2)
     q = gi.dim - gi1.dim
@@ -179,7 +179,7 @@ def _reference_psi_witnesses(L, i):
                              Fraction(0))
                          for r in range(gi1.dim - gi2.dim))
                    for tensor in tensors)
-    independence = rank(Matrix.from_rows(tensors, cols=(n - m) * q)) if tensors else 0
+    independence = rref(Matrix.from_rows(tensors, cols=(n - m) * q))[1] if tensors else 0
     return PsiWitness(i=i, y=y, z=z, tensors=tuple(tensors),
                       independence_rank=independence, bracket_images=images)
 
@@ -190,8 +190,7 @@ def _check_witnesses(L):
     n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
     gens = minimal_generators(L)
     for i in range(2, c + 1):
-        expr, value, _ = _reference_witness_tuple(L, i, prof, gens)
-        assert witness_commutator(L, i) == (expr, value)
+        assert _witness_tuple(L, i, prof) == _reference_witness_tuple(L, i, prof, gens)
     for i in range(2, min(n - m, c) + 1):
         assert psi_witnesses(L, i) == _reference_psi_witnesses(L, i)
 

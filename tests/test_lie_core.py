@@ -317,13 +317,13 @@ def test_product_space_of_h3():
 
 def test_product_space_with_zero():
     L = h3()
-    assert product_space(L, Subspace.zero(3), Subspace.full(3)).is_zero
+    assert product_space(L, Subspace.zero(3), Subspace.full(3)).dim == 0
 
 
 def test_product_space_abelian():
     L = LieAlgebra(3, {})
     full = Subspace.full(3)
-    assert product_space(L, full, full).is_zero
+    assert product_space(L, full, full).dim == 0
 
 
 def test_series_profile_abelian():
@@ -338,7 +338,7 @@ def test_series_profile_h3():
     assert prof.nilpotency_class == 2
     assert prof.derived_dim == 1
     assert prof.gamma(2) == span(3, [[0, 0, 1]])
-    assert prof.gamma(3).is_zero
+    assert prof.gamma(3).dim == 0
 
 
 def test_series_profile_filiform4():
@@ -353,7 +353,7 @@ def test_upper_series_matches_lower_length():
         upper = upper_series(L)
         assert len(upper) == len(series_profile(L).lower)
         assert upper[-1].dim == L.dim
-        assert upper[0].is_zero
+        assert upper[0].dim == 0
 
 
 def test_center_of_h3():
@@ -416,7 +416,7 @@ def _check_upper_series(L):
             for j in range(n):
                 assert contains(zk, L.bracket(x, basis_vector(n, j))), (L.name, k, j)
         # x is in Z_{k+1} iff every functional vanishing on Z_k kills each [x, e_j]
-        if zk.is_zero:
+        if zk.dim == 0:
             ann = sympy.eye(n)
         else:
             ann = sympy.Matrix.hstack(*_sympy_rows(zk.basis.entries).nullspace()).T

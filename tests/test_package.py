@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import types
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import nilmult
+
+SRC = Path(nilmult.__file__).resolve().parent
 
 LAYERS = ("analysis", "catalog", "cli", "exactla", "free_lie", "homology", "lie_core",
           "record")
@@ -70,3 +73,40 @@ def test_every_name_the_benchmark_traces_exists():
         if obj is None:
             missing.append(f"nilmult.{layer}.{dotted}")
     assert not missing, "perfbench needs " + ", ".join(missing)
+
+
+# Public names that nothing in src/ references, each with its reason.
+KEPT = {
+    "rref": "perfbench/tracer.py wraps it; the exact RREF of a Matrix",
+    "kernel_basis": "perfbench/tracer.py wraps it; the null space of a Matrix",
+    "d2_matrix": "perfbench/tracer.py wraps it; the dense view of d2",
+    "d3_matrix": "perfbench/tracer.py wraps it; the dense view of d3",
+    "eq3_consistency": "perfbench/tracer.py wraps it; the telescoping identity alone",
+    "minimal_generators": "perfbench/tracer.py wraps it; lifts of a basis of L/γ₂",
+    "quotient_algebra": "perfbench/tracer.py wraps it; the quotient by any ideal",
+    "serialize": "the documented .lie writer, the inverse of parse_file",
+}
+
+
+def _references():
+    """Every name read in src/nilmult, as a variable or an attribute,
+    outside the top-level definition of that same name."""
+    seen = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else (
+                    sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name is not None and name != own:
+                    seen.add(name)
+    return seen
+
+
+def test_every_public_name_is_reached_or_kept_for_a_reason():
+    references = _references()
+    unreached = sorted(set(nilmult.__all__) - references - set(KEPT))
+    assert not unreached, "public but referenced nowhere in src/: " + ", ".join(unreached)
+    stale = sorted(name for name in KEPT
+                   if name not in nilmult.__all__ or name in references)
+    assert not stale, "kept without need: " + ", ".join(stale)

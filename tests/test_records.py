@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import span
+from helpers import expand_to_lyndon, span
 
 from nilmult.analysis import (
     BoundReport,
@@ -24,7 +24,7 @@ from nilmult.analysis import (
 )
 from nilmult.catalog import build
 from nilmult.exactla import DimensionMismatch, Matrix, Subspace
-from nilmult.free_lie import BracketExpr, FreeLieElement, br, expand_to_lyndon, gen
+from nilmult.free_lie import BracketExpr, FreeLieElement, br, gen
 from nilmult.homology import MultiplierResult, multiplier_dim
 from nilmult.lie_core import SeriesProfile, series_profile
 
