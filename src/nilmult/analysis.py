@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb
 
 from .exactla import Subspace, _dense, _echelon
-from .homology import _quotient_dims, multiplier_dim
+from .homology import _quotient_dims
 from .lie_core import LieAlgebra, SeriesProfile, _upper_step, series_profile
 from .record import Record
 
@@ -130,7 +130,7 @@ def bound_report(L: LieAlgebra) -> BoundReport:
     """Assemble the full bound comparison for one algebra."""
     prof = series_profile(L)
     n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
-    dim_m = multiplier_dim(prof.adapted).dim_M
+    dim_m = _quotient_dims(prof.adapted, [n])[0]
     values: dict[str, int | None] = {
         "batten": batten(n),
         "hardy_stitzinger": hardy_stitzinger(n, m),

@@ -10,10 +10,10 @@ are built from the integer table, D times the rational one, which keeps
 their ranks.  The columns of d2 are the table entries; those of d3 are
 ``lie_core._d3_columns``, keyed by triple, with e_s ∧ e_t (s < t) as row
 C(t,2) + s, its colex index, built and checked (d2∘d3 = 0, the Jacobi
-identity) when the algebra is constructed, kept as ``L._d3`` and read
-here, never modified.  Each is echelonised once per algebra by the integer
-kernel of ``exactla``, and each rank is a pivot count.  Colex rows make
-quotients by trailing ideals leading blocks (``_quotient_dims``).  The
+identity) when the algebra is constructed, kept as ``L._d3`` and read here,
+never modified.  Each is echelonised once per algebra by the integer kernel
+of ``exactla`` (``L._pivots``), and each rank is a pivot count.  Colex rows
+make quotients by trailing ideals leading blocks (``_quotient_dims``).  The
 dense rational matrices are views in lexicographic exterior bases."""
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactla import Matrix, _echelon
+from .exactla import Matrix
 from .lie_core import LieAlgebra
 from .record import Record
 
@@ -71,21 +71,16 @@ def d3_matrix(L: LieAlgebra) -> Matrix:
     return _dense_view(columns, len(row), len(column), L._scale)
 
 
-@lru_cache(maxsize=None)
-def _pivots(L: LieAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Pivot columns of the d2 and the d3 echelon."""
-    return tuple(_echelon(L._ints.values())), tuple(_echelon(L._d3.values()))
-
-
 def _quotient_dims(L: LieAlgebra, cuts: list[int]) -> list[int]:
     """dim M(L/⟨e_k, …, e_{n−1}⟩) for each k in ``cuts``, each span an ideal."""
-    d2, d3 = _pivots(L)
+    d2, d3 = L._pivots
     return [comb(k, 2) - sum(p < k for p in d2) - sum(p < comb(k, 2) for p in d3) for k in cuts]
 
 
+# No analysis entry calls this; the cache stays for perfbench/run.py's cache_info().
 @lru_cache(maxsize=None)
 def multiplier_dim(L: LieAlgebra) -> MultiplierResult:
     """dim M(L) = C(n,2) − rank(d2) − rank(d3), all exact."""
-    d2, d3 = _pivots(L)
+    d2, d3 = L._pivots
     return MultiplierResult(n=L.dim, rank_d2=len(d2), rank_d3=len(d3),
                             dim_M=comb(L.dim, 2) - len(d2) - len(d3))

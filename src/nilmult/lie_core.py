@@ -3,16 +3,17 @@
 A bracket table stores [e_i, e_j] for i < j only; the diagonal and the
 lower triangle follow from antisymmetry.  The constructor builds the d3
 boundary columns (``_d3_columns``) and checks the Jacobi identity on them
-as d2∘d3 = 0, so every live ``LieAlgebra`` value is an actual Lie
-algebra; it keeps them (``_d3``), and ``homology``'s rank reads those
-same columns.  The table is stored once, as ``int`` numerators
-over D, the lcm of the denominators: equality, hashing, the Jacobi check,
-the brackets, the central series and the adapted table read only these.
-``int`` input stays ``int``: ``Fraction`` appears only in rational
-input, ``table``, ``bracket``, the upper series and the entries of an
-adapted table that differs from its input.  ``bracket`` (dense),
-``minimal_generators`` and ``quotient_algebra`` are public references
-that no command calls.
+as d2∘d3 = 0, so every live ``LieAlgebra`` value is an actual Lie algebra;
+it keeps them (``_d3``) with, from first use, their echelon pivots and the
+series profile (``_pivots``, ``_profile``), and ``homology``'s rank reads
+those same columns.  The table is stored once, as ``int`` numerators over
+D, the lcm of the denominators: equality, hashing, the Jacobi check, the
+brackets, the central series and the adapted table read only these.
+``int`` input stays ``int``: ``Fraction`` appears only in rational input,
+``table``, ``bracket``, the upper series and the entries of an adapted
+table that differs from its input.  ``bracket`` (dense),
+``minimal_generators`` and ``quotient_algebra`` are public references that
+no command calls.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import math
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .exactla import (
     DimensionMismatch,
@@ -112,6 +113,18 @@ class LieAlgebra:
     @property
     def is_abelian(self) -> bool:
         return not self._ints
+
+    @cached_property
+    def _profile(self) -> SeriesProfile:
+        lower = _lower_series(self)
+        m = lower[1].dim if len(lower) > 1 else 0
+        return SeriesProfile(lower=lower, nilpotency_class=len(lower) - 1, derived_dim=m,
+                             gen_count=self.dim - m, adapted=_adapted(self, lower))
+
+    @cached_property
+    def _pivots(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Pivot columns of the d2 and the d3 echelon, for ``homology``'s ranks."""
+        return tuple(_echelon(self._ints.values())), tuple(_echelon(self._d3.values()))
 
     # -- bracket ---------------------------------------------------------
 
@@ -310,19 +323,10 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
     return LieAlgebra(L.dim, table, name="adapted")
 
 
-@lru_cache(maxsize=None)
 def series_profile(L: LieAlgebra) -> SeriesProfile:
-    """The lower central series, the (n, m, c) bookkeeping and the adapted table.
-
-    Cached per algebra: LieAlgebra hashes by structure, and the profile
-    carries no name.
-    """
-    lower = _lower_series(L)
-    c = len(lower) - 1
-    m = lower[1].dim if len(lower) > 1 else 0
-    return SeriesProfile(lower=lower, nilpotency_class=c,
-                         derived_dim=m, gen_count=L.dim - m,
-                         adapted=_adapted(L, lower))
+    """The lower central series, the (n, m, c) bookkeeping and the adapted
+    table, computed on first use and kept on L as ``L._profile``."""
+    return L._profile
 
 
 def minimal_generators(L: LieAlgebra) -> list[Vector]:

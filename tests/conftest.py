@@ -1,16 +1,15 @@
-"""A time limit on every test call and on every module's collection, so
-that a loop that never ends fails instead of hanging the run.
+"""A time limit on every test and on every module's collection, so that a
+loop that never ends stops the run instead of hanging it.
 
 The limit is far above the slowest test (a few seconds).  It uses
-``SIGALRM``, so it applies only where that signal exists (POSIX).  The
-alarm fails the test, or the module's collection, through
-``pytest.fail``, whose exception is not an ``Exception``: a
-``TimeoutError`` raised inside ``cli.main`` would be caught there and
-turned into exit 3.  Hypothesis, though, takes that failure for a
-falsifying example and runs the test again to shrink it, so a call still
-running ``GRACE_S`` later ends the whole run with a ``KeyboardInterrupt``
-that names the test: neither ``cli.main`` nor hypothesis catches one, and
-pytest stops at once and exits 2.
+``SIGALRM``, so it applies only where that signal exists (POSIX).  One
+alarm covers a test's whole protocol: setup, call and teardown, so a
+fixture's loop is caught too.  Another covers a module's collection, when
+its top level (corpora, parameter lists) runs.  The alarm raises a
+``KeyboardInterrupt`` that names the test or the module: neither
+``cli.main``, which catches ``Exception``, nor hypothesis catches one, so
+pytest stops at once and exits 2.  A time-out thus ends the run; a
+looping mutant costs one limit, not one per test.
 """
 
 import contextlib
@@ -19,12 +18,18 @@ import signal
 import pytest
 
 TIME_LIMIT_S = 120
-GRACE_S = 5
 
 
 @contextlib.contextmanager
-def _alarm(handler):
-    previous = signal.signal(signal.SIGALRM, handler)
+def _alarm(what):
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise KeyboardInterrupt(f"{what} ran past its {TIME_LIMIT_S} s limit; run stopped")
+
+    previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
     try:
         yield
@@ -34,33 +39,15 @@ def _alarm(handler):
 
 
 @pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    if not hasattr(signal, "SIGALRM"):
-        yield
-        return
-
-    def expire(signum, frame):
-        signal.signal(signal.SIGALRM, stop)
-        signal.setitimer(signal.ITIMER_REAL, GRACE_S)
-        pytest.fail(f"test call ran past {TIME_LIMIT_S} s", pytrace=False)
-
-    def stop(signum, frame):
-        raise KeyboardInterrupt(f"{item.nodeid} still ran {GRACE_S} s after its "
-                                f"{TIME_LIMIT_S} s limit failed it; run stopped")
-
-    with _alarm(expire):
+def pytest_runtest_protocol(item, nextitem):
+    with _alarm(item.nodeid):
         yield
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_make_collect_report(collector):
-    # a module's top level (corpora, parameter lists) runs while it is collected
-    if not (isinstance(collector, pytest.Module) and hasattr(signal, "SIGALRM")):
+    if not isinstance(collector, pytest.Module):
         yield
         return
-
-    def expire(signum, frame):
-        pytest.fail(f"collecting {collector.nodeid} ran past {TIME_LIMIT_S} s", pytrace=False)
-
-    with _alarm(expire):
+    with _alarm(f"collecting {collector.nodeid}"):
         yield

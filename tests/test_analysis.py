@@ -1,7 +1,13 @@
+import gc
+import random
+import tracemalloc
+import weakref
+
 import pytest
 
-from helpers import is_zero_vector
+from helpers import _change_basis, _seeded_unimodular, counted_calls, is_zero_vector
 
+from nilmult import catalog, lie_core
 from nilmult.catalog import build, default_manifest
 from nilmult.analysis import (
     RangeError,
@@ -314,8 +320,33 @@ def test_verify_theorem_reuses_kernel_rows(spec):
     assert verification.yankosky_step_bound == expected, spec
 
 
-def test_verify_theorem_computes_series_once():
-    L = build("freenil:3,3")
-    series_profile.cache_clear()
+def test_verify_theorem_computes_series_once(monkeypatch):
+    L = catalog._build("freenil:3,3")
+    lowers = counted_calls(monkeypatch, lie_core, "_lower_series")
     verify_theorem(L)
-    assert series_profile.cache_info().misses == 1
+    assert lowers == [L]
+
+
+def test_analysed_algebras_are_freed_with_their_profiles():
+    # the profile and the pivots live on the algebra and go with it; an
+    # adapted input's profile holds the input itself, a cycle gc frees
+    source = build("heisenberg:8")
+    rng = random.Random(1)
+    copies = [_change_basis(source, _seeded_unimodular(source.dim, rng)) for _ in range(10)]
+    adapted = LieAlgebra(source.dim, source.table)
+    assert series_profile(adapted).adapted is adapted
+    freed = weakref.ref(adapted)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for L in copies:
+            assert series_profile(L).adapted is not L
+            bound_report(L)
+            ker_lambda_dims(L)
+        del copies, L, adapted
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed() is None
+    assert kept < 0.25 * 2**20, f"{kept / 2**20:.2f} MB kept"

@@ -261,7 +261,6 @@ def test_integer_inputs_create_no_fraction(monkeypatch):
         calls.append(args)
         return new(cls, *args, **kwargs)
 
-    homology._pivots.cache_clear()
     free_lie._lyndon_tensor.cache_clear()
     monkeypatch.setattr(Fraction, "__new__", counting)
     algebras = [freenil(2, 5), filiform(12), heisenberg(4), parse_file(text)]

@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from nilmult import analysis, cli, free_lie, homology, lie_core
+from nilmult import analysis, catalog, cli, free_lie, homology, lie_core
 from nilmult.analysis import VerificationFailure, bound_report
 from nilmult.catalog import build, default_manifest
 from nilmult.cli import main
-from nilmult.lie_core import series_profile
 
 DATA = Path(__file__).parent / "data"
 
@@ -108,7 +107,7 @@ def _no_upper_step(L, Z):
 def test_commands_without_a_centre_skip_upper_step(capsys, monkeypatch, command):
     # Only info (upper series) and rai_refined (centre) call _upper_step.
     _, expected, _ = run_cli(capsys, command, "filiform:5")
-    series_profile.cache_clear()
+    catalog._build_cached.cache_clear()  # a new algebra, its profile not yet computed
     monkeypatch.setattr(lie_core, "_upper_step", _no_upper_step)
     monkeypatch.setattr(analysis, "_upper_step", _no_upper_step)
     assert run_cli(capsys, command, "filiform:5") == (0, expected, "")

@@ -21,7 +21,7 @@ from helpers import (
     unimodular,
 )
 
-from nilmult import catalog, homology, lie_core
+from nilmult import catalog, lie_core
 from nilmult.analysis import verify_theorem
 from nilmult.catalog import DIM_GUARD, build, default_manifest, serialize
 from nilmult.cli import main
@@ -341,12 +341,12 @@ def test_every_nilpotent_algebra_through_dimension_five():
             verify_theorem(L)  # raises on any failed check
 
 
-# -- The d3 columns: built and certified once per algebra -----------------------
+# -- The d3 columns, the pivots and the profile: built once per algebra ---------
 
 def _fresh_caches():
+    # the algebras are built again, so none has its pivots or profile yet
     catalog._build_cached.cache_clear()
-    for cached in (series_profile, homology._pivots, multiplier_dim):
-        cached.cache_clear()
+    multiplier_dim.cache_clear()
 
 
 def _column_builds(monkeypatch):
@@ -375,12 +375,25 @@ def test_kernel_of_a_dense_copy_builds_the_columns_twice(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("argv", [["verify", "corpus"], ["verify", "corpus", "--max-dim", "8"]])
 def test_verify_corpus_builds_each_algebras_columns_once(argv, monkeypatch, capsys):
-    # 79 algebras: the 70 specs and the adapted tables that differ from
-    # their source; --max-dim builds every spec first and changes nothing
+    # 89 algebras: the 70 specs and the 19 adapted tables that differ from
+    # their source, one per spec instance, since equal specs share no
+    # profile; --max-dim builds every spec first and changes nothing
     _fresh_caches()
     builds = _column_builds(monkeypatch)
     assert main(argv) == 0
-    assert len(builds) == len({id(L) for L in builds}) == 79
+    assert len(builds) == len({id(L) for L in builds}) == 89
+
+
+def test_verify_corpus_computes_each_specs_series_once(monkeypatch, capsys):
+    _fresh_caches()
+    lowers = counted_calls(monkeypatch, lie_core, "_lower_series")
+    assert main(["verify", "corpus"]) == 0
+    assert len(lowers) == len({id(L) for L in lowers}) == len(default_manifest()) == 70
+
+
+def test_the_profile_is_kept_on_the_algebra():
+    L = build("freenil:2,4")
+    assert series_profile(L) is series_profile(L) is L._profile
 
 
 def test_bounds_constructs_one_algebra(monkeypatch, capsys):
@@ -403,9 +416,9 @@ def test_an_adapted_basis_is_kept():
 def test_an_adapted_basis_is_kept_without_a_fraction(spec, monkeypatch):
     # the centrality certificate reads the integer entries of an adapted
     # input; no rewritten entry is built for a table that is kept
-    L = build(spec)
+    L = catalog._build(spec)  # a new algebra, its profile not yet computed
     made = counted_calls(monkeypatch, Fraction, "__new__")
-    assert series_profile.__wrapped__(L).adapted is L
+    assert series_profile(L).adapted is L
     monkeypatch.undo()
     assert made == []
 
@@ -426,10 +439,9 @@ def test_ranking_leaves_the_shared_columns_as_built(seed, monkeypatch):
     # a dense copy, so the echelon cancels inside the columns it is given
     source = build("freenil:2,4")
     L = _change_basis(source, _seeded_unimodular(source.dim, random.Random(seed)))
-    homology._pivots.cache_clear()
     shared = L._d3
     builds = _column_builds(monkeypatch)
-    homology._pivots(L)
+    L._pivots  # echelonises d2 and d3
     d3_matrix(L)
     assert builds == []
     assert L._d3 is shared

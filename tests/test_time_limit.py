@@ -1,5 +1,5 @@
-"""tests/conftest.py's time limit, on a copy of it with one-second limits
-run by a separate pytest over a module whose tests never end."""
+"""tests/conftest.py's time limit, on a copy of it with a one-second limit
+run by a separate pytest over a module that never ends."""
 
 import signal
 import subprocess
@@ -10,6 +10,7 @@ import pytest
 
 CONFTEST = Path(__file__).with_name("conftest.py").read_text()
 pytestmark = pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="the limit needs SIGALRM")
+LOOP = "    while True:\n        pass\n"
 
 
 def _pytest(tmp_path, module):
@@ -17,29 +18,41 @@ def _pytest(tmp_path, module):
     assert conftest != CONFTEST
     # hypothesis is imported with the conftest, so no import counts against
     # the one second that collecting the module may take
-    (tmp_path / "conftest.py").write_text(
-        "import hypothesis\n" + conftest.replace("GRACE_S = 5", "GRACE_S = 1"))
+    (tmp_path / "conftest.py").write_text("import hypothesis\n" + conftest)
     (tmp_path / "test_loops.py").write_text(module)
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+    return subprocess.run([sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
 
 
-def test_a_loop_fails_its_test_and_a_loop_under_hypothesis_ends_the_run(tmp_path):
-    # hypothesis takes the first alarm's failure for an example and shrinks it
+def _stopped_by(run, what):
+    assert run.returncode == 2, run.stdout
+    # scripts/mutants.py reads the test's name off this line
+    assert f"! KeyboardInterrupt: {what} ran past its 1 s limit; run stopped !" in run.stdout.splitlines()
+
+
+def test_a_loop_ends_the_run_before_the_next_test(tmp_path):
+    run = _pytest(tmp_path, "def test_loop():\n" + LOOP + "def test_next():\n    pass\n")
+    _stopped_by(run, "test_loops.py::test_loop")
+    assert "test_next" not in run.stdout
+
+
+def test_a_loop_under_hypothesis_ends_the_run(tmp_path):
+    # hypothesis would take a failure for an example and run it again to shrink it
     run = _pytest(tmp_path, (
         "from hypothesis import given, settings, strategies as st\n"
-        "def test_loop():\n    while True:\n        pass\n"
-        "def test_next():\n    pass\n"
         "@given(st.integers())\n@settings(deadline=None)\n"
-        "def test_shrunk(x):\n    while True:\n        pass\n"))
-    assert run.returncode == 2, run.stdout
-    assert "FAILED test_loops.py::test_loop - Failed: test call ran past 1 s" in run.stdout
-    assert ("KeyboardInterrupt: test_loops.py::test_shrunk still ran 1 s after its 1 s "
-            "limit failed it; run stopped") in run.stdout
-    assert "1 failed, 1 passed" in run.stdout
+        "def test_shrunk(x):\n" + LOOP))
+    _stopped_by(run, "test_loops.py::test_shrunk")
 
 
-def test_a_loop_at_a_modules_top_level_fails_its_collection(tmp_path):
+def test_a_loop_in_a_fixture_ends_the_run(tmp_path):
+    run = _pytest(tmp_path, (
+        "import pytest\n"
+        "@pytest.fixture(scope='module')\ndef looping():\n" + LOOP +
+        "def test_uses(looping):\n    pass\n"))
+    _stopped_by(run, "test_loops.py::test_uses")
+
+
+def test_a_loop_at_a_modules_top_level_ends_the_run(tmp_path):
     run = _pytest(tmp_path, "while True:\n    pass\n")
-    assert run.returncode == 2, run.stdout
-    assert "collecting test_loops.py ran past 1 s" in run.stdout
+    _stopped_by(run, "collecting test_loops.py")
