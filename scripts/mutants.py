@@ -5,8 +5,10 @@
 MUTANTS.json lists [file, old, new] triples, ``old`` found exactly once
 in ``file``.  Each mutant goes into a fresh temporary copy of the checkout
 (never the checkout), where ``pytest -x`` runs for at most TIMEOUT_S
-seconds (600).  Prints ``killed by`` its first failure, ``survived`` or
-``timeout`` per mutant.
+seconds (600), with ``src`` put in front of the caller's PYTHONPATH.
+Prints ``killed by`` its first failure, ``survived``, ``timeout`` or, for a
+nonzero exit that names no failure (pytest could not start, say),
+``error (exit N)`` per mutant.
 """
 
 import json, os, shutil, subprocess, sys, tempfile  # noqa: E401
@@ -27,16 +29,20 @@ def run(file: str, old: str, new: str, timeout: float) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         copy = shutil.copytree(ROOT, Path(tmp) / "tree", ignore=SKIP)
         (copy / file).write_text(mutate((copy / file).read_text(), old, new))
+        path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
         try:
             proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-                                  cwd=copy, env={**os.environ, "PYTHONPATH": "src"},
+                                  cwd=copy, env={**os.environ, "PYTHONPATH": path},
                                   capture_output=True, text=True, timeout=timeout)
         except subprocess.TimeoutExpired:
             return "timeout"
-    # a test the time limit stopped is named on the "! KeyboardInterrupt" line
+    # a test the time limit stopped is named on the "!!! KeyboardInterrupt" line,
+    # which pytest pads with as many "!" as the terminal width leaves (one at least)
     failed = [line for line in proc.stdout.splitlines()
-              if line.startswith(("FAILED", "ERROR", "! KeyboardInterrupt"))]
-    return f"killed by {(failed + [proc.returncode])[0]}" if proc.returncode else "survived"
+              if line.startswith(("FAILED", "ERROR")) or line.lstrip("!").startswith(" KeyboardInterrupt")]
+    if not proc.returncode:
+        return "survived"
+    return f"killed by {failed[0]}" if failed else f"error (exit {proc.returncode})"
 
 
 def main(argv: list[str]) -> int:

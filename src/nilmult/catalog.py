@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 from .lie_core import LieAlgebra, direct_sum
 
@@ -116,15 +115,9 @@ _SUMMAND_START = re.compile(
 
 
 def build(spec: str) -> LieAlgebra:
-    """Construct the algebra named by a spec string."""
+    """Construct a new algebra from a spec string, on every call; nothing
+    in the package keeps it but ``multiplier_dim``'s one entry."""
     spec = spec.strip()
-    if "file:" in spec:
-        # never cached, alone or as a summand: the file may change between calls
-        return _build(spec)
-    return _build_cached(spec)
-
-
-def _build(spec: str) -> LieAlgebra:
     head, sep, rest = spec.partition(":")
     if not sep:
         raise SpecError(f"spec {spec!r} is missing ':'")
@@ -152,9 +145,6 @@ def _build(spec: str) -> LieAlgebra:
     raise SpecError(f"unknown family {head!r} in spec {spec!r}")
 
 
-_build_cached = lru_cache(maxsize=None)(_build)
-
-
 # -- corpus ---------------------------------------------------------------------
 
 _SUM_COMPONENTS = (
@@ -174,19 +164,16 @@ def default_manifest(max_dim: int | None = None) -> tuple[str, ...]:
     are skipped as duplicates of plain abelian members.  ``max_dim``
     filters the final list by dimension.
     """
-    specs = [f"abelian:{n}" for n in range(1, 9)]
-    specs += [f"heisenberg:{k}" for k in (1, 2, 3)]
-    specs += [f"filiform:{n}" for n in range(3, 8)]
-    specs += ["freenil:2,2", "freenil:2,3", "freenil:2,4",
-              "freenil:3,2", "freenil:3,3"]
+    members = [f"abelian:{n}" for n in range(1, 9)]
+    members += [f"heisenberg:{k}" for k in (1, 2, 3)]
+    members += [f"filiform:{n}" for n in range(3, 8)]
+    members += ["freenil:2,2", "freenil:2,3", "freenil:2,4",
+                "freenil:3,2", "freenil:3,3"]
+    dims = {spec: build(spec).dim for spec in members}  # each sum component is a member
     for a, b in itertools.combinations_with_replacement(_SUM_COMPONENTS, 2):
-        if a.startswith("abelian") and b.startswith("abelian"):
-            continue
-        if build(a).dim + build(b).dim <= 8:
-            specs.append(f"dirsum:{a}+{b}")
-    if max_dim is not None:
-        specs = [s for s in specs if build(s).dim <= max_dim]
-    return tuple(sorted(specs))
+        if not (a.startswith("abelian") and b.startswith("abelian")) and dims[a] + dims[b] <= 8:
+            dims[f"dirsum:{a}+{b}"] = dims[a] + dims[b]
+    return tuple(sorted(spec for spec, dim in dims.items() if max_dim is None or dim <= max_dim))
 
 
 # -- .lie files -------------------------------------------------------------------

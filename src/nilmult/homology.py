@@ -77,8 +77,8 @@ def _quotient_dims(L: LieAlgebra, cuts: list[int]) -> list[int]:
     return [comb(k, 2) - sum(p < k for p in d2) - sum(p < comb(k, 2) for p in d3) for k in cuts]
 
 
-# No analysis entry calls this; the cache stays for perfbench/run.py's cache_info().
-@lru_cache(maxsize=None)
+# Only the multiplier command calls this, once; one entry keeps perfbench/run.py's cache_info().
+@lru_cache(maxsize=1)
 def multiplier_dim(L: LieAlgebra) -> MultiplierResult:
     """dim M(L) = C(n,2) − rank(d2) − rank(d3), all exact."""
     d2, d3 = L._pivots

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import _change_basis, _seeded_unimodular, counted_calls, is_zero_vector
 
-from nilmult import catalog, lie_core
+from nilmult import lie_core
 from nilmult.catalog import build, default_manifest
 from nilmult.analysis import (
     RangeError,
@@ -321,7 +321,7 @@ def test_verify_theorem_reuses_kernel_rows(spec):
 
 
 def test_verify_theorem_computes_series_once(monkeypatch):
-    L = catalog._build("freenil:3,3")
+    L = build("freenil:3,3")
     lowers = counted_calls(monkeypatch, lie_core, "_lower_series")
     verify_theorem(L)
     assert lowers == [L]
@@ -349,4 +349,18 @@ def test_analysed_algebras_are_freed_with_their_profiles():
     finally:
         tracemalloc.stop()
     assert freed() is None
+    assert kept < 0.25 * 2**20, f"{kept / 2**20:.2f} MB kept"
+
+
+def test_built_algebras_are_freed_after_use():
+    # build keeps no algebra, so one lives only as long as its caller holds it
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(5, 25):
+            bound_report(build(f"filiform:{k}"))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     assert kept < 0.25 * 2**20, f"{kept / 2**20:.2f} MB kept"

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import _witt, counted_calls
 
-from nilmult import catalog, free_lie, homology, lie_core
+from nilmult import free_lie, homology, lie_core
 from nilmult.catalog import (
     DIM_GUARD,
     ParseError,
@@ -59,12 +59,19 @@ def test_dirsum_of_three_keeps_name_and_table():
 
 
 def test_dirsum_of_built_summands_checks_jacobi_once(monkeypatch):
-    for summand in ("heisenberg:1", "filiform:4"):
-        build(summand)  # cached from here on
+    # each summand is built and certified, then the sum: three tables, each once
     certified = counted_calls(monkeypatch, lie_core, "_d3_columns")  # builds and certifies
-    spec = "dirsum:heisenberg:1+filiform:4"
-    L = catalog._build(spec)  # the uncached builder, so the sum itself is built
-    assert len(certified) == 1 and certified[0] is L  # the one table certified is the sum's
+    L = build("dirsum:heisenberg:1+filiform:4")
+    assert len(certified) == len(set(certified)) == 3 and certified[-1] is L
+
+
+@pytest.mark.parametrize("spec", [
+    "heisenberg:2", "freenil:2,3", "dirsum:heisenberg:1+filiform:4",
+    pytest.param(f"file:{DATA / 'good_heisenberg.lie'}", id="file:good_heisenberg.lie"),
+])
+def test_build_makes_a_new_equal_algebra_on_every_call(spec):
+    assert build(spec) == build(spec)
+    assert build(spec) is not build(spec)
 
 
 @pytest.mark.parametrize("bad", [

@@ -21,7 +21,7 @@ from helpers import (
     unimodular,
 )
 
-from nilmult import catalog, lie_core
+from nilmult import lie_core
 from nilmult.analysis import verify_theorem
 from nilmult.catalog import DIM_GUARD, build, default_manifest, serialize
 from nilmult.cli import main
@@ -155,16 +155,13 @@ def test_nonabelian_strictly_below_abelian_value():
             assert multiplier_dim(L).dim_M < L.dim * (L.dim - 1) // 2, spec
 
 
-@pytest.mark.parametrize("a,b", [
-    ("heisenberg:1", "abelian:2"),
-    ("heisenberg:1", "filiform:4"),
-    ("filiform:4", "abelian:1"),
-    ("heisenberg:1", "heisenberg:1"),
-])
+@pytest.mark.parametrize("a,b", [spec.removeprefix("dirsum:").split("+")
+                                 for spec in default_manifest() if spec.startswith("dirsum:")])
 def test_direct_sum_multiplier_formula(a, b):
+    # Künneth on all 49 corpus dirsum: specs, 29 of them past HOPF_CORPUS:
     # dim M(A+B) = dim M(A) + dim M(B) + gen(A)*gen(B), both sides computed
     L1, L2 = build(a), build(b)
-    total = multiplier_dim(direct_sum(L1, L2)).dim_M
+    total = multiplier_dim(build(f"dirsum:{a}+{b}")).dim_M
     g1 = series_profile(L1).gen_count
     g2 = series_profile(L2).gen_count
     assert total == multiplier_dim(L1).dim_M + multiplier_dim(L2).dim_M + g1 * g2
@@ -344,8 +341,8 @@ def test_every_nilpotent_algebra_through_dimension_five():
 # -- The d3 columns, the pivots and the profile: built once per algebra ---------
 
 def _fresh_caches():
-    # the algebras are built again, so none has its pivots or profile yet
-    catalog._build_cached.cache_clear()
+    # build makes new algebras, but this cache is keyed by structure, so an
+    # equal algebra would find the result of an earlier test
     multiplier_dim.cache_clear()
 
 
@@ -375,13 +372,14 @@ def test_kernel_of_a_dense_copy_builds_the_columns_twice(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("argv", [["verify", "corpus"], ["verify", "corpus", "--max-dim", "8"]])
 def test_verify_corpus_builds_each_algebras_columns_once(argv, monkeypatch, capsys):
-    # 89 algebras: the 70 specs and the 19 adapted tables that differ from
-    # their source, one per spec instance, since equal specs share no
-    # profile; --max-dim builds every spec first and changes nothing
+    # 208 algebras, since build makes a new one on every call: the 21
+    # manifest members whose dimensions select the specs, the 70 specs, the
+    # 98 summands of the 49 dirsum: specs and the 19 adapted tables that
+    # differ from their source; --max-dim 8 drops freenil:3,3, 207
     _fresh_caches()
     builds = _column_builds(monkeypatch)
     assert main(argv) == 0
-    assert len(builds) == len({id(L) for L in builds}) == 89
+    assert len(builds) == len({id(L) for L in builds}) == (207 if "--max-dim" in argv else 208)
 
 
 def test_verify_corpus_computes_each_specs_series_once(monkeypatch, capsys):
@@ -389,6 +387,12 @@ def test_verify_corpus_computes_each_specs_series_once(monkeypatch, capsys):
     lowers = counted_calls(monkeypatch, lie_core, "_lower_series")
     assert main(["verify", "corpus"]) == 0
     assert len(lowers) == len({id(L) for L in lowers}) == len(default_manifest()) == 70
+
+
+def test_multiplier_dim_keeps_at_most_one_algebra():
+    for spec in ("heisenberg:2", "filiform:5", "freenil:2,3", "abelian:4", "filiform:9"):
+        multiplier_dim(build(spec))
+    assert multiplier_dim.cache_info().currsize <= 1
 
 
 def test_the_profile_is_kept_on_the_algebra():
@@ -416,7 +420,7 @@ def test_an_adapted_basis_is_kept():
 def test_an_adapted_basis_is_kept_without_a_fraction(spec, monkeypatch):
     # the centrality certificate reads the integer entries of an adapted
     # input; no rewritten entry is built for a table that is kept
-    L = catalog._build(spec)  # a new algebra, its profile not yet computed
+    L = build(spec)  # a new algebra, its profile not yet computed
     made = counted_calls(monkeypatch, Fraction, "__new__")
     assert series_profile(L).adapted is L
     monkeypatch.undo()

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,35 @@ def test_a_mutant_runs_on_a_copy_and_leaves_the_checkout_alone():
     source = (SCRIPT.parent.parent / SIGN[0]).read_text()
     assert mutants.run(*SIGN, timeout=1) == "timeout"
     assert (SCRIPT.parent.parent / SIGN[0]).read_text() == source
+
+
+@pytest.mark.parametrize("code, stdout, verdict", [
+    (0, "1 passed\n", "survived"),
+    (1, "FAILED tests/test_x.py::test_y - AssertionError\n",
+     "killed by FAILED tests/test_x.py::test_y - AssertionError"),
+    (2, "! KeyboardInterrupt: tests/test_x.py::test_y ran past its 120 s limit; run stopped !\n",
+     "killed by ! KeyboardInterrupt: tests/test_x.py::test_y ran past its 120 s limit; run stopped !"),
+    (2, "!!!!!!! KeyboardInterrupt: test_y ran past its 120 s limit; run stopped !!!!!!!\n",
+     "killed by !!!!!!! KeyboardInterrupt: test_y ran past its 120 s limit; run stopped !!!!!!!"),
+    # pytest could not even start: nothing was killed
+    (1, "", "error (exit 1)"),
+])
+def test_a_run_is_judged_by_its_failure_lines(code, stdout, verdict, monkeypatch):
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: subprocess.CompletedProcess(a, code, stdout, ""))
+    assert mutants.run(*SIGN, timeout=1) == verdict
+
+
+@pytest.mark.parametrize("caller, expected", [(None, "src"), ("", "src"), ("/deps", f"src{os.pathsep}/deps")])
+def test_src_goes_in_front_of_the_callers_pythonpath(caller, expected, monkeypatch):
+    seen = []
+
+    def fake_run(argv, **kwargs):
+        seen.append(kwargs["env"]["PYTHONPATH"])
+        return subprocess.CompletedProcess(argv, 0, "", "")
+    if caller is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", caller)
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert mutants.run(*SIGN, timeout=1) == "survived"
+    assert seen == [expected]
