@@ -79,17 +79,20 @@ def freenil(d: int, c: int) -> LieAlgebra:
     if d > DIM_GUARD or c > DIM_GUARD:
         bounded = "dimension" if d > 1 else "class"
         raise SpecError(f"freenil:{d},{c} has {bounded} > {DIM_GUARD}")
-    # witt[k] counts the Lyndon words of length k over d letters, the
-    # dimension of the degree-k layer: d^k = sum over e | k of e * witt[e].
-    witt = [0]
-    for k in range(1, c + 1):
-        witt.append((d ** k - sum(e * witt[e] for e in range(1, k) if k % e == 0)) // k)
-    total = sum(witt)
+    total = _freenil_dim(d, c)
     if total > DIM_GUARD:
         raise SpecError(f"freenil:{d},{c} has dimension {total} > {DIM_GUARD}")
     from .free_lie import free_nilpotent
 
     return free_nilpotent(d, c)
+
+
+def _freenil_dim(d: int, c: int) -> int:
+    """dim freenil:d,c: the Lyndon words over d letters of length at most c."""
+    witt = [0]  # witt[k] of length k: d^k = sum over e | k of e * witt[e]
+    for k in range(1, c + 1):
+        witt.append((d ** k - sum(e * witt[e] for e in range(1, k) if k % e == 0)) // k)
+    return sum(witt)
 
 
 # -- spec strings ---------------------------------------------------------------
@@ -164,12 +167,12 @@ def default_manifest(max_dim: int | None = None) -> tuple[str, ...]:
     are skipped as duplicates of plain abelian members.  ``max_dim``
     filters the final list by dimension.
     """
-    members = [f"abelian:{n}" for n in range(1, 9)]
-    members += [f"heisenberg:{k}" for k in (1, 2, 3)]
-    members += [f"filiform:{n}" for n in range(3, 8)]
-    members += ["freenil:2,2", "freenil:2,3", "freenil:2,4",
-                "freenil:3,2", "freenil:3,3"]
-    dims = {spec: build(spec).dim for spec in members}  # each sum component is a member
+    # Each member's dimension in closed form; each sum component is a member.
+    dims = {f"abelian:{n}": n for n in range(1, 9)}
+    dims.update((f"heisenberg:{k}", 2 * k + 1) for k in (1, 2, 3))
+    dims.update((f"filiform:{n}", n) for n in range(3, 8))
+    dims.update((f"freenil:{d},{c}", _freenil_dim(d, c))
+                for d, c in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)))
     for a, b in itertools.combinations_with_replacement(_SUM_COMPONENTS, 2):
         if not (a.startswith("abelian") and b.startswith("abelian")) and dims[a] + dims[b] <= 8:
             dims[f"dirsum:{a}+{b}"] = dims[a] + dims[b]
@@ -219,8 +222,7 @@ def parse_file(text: str) -> LieAlgebra:
         elif keyword == "bracket":
             if dim is None:
                 raise ParseError(lineno, "'bracket' before 'dim'")
-            table_entry = _parse_bracket(fields, lineno, dim)
-            pair, entry = table_entry
+            pair, entry = _parse_bracket(fields, lineno, dim)
             if pair in table:
                 raise ParseError(lineno, f"duplicate bracket pair {pair[0] + 1} {pair[1] + 1}")
             table[pair] = entry

@@ -6,7 +6,8 @@ fraction-free kernel, ``_echelon``, on ``int`` rows held as ``{column:
 value}`` dicts: rows are cross-multiplied (Bareiss style) and kept
 primitive, so the cost follows the nonzeros rather than the matrix shape.
 ``Fraction`` values appear only at the edges: ``Matrix`` entries,
-residuals and ``Subspace.basis``.  Matrices and subspaces are immutable; a
+``Subspace.basis`` and ``reduce``; a residual is an integer row times the
+subspace's ``scale``.  Matrices and subspaces are immutable; a
 subspace is stored as the primitive integer rows of its span's reduced
 row-echelon basis, which makes equality, membership and quotient lifts canonical.
 """
@@ -222,20 +223,28 @@ class Subspace(Record):
     def dim(self) -> int:
         return len(self.pivots)
 
-    def residual(self, row: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """The sparse rational row with this subspace's pivot coordinates
-        cleared; each RREF row is zero on the other pivots."""
-        s, w = math.lcm(*(x.denominator for x in row.values())), _integral(row)
+    @property
+    def scale(self) -> int:
+        """The lcm of the rows' leading entries: ``residual`` is in ints times it."""
+        return math.lcm(*(row[p] for p, row in zip(self.pivots, self.rows)))
+
+    def residual(self, row: Mapping[int, int]) -> dict[int, int]:
+        """``scale`` times the integer row with the pivot coordinates cleared;
+        each RREF row is zero on the other pivots, so w[p] stays s · row[p]."""
+        s = self.scale
+        w = {c: s * x for c, x in row.items()}
         for p, prow in zip(self.pivots, self.rows):
             if p in w:
-                s *= _cancel(w, p, prow)  # w is s times the residual so far
-        return {c: Fraction(x, s) for c, x in w.items()}
+                _cancel(w, p, prow)  # prow's lead divides s, so this multiplies w by 1
+        return w
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Residual of v after clearing this subspace's pivot coordinates."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return _dense(self.residual(_sparse(vector(v))), self.ambient_dim)
+        v = vector(v)
+        s = math.lcm(*(x.denominator for x in v)) * self.scale  # the factor residual's ints carry
+        return _dense(self.residual(_integral(_sparse(v))), self.ambient_dim, s)
 
     def quotient_basis_rows(self, sub: "Subspace") -> tuple[dict[int, int], ...]:
         """Canonical lifts of a basis of self/sub: the rows of self's RREF

@@ -8,7 +8,7 @@ a tensor against the standard bracketings of Lyndon words
 The module builds the free-nilpotent algebras of given rank and class on
 that basis, and checks the multilinear degree-(i+1) commutator identity
 of the kernel witnesses by its x_1-initial words, each packed into one
-int; only a nonzero residual (a ``FreeLieElement``) holds ``Fraction``.
+int; its residual is an integral ``FreeLieElement``.
 """
 
 from __future__ import annotations
@@ -169,10 +169,10 @@ def _lyndonize(tensor: Mapping[Word, int]) -> dict[Word, int]:
 class FreeLieElement(Record):
     """Sorted (word, coefficient) pairs in the Lyndon or left-normed basis."""
 
-    terms: tuple[tuple[Word, Fraction], ...]
+    terms: tuple[tuple[Word, int], ...]
 
     @classmethod
-    def from_dict(cls, coords: Mapping[Word, Fraction]) -> "FreeLieElement":
+    def from_dict(cls, coords: Mapping[Word, int]) -> "FreeLieElement":
         items = sorted(((w, c) for w, c in coords.items() if c),
                        key=lambda t: (len(t[0]), t[0]))
         return cls(tuple(items))
@@ -180,9 +180,6 @@ class FreeLieElement(Record):
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def as_dict(self) -> dict[Word, Fraction]:
-        return dict(self.terms)
 
     def __str__(self):
         if not self.terms:
@@ -299,23 +296,13 @@ def _unpack(w: int, width: int) -> Word:
     return tuple(w >> s & (1 << width) - 1 for s in reversed(range(0, w.bit_length(), width)))
 
 
-def _initial_words(e: BracketExpr) -> dict[Word, int]:
-    """The x_1-initial words of e's tensor expansion, as letter tuples."""
-    width = _width(e)
-    return {_unpack(w, width): c for w, c in _packed([(1, e)], width).items()}
-
-
 def verify_lemma31(i: int) -> FreeLieElement:
     """The identity sum in the left-normed basis [x_1, x_s2, ..., x_sk], named by its
     x_1-initial word (Reutenauer, Free Lie Algebras); zero when the identity holds."""
     terms = lemma31_expression(i)
     width = max(_width(expr) for _, expr in terms)
-    residual = _packed([(int(coeff), expr) for coeff, expr in terms], width)
-    if not residual:
-        return FreeLieElement(())
-    from fractions import Fraction
-
-    return FreeLieElement.from_dict({_unpack(w, width): Fraction(c) for w, c in residual.items()})
+    residual = _packed(terms, width)
+    return FreeLieElement.from_dict({_unpack(w, width): c for w, c in residual.items()})
 
 
 # -- evaluation and free-nilpotent quotients --------------------------------

@@ -19,11 +19,10 @@ dense rational matrices are views in lexicographic exterior bases."""
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactla import Matrix
+from .exactla import Matrix, _dense
 from .lie_core import LieAlgebra
 from .record import Record
 
@@ -49,11 +48,11 @@ class MultiplierResult(Record):
 
 def _dense_view(columns: dict[int, dict[int, int]], rows: int, cols: int, scale: int) -> Matrix:
     """The integer columns divided by ``scale``, as a dense rational matrix."""
-    entries = [[Fraction(0)] * cols for _ in range(rows)]
+    by_row: list[dict[int, int]] = [{} for _ in range(rows)]
     for c, col in columns.items():
         for r, x in col.items():
-            entries[r][c] = Fraction(x, scale)
-    return Matrix(rows, cols, tuple(map(tuple, entries)))
+            by_row[r][c] = x
+    return Matrix(rows, cols, tuple(_dense(row, cols, scale) for row in by_row))
 
 
 def d2_matrix(L: LieAlgebra) -> Matrix:

@@ -9,9 +9,9 @@ series profile (``_pivots``, ``_profile``), and ``homology``'s rank reads
 those same columns.  The table is stored once, as ``int`` numerators over
 D, the lcm of the denominators: equality, hashing, the Jacobi check, the
 brackets, the central series and the adapted table read only these.
-``int`` input stays ``int``: ``Fraction`` appears only in rational input,
-``table``, ``bracket``, the upper series and the entries of an adapted
-table that differs from its input.  ``bracket`` (dense),
+The series work on integer rows, so ``Fraction`` appears only in rational
+input, in a non-integral constant of ``table``, of an adapted table or of a
+quotient, and in ``bracket`` and ``JacobiViolation``.  ``bracket`` (dense),
 ``minimal_generators`` and ``quotient_algebra`` are public references that
 no command calls.
 """
@@ -30,7 +30,6 @@ from .exactla import (
     _cancel,
     _dense,
     _echelon,
-    _integral,
     _null_rows,
     _sparse,
     basis_vector,
@@ -59,6 +58,11 @@ class NotNilpotent(ValueError):
 
 class NotAnIdeal(ValueError):
     """Attempted quotient by a subspace that is not an ideal."""
+
+
+def _ratio(x: int, d: int) -> int | Fraction:
+    """x/d for d > 0, an int when d divides x."""
+    return x // d if x % d == 0 else Fraction(x, d)
 
 
 def _canonical_table(dim: int, table) -> dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]:
@@ -106,9 +110,9 @@ class LieAlgebra:
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
 
     @property
-    def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """Copy of the sparse table, for display and serialisation."""
-        return {pair: {k: Fraction(c, self._scale) for k, c in e} for pair, e in self._ints.items()}
+    def table(self) -> dict[tuple[int, int], dict[int, int | Fraction]]:
+        """Copy of the sparse table, an integral constant as an ``int``."""
+        return {pair: {k: _ratio(c, self._scale) for k, c in e} for pair, e in self._ints.items()}
 
     @property
     def is_abelian(self) -> bool:
@@ -188,8 +192,7 @@ def _d3_columns(L: LieAlgebra) -> _Columns:
             for m, c in L._ints.get(pairs[r], ()):
                 res[m] = res.get(m, 0) + x * c
         if any(res.values()):
-            raise JacobiViolation(*triple, tuple(
-                Fraction(res.get(m, 0), L._scale ** 2) for m in range(L.dim)))
+            raise JacobiViolation(*triple, _dense(res, L.dim, L._scale ** 2))
     return columns
 
 
@@ -262,12 +265,12 @@ def _upper_step(L: LieAlgebra, Z: Subspace) -> Subspace:
     [x, e_j] = sum_l x_l [e_l, e_j] is a row (j, r) in the x_l that must
     vanish; only the nonzero table entries contribute.
     """
-    constraints: dict[tuple[int, int], dict[int, Fraction]] = {}
+    constraints: dict[tuple[int, int], dict[int, int]] = {}
     for (l, j), entry in L._ints.items():
-        for r, x in Z.residual(dict(entry)).items():
+        for r, x in Z.residual(dict(entry)).items():  # in ints, all times Z.scale
             constraints.setdefault((j, r), {})[l] = x
             constraints.setdefault((l, r), {})[j] = -x
-    return Subspace.from_rows(L.dim, _null_rows(map(_integral, constraints.values()), L.dim))
+    return Subspace.from_rows(L.dim, _null_rows(constraints.values(), L.dim))
 
 
 def upper_series(L: LieAlgebra) -> tuple[Subspace, ...]:
@@ -307,7 +310,7 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
         return L  # the input basis is already adapted: the same table
     slot = {min(row): t for t, row in enumerate(rows)}
     lead = [row[min(row)] for row in rows]
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     for a, b in itertools.combinations(range(L.dim), 2):
         image = L._bracket(rows[a], rows[b])
         scale = L._scale * lead[a] * lead[b]
@@ -315,7 +318,7 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
         while image:
             p = min(image)
             t = slot[p]
-            entry[t] = Fraction(image[p], scale)
+            entry[t] = _ratio(image[p], scale)
             scale *= _cancel(image, p, rows[t])
         if entry and min(entry) < bound[b]:
             raise _stall(L)
@@ -360,11 +363,11 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
         residual = ideal.reduce(v)
         return tuple(residual[k] for k in complement)
 
-    table, entries = {}, L.table
+    table, scale = {}, ideal.scale * L._scale
     for a, b in itertools.combinations(complement, 2):
         # A residual mod I lives on the complement's coordinates.
-        image = ideal.residual(entries.get((a, b), {}))
-        table[(pos[a], pos[b])] = {pos[k]: c for k, c in image.items()}
+        image = ideal.residual(dict(L._ints.get((a, b), ())))
+        table[(pos[a], pos[b])] = {pos[k]: _ratio(c, scale) for k, c in image.items()}
     qname = name if name is not None else f"{L.name}/I"
     return LieAlgebra(len(complement), table, name=qname), project
 

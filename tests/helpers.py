@@ -1,9 +1,9 @@
 """Helpers that only the tests use: spans of dense vectors and
 membership, the free-Lie references (normed brackets, tensor expansion,
-Lyndon bracketing and normal form), basis changes, generated algebras,
-the Witt numbers, the Betti numbers of the whole complex and the small
-nilpotent algebras.  Every test module imports what it shares from
-here, never from another test module."""
+x_1-initial words, Lyndon bracketing and normal form), basis changes,
+generated algebras, the Witt numbers, the Betti numbers of the whole
+complex and the small nilpotent algebras.  Every test module imports what
+it shares from here, never from another test module."""
 
 import itertools
 import math
@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from nilmult.catalog import build, parse_file, serialize
 from nilmult.exactla import DimensionMismatch, Subspace, _echelon, _integral, _null_rows, _sparse, rational, vector
-from nilmult.free_lie import (BracketExpr, FreeLieElement, Word, _lyndonize, _tensor_add_into,
-                              _tensor_bracket, br, gen, is_lyndon, std_factorization)
+from nilmult.free_lie import (BracketExpr, FreeLieElement, Word, _lyndonize, _packed,
+                              _tensor_add_into, _tensor_bracket, _unpack, _width, br, gen,
+                              is_lyndon, std_factorization)
 from nilmult.lie_core import LieAlgebra, _lower_series, product_space, quotient_algebra, upper_series
 
 
@@ -39,6 +40,17 @@ def contains(space, v):
 
 def contains_subspace(space, other):
     return not any(space.residual(row) for row in other.rows)
+
+
+def reference_residual(space, row):
+    """A sparse row's residual mod ``space`` as a dense Fraction list, off
+    the dense RREF basis: row[p] times the basis row of each pivot p is
+    taken off, since each basis row is zero on the other pivots."""
+    out = [rational(row.get(c, 0)) for c in range(space.ambient_dim)]
+    for p, basis_row in zip(space.pivots, space.basis.entries):
+        f = rational(row.get(p, 0))
+        out = [x - f * y for x, y in zip(out, basis_row)]
+    return out
 
 
 # -- free-Lie references ------------------------------------------------------
@@ -74,6 +86,13 @@ def tensor_expansion(e: BracketExpr) -> dict[Word, int]:
     if e.is_generator:
         return {(e.symbol,): 1}
     return _tensor_bracket(tensor_expansion(e.left), tensor_expansion(e.right))
+
+
+def _initial_words(e: BracketExpr) -> dict[Word, int]:
+    """The x_1-initial words of e's tensor expansion, as letter tuples: the
+    packed words that ``verify_lemma31`` sums, unpacked."""
+    width = _width(e)
+    return {_unpack(w, width): c for w, c in _packed([(1, e)], width).items()}
 
 
 def lyndon_bracketing(w: Word) -> BracketExpr:

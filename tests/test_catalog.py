@@ -6,6 +6,7 @@ import pytest
 from helpers import _witt, counted_calls
 
 from nilmult import free_lie, homology, lie_core
+from nilmult.analysis import bound_report, ker_lambda_dims
 from nilmult.catalog import (
     DIM_GUARD,
     ParseError,
@@ -22,7 +23,7 @@ from nilmult.catalog import (
 )
 from nilmult.cli import main
 from nilmult.exactla import basis_vector
-from nilmult.lie_core import JacobiViolation, _lower_series, direct_sum, series_profile
+from nilmult.lie_core import JacobiViolation, _lower_series, direct_sum, series_profile, upper_series
 
 DATA = Path(__file__).parent / "data"
 
@@ -173,6 +174,20 @@ def test_corpus_deterministic():
     assert default_manifest() == default_manifest()
 
 
+def test_manifest_dimensions_in_closed_form_match_the_built_algebras(monkeypatch):
+    """The manifest builds no algebra: it reads its members' dimensions in
+    closed form.  Its filter agrees with the built dimension of every spec
+    at every bound up to 15, which fixes each spec's dimension (at most 14)."""
+    constructed = counted_calls(monkeypatch, lie_core.LieAlgebra, "__init__")
+    manifests = {k: default_manifest(k) for k in (None, *range(16))}
+    monkeypatch.undo()
+    assert constructed == []
+    dims = {spec: build(spec).dim for spec in manifests[None]}
+    for k, specs in manifests.items():
+        assert specs == tuple(s for s in dims if k is None or dims[s] <= k), k
+    assert [len(manifests[k]) for k in (None, 8, 5, 0)] == [70, 69, 19, 0]
+
+
 def test_parse_good_file():
     L = load_file(str(DATA / "good_heisenberg.lie"))
     assert L.name == "h3-from-file"
@@ -257,9 +272,10 @@ def test_integer_and_rational_coefficients_parse_alike(integral, rational):
 
 
 def test_integer_inputs_create_no_fraction(monkeypatch):
-    """Integer tables reach the echelon without a Fraction: building the
-    families and parsing an integer .lie text, then ranking d2 and d3 and
-    the lower central series, all with their caches bypassed."""
+    """Integer tables reach every record without a Fraction: building the
+    families, parsing an integer .lie text and summing algebras, then
+    ranking d2 and d3, the lower and upper central series, the adapted
+    table, the bound report and the kernel rows, with the caches bypassed."""
     text = "algebra ints\ndim 5\nbracket 1 2 -> 2*3 -1*4\nbracket 1 3 -> +3*5\nbracket 2 4 -> -2*5\nend\n"
     calls = []
     new = Fraction.__new__
@@ -271,9 +287,14 @@ def test_integer_inputs_create_no_fraction(monkeypatch):
     free_lie._lyndon_tensor.cache_clear()
     monkeypatch.setattr(Fraction, "__new__", counting)
     algebras = [freenil(2, 5), filiform(12), heisenberg(4), parse_file(text)]
+    algebras += [direct_sum(algebras[2], algebras[3]),
+                 build("dirsum:heisenberg:2+filiform:5+freenil:2,3")]
     for L in algebras:
         homology.multiplier_dim.__wrapped__(L)
         _lower_series(L)
+        upper_series(L)
+        bound_report(L)
+        ker_lambda_dims(L)
     monkeypatch.undo()
     assert calls == []
 

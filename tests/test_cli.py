@@ -461,9 +461,10 @@ def test_cli_import_leaves_out_slow_modules():
     assert proc.stdout == "[]\n"
 
 
-def _loaded_after(*argv):
+def _loaded_after(*argv, setup=""):
     """The nilmult modules and fractions/decimal loaded by importing the
-    CLI and then by main(argv), under -S in a fresh interpreter."""
+    CLI and then by ``setup`` (a line of code) and main(argv), under -S in
+    a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import contextlib, io, sys\n"
@@ -471,6 +472,7 @@ def _loaded_after(*argv):
          "                         or m in ('fractions', 'decimal'))\n"
          "from nilmult.cli import main\n"
          "print(*watched())\n"
+         f"{setup}\n"
          "with contextlib.redirect_stdout(io.StringIO()):\n"
          "    try:\n"
          f"        main({list(argv)!r})\n"
@@ -489,8 +491,16 @@ def test_cli_import_and_help_load_no_layer():
 
 def test_verify_lemma_loads_only_the_free_lie_layers():
     # the identity is checked in int words: no exactla, and no Fraction
-    # unless a residual is nonzero
     _, loaded = _loaded_after("verify", "lemma", "--arity-max", "3")
+    assert loaded == ["nilmult", "nilmult.cli", "nilmult.free_lie", "nilmult.record"]
+
+
+def test_a_broken_identity_loads_no_fractions():
+    # without its last term the identity leaves a residual, integral too
+    drop_last = ("import nilmult.free_lie as f; whole = f.lemma31_expression; "
+                 "f.lemma31_expression = lambda i: whole(i)[:-1]; "
+                 "assert not f.verify_lemma31(4).is_zero")
+    _, loaded = _loaded_after("verify", "lemma", "--arity-max", "4", setup=drop_last)
     assert loaded == ["nilmult", "nilmult.cli", "nilmult.free_lie", "nilmult.record"]
 
 

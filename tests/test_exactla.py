@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import contains, contains_subspace, span
+from helpers import contains, contains_subspace, reference_residual, span
 
 from nilmult.exactla import (
     DimensionMismatch,
@@ -120,6 +120,30 @@ def test_integer_rows_match_sympy(m):
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+@given(oracle_matrices(), st.data())
+@settings(max_examples=300)
+def test_residual_is_scale_times_the_rational_reference(m, data):
+    """residual takes an integer row and returns, in ints, the residual
+    times ``scale``: the lcm of the leads of the primitive rows, which is
+    the lcm of the denominators of the RREF basis.  reduce divides back."""
+    space = span(m.cols, m.entries)
+    dense = data.draw(st.lists(st.integers(-9, 9), min_size=m.cols, max_size=m.cols))
+    if space.dim and data.draw(st.booleans()):  # a member of the space
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=space.dim, max_size=space.dim))
+        dense = [sum(a * row.get(c, 0) for a, row in zip(coeffs, space.rows))
+                 for c in range(m.cols)]
+    row = {c: x for c, x in enumerate(dense) if x}
+    given_row = dict(row)
+    expected = reference_residual(space, row)
+    scale = math.lcm(*(x.denominator for r in space.basis.entries for x in r))
+    got = space.residual(row)
+    assert row == given_row
+    assert space.scale == scale
+    assert all(type(x) is int and x for x in got.values())
+    assert got == {c: x * scale for c, x in enumerate(expected) if x}
+    assert space.reduce(dense) == tuple(expected)
 
 
 @st.composite

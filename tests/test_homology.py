@@ -21,9 +21,9 @@ from helpers import (
     unimodular,
 )
 
-from nilmult import lie_core
+from nilmult import analysis, lie_core
 from nilmult.analysis import verify_theorem
-from nilmult.catalog import DIM_GUARD, build, default_manifest, serialize
+from nilmult.catalog import DIM_GUARD, build, default_manifest, load_file, serialize
 from nilmult.cli import main
 from nilmult.exactla import basis_vector
 from nilmult.free_lie import evaluate_in, free_nilpotent, lyndon_words
@@ -372,14 +372,38 @@ def test_kernel_of_a_dense_copy_builds_the_columns_twice(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("argv", [["verify", "corpus"], ["verify", "corpus", "--max-dim", "8"]])
 def test_verify_corpus_builds_each_algebras_columns_once(argv, monkeypatch, capsys):
-    # 208 algebras, since build makes a new one on every call: the 21
-    # manifest members whose dimensions select the specs, the 70 specs, the
-    # 98 summands of the 49 dirsum: specs and the 19 adapted tables that
-    # differ from their source; --max-dim 8 drops freenil:3,3, 207
+    # 187 algebras, since build makes a new one on every call: the 70
+    # specs, the 98 summands of the 49 dirsum: specs and the 19 adapted
+    # tables that differ from their source (the manifest reads its members'
+    # dimensions in closed form and builds none); --max-dim 8 drops
+    # freenil:3,3, 186
     _fresh_caches()
     builds = _column_builds(monkeypatch)
     assert main(argv) == 0
-    assert len(builds) == len({id(L) for L in builds}) == (207 if "--max-dim" in argv else 208)
+    assert len(builds) == len({id(L) for L in builds}) == (186 if "--max-dim" in argv else 187)
+
+
+def test_verify_corpus_makes_fractions_only_for_the_witness_vectors(monkeypatch, capsys):
+    # every corpus table is integral, so only the dense PsiWitness fields
+    # hold a Fraction: one per nonzero entry
+    depth, made = [], []
+    witnesses, new = analysis.psi_witnesses, Fraction.__new__
+
+    def counted_witnesses(L, i):
+        depth.append(i)
+        try:
+            return witnesses(L, i)
+        finally:
+            depth.pop()
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(bool(depth))
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(analysis, "psi_witnesses", counted_witnesses)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    assert main(["verify", "corpus"]) == 0
+    monkeypatch.undo()
+    assert made.count(False) == 0 and 0 < made.count(True) <= 169
 
 
 def test_verify_corpus_computes_each_specs_series_once(monkeypatch, capsys):
@@ -414,6 +438,31 @@ def test_an_adapted_basis_is_kept():
     dense = _change_basis(L, _seeded_unimodular(7, random.Random(1)))
     adapted = series_profile(dense).adapted
     assert adapted is not dense and adapted != dense
+
+
+def test_info_of_an_integer_algebra_makes_no_fraction(monkeypatch, capsys):
+    made = counted_calls(monkeypatch, Fraction, "__new__")
+    assert main(["info", "heisenberg:5"]) == 0
+    monkeypatch.undo()
+    assert made == []
+
+
+@pytest.mark.parametrize("spec", ["freenil:2,4", "freenil:3,2", "heisenberg:5", "heisenberg:6",
+                                  "filiform:9", "filiform:10"])
+def test_a_dense_copy_makes_fractions_only_for_non_integral_adapted_entries(
+        spec, tmp_path, monkeypatch, capsys):
+    # an integer input in a dense basis: its rewritten table holds an int
+    # wherever the constant is integral, and a Fraction only where it is not
+    source = build(spec)
+    path = tmp_path / "copy.lie"
+    p = _seeded_unimodular(source.dim, random.Random(1))
+    path.write_text(serialize(_change_basis(source, p)))
+    made = counted_calls(monkeypatch, Fraction, "__new__")
+    assert main(["kernel", f"file:{path}", "--format", "json"]) == 0
+    monkeypatch.undo()
+    adapted = series_profile(load_file(str(path))).adapted
+    assert len(made) == sum(c.denominator != 1 for entry in adapted.table.values()
+                            for c in entry.values())
 
 
 @pytest.mark.parametrize("spec", ["filiform:64", "freenil:2,7", "heisenberg:31"])

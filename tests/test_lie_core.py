@@ -15,10 +15,14 @@ from helpers import (
     _sympy_ads,
     contains,
     contains_subspace,
+    counted_calls,
+    generated_algebras,
     is_zero_vector,
+    reference_residual,
     span,
 )
 
+from nilmult.analysis import rai_bound, rai_refined
 from nilmult.catalog import build, default_manifest
 from nilmult.exactla import DimensionMismatch, Subspace, basis_vector, vector
 from nilmult.homology import d2_matrix, d3_matrix
@@ -426,6 +430,44 @@ def _check_upper_series(L):
         assert contains_subspace(upper[k], prof.gamma(c + 1 - k)), (L.name, k)
     # info reads the dimensions off the adapted table
     assert [Z.dim for Z in upper_series(prof.adapted)] == [Z.dim for Z in upper], L.name
+
+
+def _reference_upper_series(L):
+    """Z_{k+1} = {x : [x, e_j] in Z_k for every j}: coordinate r of the
+    Fraction reference residual of each dense [e_l, e_j] is one equation in
+    the x_l, and sympy solves them."""
+    n, series = L.dim, [Subspace.zero(L.dim)]
+    while series[-1].dim < n:
+        Z, equations = series[-1], []
+        for j in range(n):
+            images = [reference_residual(Z, dict(enumerate(L.bracket(basis_vector(n, l),
+                                                                      basis_vector(n, j)))))
+                      for l in range(n)]
+            equations += [[image[r] for image in images] for r in range(n)]
+        solutions = _sympy_rows(equations).nullspace()
+        series.append(span(n, [[Fraction(int(x.p), int(x.q)) for x in v] for v in solutions]))
+        assert series[-1].dim > Z.dim, L.name
+    return tuple(series)
+
+
+@given(generated_algebras())
+@settings(max_examples=40, deadline=None)
+def test_upper_series_and_rai_refined_match_the_rational_reference(L):
+    # both read integer residuals of the integer table, so once the
+    # profile is known neither makes a Fraction, whatever the input
+    prof = series_profile(L)
+    with pytest.MonkeyPatch.context() as patch:
+        made = counted_calls(patch, Fraction, "__new__")
+        upper = upper_series(L)
+        refined = rai_refined(L) if prof.derived_dim else None
+    assert made == []
+    reference = _reference_upper_series(L)
+    assert upper == reference
+    if refined is not None:
+        n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
+        # dim Z/(γ₂ ∩ Z) = dim(Z + γ₂) − dim γ₂
+        central_gens = Subspace.from_rows(n, reference[1].rows + prof.gamma(2).rows).dim - m
+        assert refined == rai_bound(n, m, c) - central_gens * m
 
 
 def test_quotient_by_derived_subalgebra():

@@ -103,6 +103,14 @@ def _references():
     return seen
 
 
+def _private_functions():
+    """The module-level functions of src/nilmult named with one leading underscore."""
+    return {node.name for path in SRC.glob("*.py")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")}
+
+
 def test_every_public_name_is_reached_or_kept_for_a_reason():
     references = _references()
     unreached = sorted(set(nilmult.__all__) - references - set(KEPT))
@@ -110,3 +118,6 @@ def test_every_public_name_is_reached_or_kept_for_a_reason():
     stale = sorted(name for name in KEPT
                    if name not in nilmult.__all__ or name in references)
     assert not stale, "kept without need: " + ", ".join(stale)
+    # a private function that only tests call belongs in tests/helpers.py
+    unreached = sorted(_private_functions() - references)
+    assert not unreached, "private but referenced nowhere in src/: " + ", ".join(unreached)
