@@ -15,11 +15,10 @@ __version__ = "0.1.0"
 # d3_matrix, eq3_consistency, minimal_generators, quotient_algebra) and
 # serialize, the .lie writer.
 _EXPORTS = {
-    "analysis": ("BoundReport", "KernelProfile", "PsiWitness",
-                 "TheoremVerification", "VerificationFailure", "batten",
-                 "bound_report", "eq3_consistency", "hardy_stitzinger",
-                 "ker_lambda_dims", "niroomand_russo", "psi_witnesses",
-                 "rai_bound", "rai_refined", "verify_theorem",
+    "analysis": ("BoundReport", "PsiWitness", "TheoremVerification",
+                 "VerificationFailure", "batten", "bound_report",
+                 "eq3_consistency", "hardy_stitzinger", "niroomand_russo",
+                 "psi_witnesses", "rai_bound", "rai_refined", "verify_theorem",
                  "yankosky_closed"),
     "catalog": ("abelian", "build", "default_manifest", "filiform", "freenil",
                 "heisenberg", "load_file", "parse_file", "serialize"),
@@ -27,7 +26,8 @@ _EXPORTS = {
     "exactla": ("Matrix", "Subspace", "kernel_basis", "rref"),
     "free_lie": ("BracketExpr", "FreeLieElement", "free_nilpotent",
                  "lemma31_expression", "lyndon_words", "verify_lemma31"),
-    "homology": ("MultiplierResult", "d2_matrix", "d3_matrix", "multiplier_dim"),
+    "homology": ("KernelProfile", "MultiplierResult", "d2_matrix", "d3_matrix",
+                 "ker_lambda_dims", "multiplier_dim"),
     "lie_core": ("JacobiViolation", "LieAlgebra", "NotAnIdeal", "NotNilpotent",
                  "SeriesProfile", "direct_sum", "minimal_generators",
                  "product_space", "quotient_algebra", "series_profile",

@@ -14,14 +14,8 @@ subtracts dim(Z(L)/(γ₂(L) ∩ Z(L))) · m.  The refinement is recorded but
 never asserted: it fails on h₃ ⊕ abelian(1), where it gives 3 against
 an actual multiplier dimension of 4.
 
-The kernel bookkeeping tracks, for each 2 <= i <= c, the dimension of
-the kernel of the bracket-induced map
-
-    λ_i : L/γ₂ ⊗ γ_i/γ_{i+1}  -->  (section of weight i+1)
-
-obtained from multiplier dimensions of the quotients L/γ_i: each is a
-pivot count of the d2 and d3 echelons of the adapted table, on which γ_i
-is a trailing coordinate span, so no quotient algebra is built.  The
+The kernel rows (``ker_lambda_dims``) live in ``homology``, beside the
+quotient multipliers they read, and are re-exported here.  The
 witnesses Ψ_i (``psi_witnesses``) evaluate the degree-(i+1) commutator
 identity at the first tuple of minimal generators whose left-normed
 bracket leaves γ_{i+1}, a search on the adapted table (``_witness_tuple``).
@@ -29,19 +23,12 @@ bracket leaves γ_{i+1}, a search on the adapted table (``_witness_tuple``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .exactla import Subspace, _dense, _echelon
-from .homology import _quotient_dims
+from .homology import KernelProfile, KernelRow, RangeError, _quotient_dims, ker_lambda_dims
 from .lie_core import LieAlgebra, SeriesProfile, _upper_step, series_profile
 from .record import Record
-
-Vector = tuple[Fraction, ...]
-
-
-class RangeError(ValueError):
-    """Index argument outside its documented range."""
 
 
 class VerificationFailure(Exception):
@@ -151,68 +138,7 @@ def bound_report(L: LieAlgebra) -> BoundReport:
     )
 
 
-# -- kernel bookkeeping -------------------------------------------------------
-
-class KernelRow(Record):
-    """Kernel dimension of λ_i and the checks it must satisfy.
-
-    ``satisfied`` demands both the required lower bound and membership
-    in [0, domain_bound], where domain_bound = (n-m)·dim(γ_i/γ_{i+1})
-    is the dimension of the λ_i domain.
-    """
-
-    i: int
-    dim_gamma_i_mod_next: int
-    dim_M_of_L_mod_gamma_i: int
-    ker_lambda_i: int
-    required_lower_bound: int
-    domain_bound: int
-    satisfied: bool
-
-
-class KernelProfile(Record):
-    """Rows for i = 2..c plus the surrounding dimensions."""
-
-    name: str
-    n: int
-    m: int
-    c: int
-    dim_M: int
-    rows: tuple[KernelRow, ...]
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(row.satisfied for row in self.rows)
-
-
-def ker_lambda_dims(L: LieAlgebra) -> KernelProfile:
-    """dim ker(λ_i) for 2 <= i <= c by quotient-multiplier bookkeeping.
-
-    dim ker(λ_i) = dim M(L/γ_i) + (n-m-1)·dim(γ_i/γ_{i+1}) − dim M(L/γ_{i+1}).
-    """
-    prof = series_profile(L)
-    n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
-    if m == 0:
-        raise RangeError("kernel bookkeeping requires a nonabelian algebra")
-    # dim M(L/γ_i) for i = 2..c+1 (the last is dim M(L)); on the adapted
-    # table, L/γ_i is the first n − dim γ_i coordinates.
-    quotient_dims = _quotient_dims(prof.adapted,
-                                   [n - prof.gamma(i).dim for i in range(2, c + 2)])
-    rows = []
-    for i in range(2, c + 1):
-        layer = prof.gamma(i).dim - prof.gamma(i + 1).dim
-        ker = quotient_dims[i - 2] + (n - m - 1) * layer - quotient_dims[i - 1]
-        required = max(0, n - m - i)
-        domain = (n - m) * layer
-        rows.append(KernelRow(
-            i=i, dim_gamma_i_mod_next=layer,
-            dim_M_of_L_mod_gamma_i=quotient_dims[i - 2],
-            ker_lambda_i=ker, required_lower_bound=required,
-            domain_bound=domain,
-            satisfied=required <= ker <= domain))
-    return KernelProfile(name=L.name, n=n, m=m, c=c,
-                         dim_M=quotient_dims[-1], rows=tuple(rows))
-
+# -- telescoping --------------------------------------------------------------
 
 def eq3_consistency(L: LieAlgebra) -> bool:
     """dim M(L) = dim M(L/γ₂) + (n-m-1)m − Σ_i dim ker(λ_i), exactly."""
@@ -247,9 +173,9 @@ class PsiWitness(Record):
     i: int
     y: tuple[int, ...]
     z: tuple[int, ...]
-    tensors: tuple[Vector, ...]
+    tensors: tuple[tuple[Fraction, ...], ...]
     independence_rank: int
-    bracket_images: tuple[Vector, ...]
+    bracket_images: tuple[tuple[Fraction, ...], ...]
 
 
 def _witness_tuple(L: LieAlgebra, i: int, prof: SeriesProfile) -> tuple[int, ...]:

@@ -21,15 +21,17 @@ The .lie text format is line-oriented, with ``#`` starting a comment:
 
 Unlisted pairs bracket to zero; coefficients are rationals written as
 ``p`` or ``p/q`` with an optional sign.  Numbers take ASCII digits only.
+A parsed file is Jacobi-checked on its adapted table (``LieAlgebra._of``),
+which ``multiplier`` ranks; ``fractions`` and the patterns load on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 
-from .lie_core import LieAlgebra, direct_sum
+from .exactla import rational
+from .lie_core import LieAlgebra, _canonical_table, direct_sum
 
 DIM_GUARD = 64
 
@@ -113,8 +115,7 @@ def _int_param(text: str, spec: str) -> int:
 
 
 _ONE_PARAMETER = {"abelian": abelian, "heisenberg": heisenberg, "filiform": filiform}
-_SUMMAND_START = re.compile(
-    r"\+(?=(?:abelian|heisenberg|filiform|freenil|dirsum|file):)")
+_SUMMAND_START = r"\+(?=(?:abelian|heisenberg|filiform|freenil|dirsum|file):)"
 
 
 def build(spec: str) -> LieAlgebra:
@@ -134,7 +135,7 @@ def build(spec: str) -> LieAlgebra:
             raise SpecError(f"freenil spec {spec!r} needs d,c")
         return freenil(_int_param(d, spec), _int_param(c, spec))
     if head == "dirsum":
-        parts = _SUMMAND_START.split(rest)
+        parts = re.split(_SUMMAND_START, rest)
         if len(parts) < 2:
             raise SpecError(f"dirsum spec {spec!r} needs at least two summands")
         summands = [build(part) for part in parts]
@@ -183,7 +184,7 @@ def default_manifest(max_dim: int | None = None) -> tuple[str, ...]:
 
 # int() and Fraction() also read signs, '_', spaces and other scripts'
 # digits (Fraction() reads '_' from Python 3.11 on); the format does not.
-_COEFFICIENT = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+_COEFFICIENT = r"[-+]?[0-9]+(/[0-9]+)?"
 
 
 def parse_file(text: str) -> LieAlgebra:
@@ -237,7 +238,7 @@ def parse_file(text: str) -> LieAlgebra:
         raise ParseError(len(text.splitlines()) + 1, "missing 'algebra'/'dim' header")
     if not ended:
         raise ParseError(len(text.splitlines()) + 1, "missing 'end'")
-    return LieAlgebra(dim, table, name=name)
+    return LieAlgebra._of(dim, *_canonical_table(dim, table), name, via_adapted=True)
 
 
 def _parse_bracket(fields: list[str], lineno: int,
@@ -258,10 +259,10 @@ def _parse_bracket(fields: list[str], lineno: int,
         coeff_text, sep, target_text = term.partition("*")
         if not sep:
             raise ParseError(lineno, f"term {term!r} needs the form <c>*<k>")
-        if not _COEFFICIENT.fullmatch(coeff_text):
+        if not re.fullmatch(_COEFFICIENT, coeff_text):
             raise ParseError(lineno, f"non-rational coefficient {coeff_text!r}")
         try:
-            coeff = Fraction(coeff_text) if "/" in coeff_text else int(coeff_text)
+            coeff = rational(coeff_text) if "/" in coeff_text else int(coeff_text)
         except (ValueError, ZeroDivisionError):
             raise ParseError(lineno, f"non-rational coefficient {coeff_text!r}") from None
         try:

@@ -15,8 +15,8 @@ nothing.  Exit codes: 0 all checks pass, 1 a checked property failed,
 other exception), 141 (128 + SIGPIPE) the reader closed stdout.
 
 This module imports only ``argparse``, ``os`` and ``sys``; each command
-imports the layers it calls when it runs, so ``--help`` loads no layer
-and ``verify lemma`` only ``free_lie`` and ``record``.
+imports the layers it calls when it runs: ``--help`` none, ``verify
+lemma`` only ``free_lie`` and ``record``, ``kernel`` no ``analysis``.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    from .analysis import ker_lambda_dims
     from .catalog import build
+    from .homology import ker_lambda_dims
 
     L = build(args.spec)
     profile = ker_lambda_dims(L)
@@ -316,12 +316,13 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except Exception as exc:
-        # The error classes load on this path only.
-        from .analysis import RangeError, VerificationFailure
+        # The error classes load on this path only, analysis only if it is loaded.
         from .catalog import ParseError, SpecError
+        from .homology import RangeError
         from .lie_core import JacobiViolation, NotNilpotent
 
-        if isinstance(exc, VerificationFailure):
+        analysis = sys.modules.get(f"{__package__}.analysis")
+        if analysis is not None and isinstance(exc, analysis.VerificationFailure):
             print(f"check failed: {exc}", file=sys.stderr)
             return 1
         if isinstance(exc, (SpecError, ParseError, JacobiViolation, NotNilpotent, RangeError)):

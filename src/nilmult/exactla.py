@@ -5,24 +5,21 @@ RREF, subspace bases, kernels, residuals) runs through one sparse,
 fraction-free kernel, ``_echelon``, on ``int`` rows held as ``{column:
 value}`` dicts: rows are cross-multiplied (Bareiss style) and kept
 primitive, so the cost follows the nonzeros rather than the matrix shape.
-``Fraction`` values appear only at the edges: ``Matrix`` entries,
-``Subspace.basis`` and ``reduce``; a residual is an integer row times the
-subspace's ``scale``.  Matrices and subspaces are immutable; a
-subspace is stored as the primitive integer rows of its span's reduced
-row-echelon basis, which makes equality, membership and quotient lifts canonical.
+``Fraction`` values (and ``fractions``) appear only at the edges, the
+nonzero entries of ``Matrix``, ``Subspace.basis`` and ``reduce``; a
+residual is an integer row times the subspace's ``scale``.  Matrices and
+subspaces are immutable; a subspace is stored as the primitive integer
+rows of its span's reduced row-echelon basis, which makes equality,
+membership and quotient lifts canonical.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from functools import cached_property
 
 from .record import Record
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DimensionMismatch(ValueError):
@@ -34,6 +31,7 @@ def rational(x) -> Fraction:
     its binary approximation, not 1/10."""
     if isinstance(x, float):
         raise TypeError(f"float coefficient {x!r}: pass an int, Fraction or string")
+    from fractions import Fraction
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -43,11 +41,11 @@ def vector(xs: Iterable) -> tuple[Fraction, ...]:
 
 
 def basis_vector(n: int, k: int) -> tuple[Fraction, ...]:
-    return tuple(_ONE if i == k else _ZERO for i in range(n))
+    return _dense({k: 1}, n)
 
 
 def zero_vector(n: int) -> tuple[Fraction, ...]:
-    return (_ZERO,) * n
+    return _dense({}, n)
 
 
 class Matrix(Record):
@@ -155,8 +153,10 @@ def _reduced(pivots: dict[int, dict[int, int]]) -> list[tuple[int, dict[int, int
 
 
 def _dense(row: Mapping[int, int | Fraction], n: int, scale: int = 1) -> tuple[Fraction, ...]:
-    """The sparse row divided by ``scale``, as a dense rational vector."""
-    out = [_ZERO] * n
+    """The sparse row divided by ``scale``, as a dense rational vector: a
+    ``Fraction`` per nonzero entry, the ``int`` 0 elsewhere."""
+    from fractions import Fraction
+    out = [0] * n
     for c, x in row.items():
         out[c] = Fraction(x, scale)
     return tuple(out)

@@ -1,19 +1,21 @@
 """Finite-dimensional Lie algebras given by rational structure constants.
 
 A bracket table stores [e_i, e_j] for i < j only; the diagonal and the
-lower triangle follow from antisymmetry.  The constructor builds the d3
-boundary columns (``_d3_columns``) and checks the Jacobi identity on them
-as d2∘d3 = 0, so every live ``LieAlgebra`` value is an actual Lie algebra;
-it keeps them (``_d3``) with, from first use, their echelon pivots and the
-series profile (``_pivots``, ``_profile``), and ``homology``'s rank reads
-those same columns.  The table is stored once, as ``int`` numerators over
-D, the lcm of the denominators: equality, hashing, the Jacobi check, the
-brackets, the central series and the adapted table read only these.
-The series work on integer rows, so ``Fraction`` appears only in rational
-input, in a non-integral constant of ``table``, of an adapted table or of a
-quotient, and in ``bracket`` and ``JacobiViolation``.  ``bracket`` (dense),
-``minimal_generators`` and ``quotient_algebra`` are public references that
-no command calls.
+lower triangle follow from antisymmetry.  Every live ``LieAlgebra`` is
+an actual Lie algebra: the constructor, and ``LieAlgebra._of`` for an
+adapted table or a direct sum, builds the d3 boundary columns
+(``_d3_columns``), checks the Jacobi identity on them as d2∘d3 = 0 and
+keeps them (``_d3``).  A parsed file is certified on its adapted table
+(``_of``): the Jacobiator is trilinear, so an exact change of basis is a
+Lie algebra exactly when the input is; where that check fails, the
+input's own columns name the first failing triple.  ``homology``'s rank
+reads the certified columns, with the echelon pivots and series profile
+kept from first use (``_pivots``, ``_profile``).  The table is stored
+once, as ``int`` numerators over D, the lcm of the denominators, and
+everything reads these, so ``Fraction`` (and ``fractions``) appears only
+in rational input, non-integral constants of ``table`` or a quotient,
+``bracket`` and ``JacobiViolation``; ``bracket``, ``minimal_generators``
+and ``quotient_algebra`` are references that no command calls.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Mapping, Sequence
-from fractions import Fraction
 from functools import cached_property
 
 from .exactla import (
@@ -37,13 +38,11 @@ from .exactla import (
 )
 from .record import Record
 
-Vector = tuple[Fraction, ...]
-
 
 class JacobiViolation(ValueError):
     """A bracket table that is not a Lie algebra."""
 
-    def __init__(self, i: int, j: int, k: int, residual: Vector):
+    def __init__(self, i: int, j: int, k: int, residual: tuple[Fraction, ...]):
         self.triple = (i, j, k)
         self.residual = residual
         rendered = ", ".join(str(entry) for entry in residual)
@@ -62,10 +61,15 @@ class NotAnIdeal(ValueError):
 
 def _ratio(x: int, d: int) -> int | Fraction:
     """x/d for d > 0, an int when d divides x."""
-    return x // d if x % d == 0 else Fraction(x, d)
+    if x % d == 0:
+        return x // d
+    from fractions import Fraction
+    return Fraction(x, d)
 
 
-def _canonical_table(dim: int, table) -> dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]:
+def _canonical_table(dim: int, table) -> tuple[dict, int]:
+    """The nonzero entries of a rational table, checked, summed and sorted
+    by target, in ints times D, the lcm of their denominators; and D."""
     out: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
     for (i, j), entry in table.items():
         if not (0 <= i < j < dim):
@@ -80,7 +84,9 @@ def _canonical_table(dim: int, table) -> dict[tuple[int, int], tuple[tuple[int, 
         cleaned = sorted((k, c) for k, c in summed.items() if c)
         if cleaned:
             out[(i, j)] = tuple(cleaned)
-    return out
+    scale = math.lcm(*(c.denominator for e in out.values() for _, c in e))
+    return {pair: tuple((k, c.numerator * (scale // c.denominator)) for k, c in e)
+            for pair, e in out.items()}, scale
 
 
 class LieAlgebra:
@@ -89,14 +95,25 @@ class LieAlgebra:
     def __init__(self, dim: int, table, name: str = "L"):
         if dim < 0:
             raise DimensionMismatch("negative dimension")
-        self.dim = dim
-        self.name = name
-        table = _canonical_table(dim, table)
-        # The table in ints: every constant times D, the lcm of their denominators.
-        self._scale = math.lcm(*(c.denominator for e in table.values() for _, c in e))
-        self._ints = {pair: tuple((q, c.numerator * (self._scale // c.denominator)) for q, c in e)
-                      for pair, e in table.items()}
+        self.dim, self.name = dim, name
+        self._ints, self._scale = _canonical_table(dim, table)
         self._d3 = _d3_columns(self)  # the Jacobi check; the rank reads them
+
+    @classmethod
+    def _of(cls, dim: int, ints: dict, scale: int, name: str, via_adapted: bool = False) -> LieAlgebra:
+        """The algebra of canonical integer entries over their least common
+        denominator ``scale``, Jacobi-checked on its own d3 columns or, with
+        ``via_adapted``, on its adapted table's (built here too); its own are
+        then built only where that is L or the series raises."""
+        L = cls.__new__(cls)
+        L.dim, L.name, L._ints, L._scale = dim, name, ints, scale
+        try:
+            if via_adapted and L._profile.adapted is not L:
+                return L
+        except (NotNilpotent, JacobiViolation):
+            pass  # the input's own check decides, and names its triple
+        L._d3 = _d3_columns(L)
+        return L
 
     # Structural identity: the name is a label; entries over the least D fix the table.
     def __eq__(self, other):
@@ -117,6 +134,10 @@ class LieAlgebra:
     @property
     def is_abelian(self) -> bool:
         return not self._ints
+
+    @cached_property
+    def _d3(self) -> _Columns:  # on first use where the adapted table certified L
+        return _d3_columns(self)
 
     @cached_property
     def _profile(self) -> SeriesProfile:
@@ -146,7 +167,7 @@ class LieAlgebra:
                         acc[k] = acc.get(k, 0) + f * c
         return {k: c for k, c in acc.items() if c}
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear antisymmetric extension of the table, dense."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match algebra dimension")
@@ -292,38 +313,44 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
     A subspace's pivots lie among the pivots of any space containing it,
     so the n rows have distinct pivots, each a leading 1: coordinates come
     from one sweep in pivot order on their primitive integer multiples,
-    ``scale`` being the factor the integer image carries.  The filtration
-    must be central (each [e_a, e_b] in the layer after b's), or the
-    series is not the lower central one and L is not nilpotent.  When
-    every row is the unit vector of its own slot, L is returned itself
-    and its centrality is read off the least target of each integer
-    entry; otherwise the constructor checks Jacobi again on the
-    rewritten table.
+    ``scale`` being the factor the integer image carries (n rows without
+    n pivots mean no nilpotent Lie algebra; else the rewrite is exact).
+    The filtration must be central (each [e_a, e_b] in the layer after
+    b's), or the series is not the lower central one and L is not
+    nilpotent.  When every row is the unit vector of its own slot, L is
+    returned itself and its centrality is read off the least target of
+    each integer entry; otherwise each constant x/d is reduced and the
+    table built in ints over the lcm of the d, Jacobi-checked by ``_of``.
     """
     rows = [row for outer, inner in zip(lower, lower[1:])
             for row in outer.quotient_basis_rows(inner)]
     bound = [L.dim - inner.dim for outer, inner in zip(lower, lower[1:])
              for _ in range(outer.dim - inner.dim)]
+    slot = {min(row): t for t, row in enumerate(rows)}
+    if len(rows) != L.dim or len(slot) != L.dim:
+        raise _stall(L)
     if all(row == {t: 1} for t, row in enumerate(rows)):
         if any(entry[0][0] < bound[b] for (_, b), entry in L._ints.items()):
             raise _stall(L)
         return L  # the input basis is already adapted: the same table
-    slot = {min(row): t for t, row in enumerate(rows)}
     lead = [row[min(row)] for row in rows]
-    table: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+    reduced: dict[tuple[int, int], list[tuple[int, int, int]]] = {}  # (t, x, d) for x/d
     for a, b in itertools.combinations(range(L.dim), 2):
         image = L._bracket(rows[a], rows[b])
         scale = L._scale * lead[a] * lead[b]
-        entry = {}
+        entry = []
         while image:
             p = min(image)
-            t = slot[p]
-            entry[t] = _ratio(image[p], scale)
-            scale *= _cancel(image, p, rows[t])
-        if entry and min(entry) < bound[b]:
+            g = math.gcd(image[p], scale)
+            entry.append((slot[p], image[p] // g, scale // g))
+            scale *= _cancel(image, p, rows[slot[p]])
+        entry.sort()
+        if entry and entry[0][0] < bound[b]:
             raise _stall(L)
-        table[(a, b)] = entry
-    return LieAlgebra(L.dim, table, name="adapted")
+        reduced[(a, b)] = entry
+    D = math.lcm(*(d for entry in reduced.values() for _, _, d in entry))
+    ints = {pair: tuple((t, x * (D // d)) for t, x, d in e) for pair, e in reduced.items() if e}
+    return LieAlgebra._of(L.dim, ints, D, "adapted")
 
 
 def series_profile(L: LieAlgebra) -> SeriesProfile:
@@ -332,7 +359,7 @@ def series_profile(L: LieAlgebra) -> SeriesProfile:
     return L._profile
 
 
-def minimal_generators(L: LieAlgebra) -> list[Vector]:
+def minimal_generators(L: LieAlgebra) -> list[tuple[Fraction, ...]]:
     """Lifts of a basis of L/gamma_2: the non-pivot coordinate vectors.
 
     gamma_2 is spanned by the nonzero table entries [e_i, e_j], i < j (the
@@ -343,7 +370,7 @@ def minimal_generators(L: LieAlgebra) -> list[Vector]:
 
 
 def quotient_algebra(L: LieAlgebra, ideal: Subspace,
-                     name: str | None = None) -> tuple[LieAlgebra, Callable[[Sequence[Fraction]], Vector]]:
+                     name: str | None = None) -> tuple[LieAlgebra, Callable[[Sequence[Fraction]], tuple[Fraction, ...]]]:
     """Quotient L/I with its projection map.
 
     The quotient basis is the canonical complement of I (non-pivot
@@ -359,7 +386,7 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
     complement = [k for k in range(L.dim) if k not in taken]
     pos = {k: t for t, k in enumerate(complement)}
 
-    def project(v: Sequence[Fraction]) -> Vector:
+    def project(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         residual = ideal.reduce(v)
         return tuple(residual[k] for k in complement)
 
@@ -373,10 +400,9 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
 
 
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra, name: str | None = None) -> LieAlgebra:
-    """Block-diagonal bracket table on the concatenated bases."""
-    shift = L1.dim
-    table = L1.table
-    for (i, j), entry in L2.table.items():
-        table[(i + shift, j + shift)] = {k + shift: c for k, c in entry.items()}
-    sname = name if name is not None else f"{L1.name}+{L2.name}"
-    return LieAlgebra(L1.dim + L2.dim, table, name=sname)
+    """Block-diagonal bracket table on the concatenated bases, in ints over the lcm of the D."""
+    scale, shift = math.lcm(L1._scale, L2._scale), L1.dim
+    ints = {pair: tuple((k, x * (scale // L1._scale)) for k, x in e) for pair, e in L1._ints.items()}
+    ints.update(((i + shift, j + shift), tuple((k + shift, x * (scale // L2._scale)) for k, x in e))
+                for (i, j), e in L2._ints.items())
+    return LieAlgebra._of(L1.dim + L2.dim, ints, scale, f"{L1.name}+{L2.name}" if name is None else name)

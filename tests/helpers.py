@@ -1,8 +1,8 @@
 """Helpers that only the tests use: spans of dense vectors and
 membership, the free-Lie references (normed brackets, tensor expansion,
 x_1-initial words, Lyndon bracketing and normal form), basis changes,
-generated algebras, the Witt numbers, the Betti numbers of the whole
-complex and the small nilpotent algebras.  Every test module imports what
+generated algebras, the input-basis Jacobi check, the Witt numbers, the
+Betti numbers of the whole complex and the small nilpotent algebras.  Every test module imports what
 it shares from here, never from another test module."""
 
 import itertools
@@ -165,23 +165,63 @@ def unimodular(draw, n):
             for i in range(n)]
 
 
-def _change_basis(L, p):
-    """L rewritten in the basis f_a = Σ_i p[a][i] e_i, p unimodular."""
-    n = L.dim
+def table_in_basis(n, table, p):
+    """A bracket table on e_0..e_{n-1}, which need not be a Lie algebra's,
+    rewritten in the basis f_a = Σ_i p[a][i] e_i, p unimodular."""
     # A row vector v over the e_i is v·p⁻¹ over the f_a.
     q = [[int(x) for x in row] for row in sympy.Matrix(p).inv().tolist()]
-    table = {}
+    out = {}
     for a, b in itertools.combinations(range(n), 2):
         image = [Fraction(0)] * n  # [f_a, f_b] over the e_i
-        for (i, j), entry in L.table.items():
+        for (i, j), entry in table.items():
             w = p[a][i] * p[b][j] - p[a][j] * p[b][i]
             for k, c in entry.items():
                 image[k] += w * c
         coords = {t: sum(image[k] * q[k][t] for k in range(n)) for t in range(n)}
         entry = {t: c for t, c in coords.items() if c}
         if entry:
-            table[(a, b)] = entry
-    return LieAlgebra(n, table, name=L.name)
+            out[(a, b)] = entry
+    return out
+
+
+def _change_basis(L, p):
+    """L rewritten in the basis f_a = Σ_i p[a][i] e_i, p unimodular."""
+    return LieAlgebra(L.dim, table_in_basis(L.dim, L.table, p), name=L.name)
+
+
+def lie_text(name, n, table):
+    """The .lie text of a bracket table, which need not be a Lie algebra's."""
+    lines = [f"algebra {name}", f"dim {n}"]
+    for (i, j), entry in sorted(table.items()):
+        if terms := " ".join(f"{c}*{k + 1}" for k, c in sorted(entry.items()) if c):
+            lines.append(f"bracket {i + 1} {j + 1} -> {terms}")
+    return "\n".join(lines + ["end"]) + "\n"
+
+
+def reference_jacobi_failure(n, table):
+    """The input-basis Jacobi check, by the C(n,3) walk in Fractions: the
+    first triple i < j < k, in lexicographic order, whose Jacobiator
+    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is nonzero, with
+    that Jacobiator as a dense tuple; None when every triple passes.  This
+    is what ``JacobiViolation`` must report for a table, whichever basis
+    the package certified it in."""
+    def bracket(x, y):
+        out = {}
+        for a, u in x.items():
+            for b, v in y.items():
+                sign = 1 if a < b else -1
+                for k, c in table.get((min(a, b), max(a, b)), {}).items() if a != b else ():
+                    out[k] = out.get(k, 0) + sign * u * v * Fraction(c)
+        return out
+
+    for triple in itertools.combinations(range(n), 3):
+        total = [Fraction(0)] * n
+        for x, y, z in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
+            for k, c in bracket(bracket({x: 1}, {y: 1}), {z: 1}).items():
+                total[k] += c
+        if any(total):
+            return triple, tuple(total)
+    return None
 
 
 def _seeded_unimodular(n, rng):

@@ -1,9 +1,14 @@
+import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import _witt, counted_calls
+from helpers import (_seeded_unimodular, _witt, counted_calls, generated_algebras, lie_text,
+                     reference_jacobi_failure, table_in_basis, unimodular)
 
 from nilmult import free_lie, homology, lie_core
 from nilmult.analysis import bound_report, ker_lambda_dims
@@ -23,7 +28,8 @@ from nilmult.catalog import (
 )
 from nilmult.cli import main
 from nilmult.exactla import basis_vector
-from nilmult.lie_core import JacobiViolation, _lower_series, direct_sum, series_profile, upper_series
+from nilmult.lie_core import (JacobiViolation, LieAlgebra, NotNilpotent, _canonical_table, _lower_series,
+                              direct_sum, series_profile, upper_series)
 
 DATA = Path(__file__).parent / "data"
 
@@ -225,6 +231,107 @@ def test_parse_rejects_jacobi_failure():
     text = "algebra bad\ndim 3\nbracket 1 2 -> 1*3\nbracket 1 3 -> 1*1\nend\n"
     with pytest.raises(JacobiViolation):
         parse_file(text)
+
+
+def _violation(expected):
+    triple, residual = expected
+    return triple, residual, str(JacobiViolation(*triple, residual))
+
+
+def _perturbed(L, data):
+    """L's table with one constant perturbed: in L's adapted basis at a
+    target past the layer after b's, then in a random unimodular basis (an
+    abelian L anywhere, in its own basis).  The perturbed bracket keeps a
+    central filtration, so the series often succeeds, and then only the
+    adapted table's own check can catch a Jacobi failure."""
+    n, prof = L.dim, series_profile(L)
+    table = prof.adapted.table
+    a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted))
+    # in the adapted basis, b lies in the layer γ_i/γ_{i+1} with n - dim γ_{i+1} > b
+    past = min((n - g.dim for g in prof.lower if n - g.dim > b), default=n)
+    k = data.draw(st.sampled_from(range(past, n) if past < n else range(n)))
+    entry = table.setdefault((a, b), {})
+    entry[k] = entry.get(k, 0) + data.draw(st.sampled_from([-2, -1, 1, 2]))
+    table = {pair: e for pair, e in table.items() if any(e.values())}
+    return table if L.is_abelian else table_in_basis(n, table, data.draw(unimodular(n)))
+
+
+def _violation(expected):
+    triple, residual = expected
+    return triple, residual, str(JacobiViolation(*triple, residual))
+
+
+def _parses_as_the_input_check_says(n, table):
+    """parse_file raises what the input-basis check raises, triple, residual
+    and message, or certifies the table as it stands."""
+    expected = reference_jacobi_failure(n, table)
+    if expected is None:
+        assert parse_file(lie_text("perturbed", n, table)).table == table
+    else:
+        with pytest.raises(JacobiViolation) as info:
+            parse_file(lie_text("perturbed", n, table))
+        assert (info.value.triple, info.value.residual, str(info.value)) == _violation(expected)
+    return expected
+
+
+@given(generated_algebras(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_file_is_certified_as_its_input_basis_check_would(L, data):
+    # generated algebras are in random bases already; unperturbed, each is certified
+    assert reference_jacobi_failure(L.dim, L.table) is None
+    assert parse_file(lie_text(L.name, L.dim, L.table)) == L
+    _parses_as_the_input_check_says(L.dim, _perturbed(L, data))
+
+
+@pytest.mark.parametrize("spec", ["filiform:6", "dirsum:heisenberg:1+filiform:4"])
+def test_the_adapted_check_catches_what_the_series_lets_through(spec):
+    # every +1 perturbation past the layer after b's, in one dense basis:
+    # where the series succeeds and the input is no Lie algebra, the adapted
+    # table's own check is what fails, and parse_file reports the input's
+    # first failing triple all the same
+    L = build(spec)
+    n, prof = L.dim, series_profile(L)
+    p = _seeded_unimodular(n, random.Random(1))
+    caught = 0
+    for a, b in itertools.combinations(range(n), 2):
+        past = min((n - g.dim for g in prof.lower if n - g.dim > b), default=n)
+        for k in range(past, n):
+            table = L.table
+            entry = table.setdefault((a, b), {})
+            entry[k] = entry.get(k, 0) + 1
+            table = table_in_basis(n, table, p)
+            if _parses_as_the_input_check_says(n, table) is not None:
+                raw = object.__new__(LieAlgebra)  # uncertified, for the series alone
+                raw.dim, raw.name = n, "raw"
+                raw._ints, raw._scale = _canonical_table(n, table)
+                with pytest.raises(JacobiViolation):
+                    raw._profile  # the adapted table's construction raises
+                caught += 1
+    assert caught > 0
+
+
+def test_a_file_neither_lie_nor_nilpotent_reports_the_jacobi_failure():
+    # sl2 with [e, h] = -3e, [f, h] = 2f: the Jacobiator of (e, f, h) is h,
+    # and γ₂ is the whole space
+    table = {(0, 1): {2: 1}, (0, 2): {0: -3}, (1, 2): {1: 2}}
+    raw = object.__new__(LieAlgebra)  # uncertified, for the series alone
+    raw.dim, raw.name = 3, "raw"
+    raw._ints, raw._scale = _canonical_table(3, table)
+    with pytest.raises(NotNilpotent):
+        _lower_series(raw)
+    with pytest.raises(JacobiViolation) as info:
+        parse_file(lie_text("bad", 3, table))
+    expected = reference_jacobi_failure(3, table)
+    assert expected[0] == (0, 1, 2)
+    assert (info.value.triple, info.value.residual, str(info.value)) == _violation(expected)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl2_h3", "sl2_r2"])
+def test_a_lie_file_that_is_not_nilpotent_is_certified_on_its_own_columns(name):
+    L = load_file(str(DATA / f"{name}.lie"))
+    assert "_d3" in vars(L)
+    with pytest.raises(NotNilpotent):
+        series_profile(L)
 
 
 @pytest.mark.parametrize("text,fragment", [

@@ -2,15 +2,18 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import _change_basis, _seeded_unimodular
+
 from nilmult import analysis, cli, free_lie, homology, lie_core
 from nilmult.analysis import VerificationFailure, bound_report
-from nilmult.catalog import build, default_manifest
+from nilmult.catalog import build, default_manifest, serialize
 from nilmult.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -512,9 +515,41 @@ def test_multiplier_skips_the_analysis_layers():
 
 @pytest.mark.parametrize("command", ["kernel", "bounds"])
 def test_kernel_and_bounds_skip_the_free_lie_layer(command):
-    # only the witnesses evaluate bracket trees, and these commands build none
+    # only the witnesses evaluate bracket trees, and these commands build
+    # none; the kernel bookkeeping lives in homology, so kernel skips analysis
     _, loaded = _loaded_after(command, "filiform:5")
-    assert "nilmult.analysis" in loaded and "nilmult.free_lie" not in loaded
+    assert ("nilmult.analysis" in loaded) == (command == "bounds")
+    assert "nilmult.free_lie" not in loaded
+
+
+@pytest.mark.parametrize("command", ["info", "multiplier", "bounds", "kernel"])
+def test_an_integer_spec_loads_no_fractions(command):
+    _, loaded = _loaded_after(command, "dirsum:filiform:5+heisenberg:2")
+    assert "fractions" not in loaded and "decimal" not in loaded
+
+
+def _dense_heisenberg(tmp_path):
+    # h5 in a dense unimodular basis: its adapted table is a rewrite
+    path = tmp_path / "dense.lie"
+    L = _change_basis(build("heisenberg:2"), _seeded_unimodular(5, random.Random(1)))
+    path.write_text(serialize(L))
+    return path
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_kernel_of_an_integer_file_loads_neither_analysis_nor_fractions(dense, tmp_path):
+    path = _dense_heisenberg(tmp_path) if dense else DATA / "good_heisenberg.lie"
+    _, loaded = _loaded_after("kernel", f"file:{path}")
+    assert "nilmult.homology" in loaded
+    for module in ("nilmult.analysis", "nilmult.free_lie", "fractions"):
+        assert module not in loaded
+
+
+def test_a_rational_coefficient_loads_fractions(tmp_path):
+    path = tmp_path / "half.lie"
+    path.write_text("algebra half\ndim 3\nbracket 1 2 -> 1/2*3\nend\n")
+    _, loaded = _loaded_after("kernel", f"file:{path}")
+    assert "fractions" in loaded and "nilmult.analysis" not in loaded
 
 
 def test_verify_corpus_loads_the_free_lie_layer_for_its_witnesses():

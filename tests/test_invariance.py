@@ -48,7 +48,7 @@ from nilmult.analysis import (
 from nilmult.catalog import build, default_manifest, parse_file, serialize
 from nilmult.exactla import Matrix, Subspace, basis_vector, rref
 from nilmult.free_lie import evaluate_in, lemma31_term_pairs
-from nilmult.homology import _quotient_dims, multiplier_dim
+from nilmult.homology import _quotient_dims, d2_matrix, d3_matrix, multiplier_dim
 from nilmult.lie_core import _d3_columns, minimal_generators, product_space, quotient_algebra, series_profile
 
 SMALL_CORPUS = default_manifest(max_dim=8)
@@ -218,6 +218,22 @@ def test_witnesses_match_input_basis_reference(spec, reverse):
 @pytest.mark.parametrize("spec", NONABELIAN_CORPUS + ["filiform:12", "freenil:2,5"])
 def test_adapted_table_oracle(spec):
     _check_adapted(build(spec))
+
+
+@pytest.mark.parametrize("spec", NONABELIAN_CORPUS + ["filiform:12", "freenil:2,5"])
+def test_multiplier_of_a_dense_file_equals_its_sources(spec):
+    # A parsed file is certified, and ranked, on its adapted table; its own
+    # columns are built only when that table is the input itself.  The dense
+    # views below build them, and sympy ranks them on the small copies.
+    source = build(spec)
+    p = _seeded_unimodular(source.dim, random.Random(1))
+    copy = parse_file(serialize(_change_basis(source, p)))
+    result = multiplier_dim(copy)
+    assert ("_d3" in vars(copy)) == (series_profile(copy).adapted is copy)
+    assert result == multiplier_dim(source)
+    if source.dim <= 7:
+        ranks = [sympy.Matrix(m.entries).rank() for m in (d2_matrix(copy), d3_matrix(copy))]
+        assert ranks == [result.rank_d2, result.rank_d3]
 
 
 def test_trailing_blocks_need_an_ideal():
