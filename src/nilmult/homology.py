@@ -16,8 +16,8 @@ of ``exactla`` (``_pivots``), and each rank is a pivot count of the table
 that was certified: for a parsed file, its adapted table.  Colex rows make
 quotients by trailing ideals leading blocks (``_quotient_dims``), so the
 kernel rows (``ker_lambda_dims``: dim ker λ_i, λ_i : L/γ₂ ⊗ γ_i/γ_{i+1} →
-γ_{i+1}/γ_{i+2}) are pivot counts of the adapted table, on which each γ_i
-is a trailing span.  The dense rational matrices are views in
+M(L/γ_{i+1}), u ⊗ w ↦ [u ∧ w]) are pivot counts of the adapted table, on
+which each γ_i is a trailing span.  The dense rational matrices are views in
 lexicographic exterior bases."""
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ class KernelProfile(Record):
 
 
 def ker_lambda_dims(L: LieAlgebra) -> KernelProfile:
-    """dim ker(λ_i) for 2 <= i <= c by quotient-multiplier bookkeeping.
+    """dim ker(λ_i) for 2 <= i <= c by quotient-multiplier bookkeeping,
+    λ_i : L/γ₂ ⊗ γ_i/γ_{i+1} → M(L/γ_{i+1}):
 
     dim ker(λ_i) = dim M(L/γ_i) + (n-m-1)·dim(γ_i/γ_{i+1}) − dim M(L/γ_{i+1}).
     """

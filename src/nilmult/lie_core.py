@@ -8,14 +8,17 @@ adapted table or a direct sum, builds the d3 boundary columns
 keeps them (``_d3``).  A parsed file is certified on its adapted table
 (``_of``): the Jacobiator is trilinear, so an exact change of basis is a
 Lie algebra exactly when the input is; where that check fails, the
-input's own columns name the first failing triple.  ``homology``'s rank
-reads the certified columns, with the echelon pivots and series profile
-kept from first use (``_pivots``, ``_profile``).  The table is stored
-once, as ``int`` numerators over D, the lcm of the denominators, and
-everything reads these, so ``Fraction`` (and ``fractions``) appears only
-in rational input, non-integral constants of ``table`` or a quotient,
-``bracket`` and ``JacobiViolation``; ``bracket``, ``minimal_generators``
-and ``quotient_algebra`` are references that no command calls.
+input's own columns name the first failing triple.  The lower central
+series is computed by its definition, gamma_{i+1} = [gamma_i, L], with
+no certificate; ``homology``'s rank reads the certified columns, with
+the echelon pivots and the series profile (or the ``NotNilpotent`` of a
+stalled series) kept from first use (``_pivots``, ``_profile``).  The
+table is stored once, as ``int`` numerators over D, the lcm of the
+denominators, and everything reads these, so ``Fraction`` (and
+``fractions``) appears only in rational input, non-integral constants of
+``table`` or a quotient, ``bracket`` and ``JacobiViolation``;
+``bracket``, ``minimal_generators`` and ``quotient_algebra`` are
+references that no command calls.
 """
 
 from __future__ import annotations
@@ -104,13 +107,13 @@ class LieAlgebra:
         """The algebra of canonical integer entries over their least common
         denominator ``scale``, Jacobi-checked on its own d3 columns or, with
         ``via_adapted``, on its adapted table's (built here too); its own are
-        then built only where that is L or the series raises."""
+        then built only where that is L or its series or check fails."""
         L = cls.__new__(cls)
         L.dim, L.name, L._ints, L._scale = dim, name, ints, scale
         try:
-            if via_adapted and L._profile.adapted is not L:
+            if via_adapted and getattr(L._profile, "adapted", L) is not L:
                 return L
-        except (NotNilpotent, JacobiViolation):
+        except (NotNilpotent, JacobiViolation):  # from the adapted table's guard or check
             pass  # the input's own check decides, and names its triple
         L._d3 = _d3_columns(L)
         return L
@@ -140,8 +143,11 @@ class LieAlgebra:
         return _d3_columns(self)
 
     @cached_property
-    def _profile(self) -> SeriesProfile:
-        lower = _lower_series(self)
+    def _profile(self) -> SeriesProfile | NotNilpotent:  # series_profile raises the error
+        try:
+            lower = _lower_series(self)
+        except NotNilpotent as err:
+            return err
         m = lower[1].dim if len(lower) > 1 else 0
         return SeriesProfile(lower=lower, nilpotency_class=len(lower) - 1, derived_dim=m,
                              gen_count=self.dim - m, adapted=_adapted(self, lower))
@@ -251,32 +257,25 @@ def product_space(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
 
 
 def _lower_series(L: LieAlgebra) -> tuple[Subspace, ...]:
-    """gamma_1, ..., gamma_{c+1} = 0 on integer echelon rows.
-
-    gamma_2 is the span of the table entries; after it gamma_{i+1} =
-    [gamma_i, X] for X the unit vectors off gamma_2's pivots.  That holds
-    when L is nilpotent, since X then generates L; ``_adapted`` certifies
-    it, and ``_stall`` reports a series that stops shrinking (or, were the
-    loop at fault, one that runs past n steps).
+    """gamma_1, ..., gamma_{c+1} = 0 on integer echelon rows, by definition:
+    gamma_2 spans the table entries, gamma_{i+1} = [gamma_i, L].  A row v is
+    bracketed only with the e_x that share a nonzero entry with its support
+    (every other [v, e_x] is 0).  Each term lies in the one before, so the
+    first that does not shrink raises NotNilpotent, naming its dimension.
     """
+    partners = [set() for _ in range(L.dim)]
+    for i, j in L._ints:
+        partners[i].add(j)
+        partners[j].add(i)
     series = [{k: {k: 1} for k in range(L.dim)}]
     rows = _echelon(L._ints.values())
-    gens = [k for k in range(L.dim) if k not in rows]
     while series[-1]:
-        if len(rows) >= len(series[-1]) or len(series) > L.dim:
-            raise _stall(L)
+        if len(rows) >= len(series[-1]):
+            raise NotNilpotent(f"{L.name}: lower central series stabilises at dimension {len(series[-1])}")
         series.append(rows)
-        rows = _echelon(L._bracket(row, {x: 1}) for row in rows.values() for x in gens)
+        rows = _echelon(L._bracket(row, {x: 1}) for row in rows.values()
+                        for x in set().union(*(partners[s] for s in row)))
     return tuple(Subspace.from_rows(L.dim, echelon.values()) for echelon in series)
-
-
-def _stall(L: LieAlgebra) -> NotNilpotent:
-    """The error for a non-nilpotent L: the dimension at which gamma_{i+1}
-    = [gamma_i, L] stops shrinking."""
-    full = current = Subspace.full(L.dim)
-    while (nxt := product_space(L, current, full)).dim < current.dim:
-        current = nxt
-    return NotNilpotent(f"{L.name}: lower central series stabilises at dimension {current.dim}")
 
 
 def _upper_step(L: LieAlgebra, Z: Subspace) -> Subspace:
@@ -311,27 +310,21 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
     gamma_{i+1}'s pivots, layer by layer from i = 1.
 
     A subspace's pivots lie among the pivots of any space containing it,
-    so the n rows have distinct pivots, each a leading 1: coordinates come
-    from one sweep in pivot order on their primitive integer multiples,
-    ``scale`` being the factor the integer image carries (n rows without
-    n pivots mean no nilpotent Lie algebra; else the rewrite is exact).
-    The filtration must be central (each [e_a, e_b] in the layer after
-    b's), or the series is not the lower central one and L is not
-    nilpotent.  When every row is the unit vector of its own slot, L is
-    returned itself and its centrality is read off the least target of
-    each integer entry; otherwise each constant x/d is reduced and the
-    table built in ints over the lcm of the d, Jacobi-checked by ``_of``.
+    so the rows of a chain from L to 0 are n rows with distinct pivots,
+    each a leading 1: coordinates come from one sweep in pivot order on
+    their primitive integer multiples, ``scale`` being the factor the
+    integer image carries.  Rows that are not n with n distinct pivots
+    are no such chain and raise NotNilpotent, so the sweep is always an
+    exact change of basis.  When every row is the unit vector of its own
+    slot, L is returned itself; otherwise each constant x/d is reduced and
+    the table built in ints over the lcm of the d, Jacobi-checked by ``_of``.
     """
     rows = [row for outer, inner in zip(lower, lower[1:])
             for row in outer.quotient_basis_rows(inner)]
-    bound = [L.dim - inner.dim for outer, inner in zip(lower, lower[1:])
-             for _ in range(outer.dim - inner.dim)]
     slot = {min(row): t for t, row in enumerate(rows)}
     if len(rows) != L.dim or len(slot) != L.dim:
-        raise _stall(L)
+        raise NotNilpotent(f"{L.name}: lower central series is not a chain")
     if all(row == {t: 1} for t, row in enumerate(rows)):
-        if any(entry[0][0] < bound[b] for (_, b), entry in L._ints.items()):
-            raise _stall(L)
         return L  # the input basis is already adapted: the same table
     lead = [row[min(row)] for row in rows]
     reduced: dict[tuple[int, int], list[tuple[int, int, int]]] = {}  # (t, x, d) for x/d
@@ -344,10 +337,7 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
             g = math.gcd(image[p], scale)
             entry.append((slot[p], image[p] // g, scale // g))
             scale *= _cancel(image, p, rows[slot[p]])
-        entry.sort()
-        if entry and entry[0][0] < bound[b]:
-            raise _stall(L)
-        reduced[(a, b)] = entry
+        reduced[(a, b)] = sorted(entry)
     D = math.lcm(*(d for entry in reduced.values() for _, _, d in entry))
     ints = {pair: tuple((t, x * (D // d)) for t, x, d in e) for pair, e in reduced.items() if e}
     return LieAlgebra._of(L.dim, ints, D, "adapted")
@@ -355,8 +345,11 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
 
 def series_profile(L: LieAlgebra) -> SeriesProfile:
     """The lower central series, the (n, m, c) bookkeeping and the adapted
-    table, computed on first use and kept on L as ``L._profile``."""
-    return L._profile
+    table, computed on first use and kept on L as ``L._profile``;
+    NotNilpotent, kept there too, if the series stalls."""
+    if isinstance(profile := L._profile, NotNilpotent):
+        raise profile.with_traceback(None)
+    return profile
 
 
 def minimal_generators(L: LieAlgebra) -> list[tuple[Fraction, ...]]:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,16 +6,28 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import _change_basis, _seeded_unimodular
+from helpers import (
+    _betti_numbers,
+    _change_basis,
+    _seeded_unimodular,
+    counted_calls,
+    generated_algebras,
+    lie_text,
+    unimodular,
+)
 
 from nilmult import analysis, cli, free_lie, homology, lie_core
 from nilmult.analysis import VerificationFailure, bound_report
 from nilmult.catalog import build, default_manifest, serialize
 from nilmult.cli import main
+from nilmult.lie_core import LieAlgebra, direct_sum
 
 DATA = Path(__file__).parent / "data"
 
@@ -313,6 +326,49 @@ def test_not_nilpotent_file_exit_two(capsys, command, stem):
     assert (code, out) == (2, "")
     name, dim = NOT_NILPOTENT[stem]
     assert err == f"error: {name}: lower central series stabilises at dimension {dim}\n"
+
+
+@pytest.mark.parametrize("command", ["info", "bounds", "kernel"])
+@pytest.mark.parametrize("stem", NOT_NILPOTENT)
+def test_a_not_nilpotent_file_computes_its_series_once(monkeypatch, capsys, command, stem):
+    # parsing finds the stall, and the algebra keeps it for the command
+    lowers = counted_calls(monkeypatch, lie_core, "_lower_series")
+    code, _, err = run_cli(capsys, command, f"file:{DATA / f'{stem}.lie'}")
+    assert (code, len(lowers)) == (2, 1)
+    assert err.endswith(f"stabilises at dimension {NOT_NILPOTENT[stem][1]}\n")
+
+
+SL2 = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}, name="sl2")
+R2 = LieAlgebra(2, {(0, 1): {1: 1}}, name="r2")
+
+
+def _cli(*argv):  # run_cli for a hypothesis test, where capsys spans every example
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(generated_algebras(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_a_generated_file_that_is_not_nilpotent(N, data):
+    # sl2^a ⊕ r2^b ⊕ N, a + b ≥ 1, in a random unimodular basis: its lower
+    # central series stabilises at sl2^a ⊕ ⟨b⟩^b, of dimension 3a + b
+    a = data.draw(st.integers(0, (12 - N.dim) // 3))
+    b = data.draw(st.integers(0 if a else 1, (12 - N.dim - 3 * a) // 2))
+    L = N
+    for summand in [SL2] * a + [R2] * b:
+        L = direct_sum(summand, L)
+    copy = _change_basis(L, data.draw(unimodular(L.dim)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "nonnil.lie"
+        path.write_text(lie_text("nonnil", L.dim, copy.table))
+        code, out, err = _cli("kernel", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert err == f"error: nonnil: lower central series stabilises at dimension {3 * a + b}\n"
+        code, out, err = _cli("multiplier", f"file:{path}", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dim_M"] == _betti_numbers(L)[2]
 
 
 def test_dirsum_past_dimension_guard_exit_two(capsys):

@@ -22,6 +22,7 @@ from helpers import (
     span,
 )
 
+from nilmult import lie_core
 from nilmult.analysis import rai_bound, rai_refined
 from nilmult.catalog import build, default_manifest
 from nilmult.exactla import DimensionMismatch, Subspace, basis_vector, vector
@@ -31,6 +32,8 @@ from nilmult.lie_core import (
     LieAlgebra,
     NotAnIdeal,
     NotNilpotent,
+    _adapted,
+    _lower_series,
     direct_sum,
     minimal_generators,
     product_space,
@@ -381,6 +384,43 @@ def test_not_nilpotent_detected():
     # sl2 has zero centre, so its upper series stops at once
     with pytest.raises(NotNilpotent, match="upper central series stabilises below L"):
         upper_series(sl2())
+
+
+@pytest.mark.parametrize("summands, stalls_at", [((), 3), ((h3(),), 3), ((LieAlgebra(2, {(0, 1): {1: 1}}),), 4)])
+def test_a_stalled_series_raises_within_n_steps(monkeypatch, summands, stalls_at):
+    # sl2, sl2 ⊕ h3 and sl2 ⊕ r2: each echelon is one term of the series,
+    # and a term that does not shrink raises at once, so n terms at most
+    L = sl2()
+    for summand in summands:
+        L = direct_sum(L, summand)
+    terms, echelon = [], lie_core._echelon
+
+    def bounded(rows):
+        terms.append(rows)
+        assert len(terms) <= L.dim, "the series ran past n terms"
+        return echelon(rows)
+    monkeypatch.setattr(lie_core, "_echelon", bounded)
+    with pytest.raises(NotNilpotent, match=f"stabilises at dimension {stalls_at}$"):
+        _lower_series(L)
+
+
+# _bracket calls of the series on large sparse inputs: a row meets only the
+# basis vectors it shares a table entry with
+@pytest.mark.parametrize("spec, brackets", [
+    ("filiform:64", 1891), ("freenil:2,7", 248), ("freenil:3,4", 63), ("heisenberg:31", 0)])
+def test_the_lower_series_brackets_rows_with_their_partners_alone(monkeypatch, spec, brackets):
+    L = build(spec)
+    calls = counted_calls(monkeypatch, LieAlgebra, "_bracket")
+    _lower_series(L)
+    assert len(calls) == brackets
+
+
+def test_adapted_refuses_rows_that_are_not_a_basis():
+    # a filtration that is no chain: L ⊃ ⟨e_0, e_1⟩ ⊃ ⟨e_2⟩ ⊃ 0 gives four
+    # rows for three slots, and the sweep would be no change of basis
+    lower = (Subspace.full(3), span(3, [[1, 0, 0], [0, 1, 0]]), span(3, [[0, 0, 1]]), Subspace.zero(3))
+    with pytest.raises(NotNilpotent):
+        _adapted(h3(), lower)
 
 
 def _sympy_rows(rows):

@@ -84,6 +84,7 @@ KEPT = {
     "eq3_consistency": "perfbench/tracer.py wraps it; the telescoping identity alone",
     "minimal_generators": "perfbench/tracer.py wraps it; lifts of a basis of L/γ₂",
     "quotient_algebra": "perfbench/tracer.py wraps it; the quotient by any ideal",
+    "product_space": "perfbench/tracer.py wraps it; the reference the lower-series tests build on",
     "serialize": "the documented .lie writer, the inverse of parse_file",
 }
 
