@@ -5,18 +5,25 @@
 MUTANTS.json lists [file, old, new] triples, ``old`` found exactly once
 in ``file``.  Each mutant goes into a fresh temporary copy of the checkout
 (never the checkout), where ``pytest -x`` runs for at most TIMEOUT_S
-seconds (600), with ``src`` put in front of the caller's PYTHONPATH.
+seconds (600), with ``src`` put in front of the caller's PYTHONPATH, in
+an address space capped at MEMORY_CAP bytes, so that a mutant that loops
+while it allocates fails the test it is in with ``MemoryError``.
 Prints ``killed by`` its first failure, ``survived``, ``timeout`` or, for a
 nonzero exit that names no failure (pytest could not start, say),
 ``error (exit N)`` per mutant.
 """
 
-import json, os, shutil, subprocess, sys, tempfile  # noqa: E401
+import json, os, resource, shutil, subprocess, sys, tempfile  # noqa: E401
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 USAGE = "usage: python3 scripts/mutants.py MUTANTS.json [TIMEOUT_S]"
 SKIP = shutil.ignore_patterns(".git", ".bench_build", "__pycache__", ".hypothesis", ".pytest_cache")
+MEMORY_CAP = 2 << 30  # bytes; the unmutated suite passes under it
+
+
+def cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def mutate(text: str, old: str, new: str) -> str:
@@ -32,7 +39,7 @@ def run(file: str, old: str, new: str, timeout: float) -> str:
         path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
         try:
             proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-                                  cwd=copy, env={**os.environ, "PYTHONPATH": path},
+                                  cwd=copy, env={**os.environ, "PYTHONPATH": path}, preexec_fn=cap_memory,
                                   capture_output=True, text=True, timeout=timeout)
         except subprocess.TimeoutExpired:
             return "timeout"

@@ -21,8 +21,8 @@ The .lie text format is line-oriented, with ``#`` starting a comment:
 
 Unlisted pairs bracket to zero; coefficients are rationals written as
 ``p`` or ``p/q`` with an optional sign.  Numbers take ASCII digits only.
-A parsed file is Jacobi-checked on its adapted table (``LieAlgebra._of``),
-which ``multiplier`` ranks; ``fractions`` and the patterns load on first use.
+A parsed file is certified by ``LieAlgebra``'s one rule, as any table is;
+``fractions`` and the patterns load on first use.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import itertools
 import re
 
 from .exactla import rational
-from .lie_core import LieAlgebra, _canonical_table, direct_sum
+from .lie_core import LieAlgebra, direct_sum
 
 DIM_GUARD = 64
 
@@ -139,13 +139,9 @@ def build(spec: str) -> LieAlgebra:
         if len(parts) < 2:
             raise SpecError(f"dirsum spec {spec!r} needs at least two summands")
         summands = [build(part) for part in parts]
-        dim = sum(summand.dim for summand in summands)
-        if dim > DIM_GUARD:
+        if (dim := sum(summand.dim for summand in summands)) > DIM_GUARD:
             raise SpecError(f"{spec} has dimension {dim} > {DIM_GUARD}")
-        total = summands[0]
-        for summand in summands[1:-1]:
-            total = direct_sum(total, summand)
-        return direct_sum(total, summands[-1], name=spec)
+        return direct_sum(*summands, name=spec)
     raise SpecError(f"unknown family {head!r} in spec {spec!r}")
 
 
@@ -238,7 +234,7 @@ def parse_file(text: str) -> LieAlgebra:
         raise ParseError(len(text.splitlines()) + 1, "missing 'algebra'/'dim' header")
     if not ended:
         raise ParseError(len(text.splitlines()) + 1, "missing 'end'")
-    return LieAlgebra._of(dim, *_canonical_table(dim, table), name, via_adapted=True)
+    return LieAlgebra(dim, table, name)
 
 
 def _parse_bracket(fields: list[str], lineno: int,

@@ -13,12 +13,12 @@ C(t,2) + s, its colex index, built and checked (d2∘d3 = 0, the Jacobi
 identity) where the algebra is certified, kept as ``_d3`` and read here,
 never modified.  Each is echelonised once per algebra by the integer kernel
 of ``exactla`` (``_pivots``), and each rank is a pivot count of the table
-that was certified: for a parsed file, its adapted table.  Colex rows make
-quotients by trailing ideals leading blocks (``_quotient_dims``), so the
-kernel rows (``ker_lambda_dims``: dim ker λ_i, λ_i : L/γ₂ ⊗ γ_i/γ_{i+1} →
-M(L/γ_{i+1}), u ⊗ w ↦ [u ∧ w]) are pivot counts of the adapted table, on
-which each γ_i is a trailing span.  The dense rational matrices are views in
-lexicographic exterior bases."""
+that was certified (``_certified``: the adapted one of a table that is not
+triangular).  Colex rows make quotients by trailing ideals leading blocks
+(``_quotient_dims``), so the kernel rows (``ker_lambda_dims``: dim ker λ_i,
+λ_i : L/γ₂ ⊗ γ_i/γ_{i+1} → M(L/γ_{i+1}), u ⊗ w ↦ [u ∧ w]) are pivot counts
+of the adapted table, on which each γ_i is a trailing span.  The dense
+rational matrices are views in lexicographic exterior bases."""
 
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ def _quotient_dims(L: LieAlgebra, cuts: list[int]) -> list[int]:
 @lru_cache(maxsize=1)
 def multiplier_dim(L: LieAlgebra) -> MultiplierResult:
     """dim M(L) = C(n,2) − rank(d2) − rank(d3), all exact."""
-    d2, d3 = (L if "_d3" in vars(L) else series_profile(L).adapted)._pivots  # the certified table
+    d2, d3 = L._certified._pivots
     return MultiplierResult(n=L.dim, rank_d2=len(d2), rank_d3=len(d3),
                             dim_M=comb(L.dim, 2) - len(d2) - len(d3))
 

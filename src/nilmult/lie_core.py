@@ -2,21 +2,20 @@
 
 A bracket table stores [e_i, e_j] for i < j only; the diagonal and the
 lower triangle follow from antisymmetry.  Every live ``LieAlgebra`` is
-an actual Lie algebra: the constructor, and ``LieAlgebra._of`` for an
-adapted table or a direct sum, builds the d3 boundary columns
-(``_d3_columns``), checks the Jacobi identity on them as d2∘d3 = 0 and
-keeps them (``_d3``).  A parsed file is certified on its adapted table
-(``_of``): the Jacobiator is trilinear, so an exact change of basis is a
-Lie algebra exactly when the input is; where that check fails, the
-input's own columns name the first failing triple.  The lower central
-series is computed by its definition, gamma_{i+1} = [gamma_i, L], with
-no certificate; ``homology``'s rank reads the certified columns, with
-the echelon pivots and the series profile (or the ``NotNilpotent`` of a
-stalled series) kept from first use (``_pivots``, ``_profile``).  The
-table is stored once, as ``int`` numerators over D, the lcm of the
-denominators, and everything reads these, so ``Fraction`` (and
-``fractions``) appears only in rational input, non-integral constants of
-``table`` or a quotient, ``bracket`` and ``JacobiViolation``;
+an actual Lie algebra: the constructor and ``LieAlgebra._of`` call
+``_certify``, which checks the Jacobi identity as d2∘d3 = 0 on the d3
+columns (``_d3``) of ``_certified``, the table ``homology`` ranks: L if
+its table is triangular, each [e_i, e_j] (i < j) with targets past j
+only, else its adapted table (the Jacobiator is trilinear, so an exact
+change of basis is a Lie algebra exactly when the input is), unless that
+is L or the series stalls.  If the adapted check fails, L's own columns
+name the first failing triple.  The lower central series is computed by
+its definition, gamma_{i+1} = [gamma_i, L]; the echelon pivots and the
+series profile (or the ``NotNilpotent`` of a stalled series) are kept
+from first use (``_pivots``, ``_profile``).  The table is stored once,
+as ``int`` numerators over D, the lcm of the denominators, read by all,
+so ``Fraction`` (and ``fractions``) appears only in rational input,
+non-integral constants of ``table``, ``bracket`` and ``JacobiViolation``;
 ``bracket``, ``minimal_generators`` and ``quotient_algebra`` are
 references that no command calls.
 """
@@ -100,23 +99,28 @@ class LieAlgebra:
             raise DimensionMismatch("negative dimension")
         self.dim, self.name = dim, name
         self._ints, self._scale = _canonical_table(dim, table)
-        self._d3 = _d3_columns(self)  # the Jacobi check; the rank reads them
+        self._certify()
 
     @classmethod
-    def _of(cls, dim: int, ints: dict, scale: int, name: str, via_adapted: bool = False) -> LieAlgebra:
-        """The algebra of canonical integer entries over their least common
-        denominator ``scale``, Jacobi-checked on its own d3 columns or, with
-        ``via_adapted``, on its adapted table's (built here too); its own are
-        then built only where that is L or its series or check fails."""
+    def _of(cls, dim: int, ints: dict, scale: int, name: str) -> LieAlgebra:
+        """The algebra of canonical integer entries over their least common denominator."""
         L = cls.__new__(cls)
         L.dim, L.name, L._ints, L._scale = dim, name, ints, scale
-        try:
-            if via_adapted and getattr(L._profile, "adapted", L) is not L:
-                return L
-        except (NotNilpotent, JacobiViolation):  # from the adapted table's guard or check
-            pass  # the input's own check decides, and names its triple
-        L._d3 = _d3_columns(L)
+        L._certify()
         return L
+
+    @property
+    def _certified(self) -> LieAlgebra:  # the module's rule; not stored, so L is no cycle
+        triangular = all(entry[0][0] > j for (_, j), entry in self._ints.items())
+        return self if triangular else getattr(self._profile, "adapted", self)
+
+    def _certify(self) -> None:
+        """The Jacobi check, on the d3 columns of ``_certified``."""
+        try:
+            certified = self._certified
+        except JacobiViolation:  # from the adapted table's own check
+            certified = self  # L's own check names the failing triple
+        certified._d3  # building the columns checks them
 
     # Structural identity: the name is a label; entries over the least D fix the table.
     def __eq__(self, other):
@@ -139,7 +143,7 @@ class LieAlgebra:
         return not self._ints
 
     @cached_property
-    def _d3(self) -> _Columns:  # on first use where the adapted table certified L
+    def _d3(self) -> _Columns:  # built by _certify on the certified table, else on first use
         return _d3_columns(self)
 
     @cached_property
@@ -196,8 +200,8 @@ def _d3_columns(L: LieAlgebra) -> _Columns:
     column of i < j < k is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
     [[e_k,e_i],e_j] times D², and a triple without a column has no
     nonzero term.  Columns are taken in sorted triple order, so the first
-    failing triple is the one ``JacobiViolation`` reports.  The
-    constructor calls this once and keeps the result as ``L._d3``.
+    failing triple is the one ``JacobiViolation`` reports.  ``L._d3``
+    calls this once and keeps the result.
     """
     columns: _Columns = {}
     colex = [t * (t - 1) // 2 for t in range(L.dim)]  # C(t, 2)
@@ -310,20 +314,18 @@ def _adapted(L: LieAlgebra, lower: Sequence[Subspace]) -> LieAlgebra:
     gamma_{i+1}'s pivots, layer by layer from i = 1.
 
     A subspace's pivots lie among the pivots of any space containing it,
-    so the rows of a chain from L to 0 are n rows with distinct pivots,
-    each a leading 1: coordinates come from one sweep in pivot order on
-    their primitive integer multiples, ``scale`` being the factor the
-    integer image carries.  Rows that are not n with n distinct pivots
-    are no such chain and raise NotNilpotent, so the sweep is always an
-    exact change of basis.  When every row is the unit vector of its own
-    slot, L is returned itself; otherwise each constant x/d is reduced and
-    the table built in ints over the lcm of the d, Jacobi-checked by ``_of``.
+    and ``lower`` shrinks strictly from L to 0, each term inside the one
+    before for any bilinear table, so its rows are n rows with distinct
+    pivots, each a leading 1: coordinates come from one sweep in pivot
+    order on their primitive integer multiples, ``scale`` being the factor
+    the integer image carries.  When every row is the unit vector of its
+    own slot, L is returned itself; otherwise each constant x/d is reduced
+    and the table, triangular ([e_a, e_b] lies in the term after b's), is
+    built in ints over the lcm of the d.
     """
     rows = [row for outer, inner in zip(lower, lower[1:])
             for row in outer.quotient_basis_rows(inner)]
     slot = {min(row): t for t, row in enumerate(rows)}
-    if len(rows) != L.dim or len(slot) != L.dim:
-        raise NotNilpotent(f"{L.name}: lower central series is not a chain")
     if all(row == {t: 1} for t, row in enumerate(rows)):
         return L  # the input basis is already adapted: the same table
     lead = [row[min(row)] for row in rows]
@@ -383,19 +385,21 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace,
         residual = ideal.reduce(v)
         return tuple(residual[k] for k in complement)
 
-    table, scale = {}, ideal.scale * L._scale
+    ints, scale = {}, ideal.scale * L._scale
     for a, b in itertools.combinations(complement, 2):
         # A residual mod I lives on the complement's coordinates.
-        image = ideal.residual(dict(L._ints.get((a, b), ())))
-        table[(pos[a], pos[b])] = {pos[k]: _ratio(c, scale) for k, c in image.items()}
-    qname = name if name is not None else f"{L.name}/I"
-    return LieAlgebra(len(complement), table, name=qname), project
+        if image := ideal.residual(dict(L._ints.get((a, b), ()))):
+            ints[(pos[a], pos[b])] = tuple(sorted((pos[k], c) for k, c in image.items()))
+    g = math.gcd(scale, *(c for entry in ints.values() for _, c in entry))  # to the least D
+    ints = {pair: tuple((k, c // g) for k, c in entry) for pair, entry in ints.items()}
+    return LieAlgebra._of(len(complement), ints, scale // g, f"{L.name}/I" if name is None else name), project
 
 
-def direct_sum(L1: LieAlgebra, L2: LieAlgebra, name: str | None = None) -> LieAlgebra:
-    """Block-diagonal bracket table on the concatenated bases, in ints over the lcm of the D."""
-    scale, shift = math.lcm(L1._scale, L2._scale), L1.dim
-    ints = {pair: tuple((k, x * (scale // L1._scale)) for k, x in e) for pair, e in L1._ints.items()}
-    ints.update(((i + shift, j + shift), tuple((k + shift, x * (scale // L2._scale)) for k, x in e))
-                for (i, j), e in L2._ints.items())
-    return LieAlgebra._of(L1.dim + L2.dim, ints, scale, f"{L1.name}+{L2.name}" if name is None else name)
+def direct_sum(*algebras: LieAlgebra, name: str | None = None) -> LieAlgebra:
+    """Block-diagonal table on the concatenated bases, in ints over the lcm of the D."""
+    scale, shift, ints = math.lcm(*(L._scale for L in algebras)), 0, {}
+    for L in algebras:
+        ints.update(((i + shift, j + shift), tuple((k + shift, x * (scale // L._scale)) for k, x in e))
+                    for (i, j), e in L._ints.items())
+        shift += L.dim
+    return LieAlgebra._of(shift, ints, scale, "+".join(L.name for L in algebras) if name is None else name)

@@ -9,11 +9,15 @@ its top level (corpora, parameter lists) runs.  The alarm raises a
 ``KeyboardInterrupt`` that names the test or the module: neither
 ``cli.main``, which catches ``Exception``, nor hypothesis catches one, so
 pytest stops at once and exits 2.  A time-out thus ends the run; a
-looping mutant costs one limit, not one per test.
+looping mutant costs one limit, not one per test.  A loop that allocates
+as it goes meets a capped address space first (``scripts/mutants.py``
+sets one): its ``MemoryError`` fails the test like any other error, once
+the frames that hold the allocations are cleared.
 """
 
 import contextlib
 import signal
+import traceback
 
 import pytest
 
@@ -42,6 +46,21 @@ def _alarm(what):
 def pytest_runtest_protocol(item, nextitem):
     with _alarm(item.nodeid):
         yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    # A loop that allocates until the address space runs out (scripts/mutants.py
+    # caps it) ends in a MemoryError whose frames still hold what it built;
+    # cleared, they leave room for pytest to report the test by name.
+    outcome = yield
+    chain, err = [], outcome.excinfo[1] if outcome.excinfo else None
+    while err is not None:
+        chain.append(err)
+        err = err.__context__
+    if any(isinstance(err, MemoryError) for err in chain):
+        for err in chain:
+            traceback.clear_frames(err.__traceback__)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -72,6 +72,18 @@ def test_dirsum_of_built_summands_checks_jacobi_once(monkeypatch):
     assert len(certified) == len(set(certified)) == 3 and certified[-1] is L
 
 
+def test_a_dirsum_of_three_builds_one_sum(monkeypatch):
+    # one construction beyond the three summands, equal to the pairwise fold
+    made = counted_calls(monkeypatch, LieAlgebra, "_of")
+    certified = counted_calls(monkeypatch, lie_core, "_d3_columns")
+    L = build("dirsum:heisenberg:1+abelian:1+filiform:4")
+    assert len(made) == 1 and len(certified) == len(set(certified)) == 4 and certified[-1] is L
+    monkeypatch.undo()
+    parts = [build(spec) for spec in ("heisenberg:1", "abelian:1", "filiform:4")]
+    assert L == direct_sum(direct_sum(parts[0], parts[1]), parts[2])
+    assert direct_sum(*parts).name == "heisenberg:1+abelian:1+filiform:4"
+
+
 @pytest.mark.parametrize("spec", [
     "heisenberg:2", "freenil:2,3", "dirsum:heisenberg:1+filiform:4",
     pytest.param(f"file:{DATA / 'good_heisenberg.lie'}", id="file:good_heisenberg.lie"),
@@ -329,7 +341,7 @@ def test_a_file_neither_lie_nor_nilpotent_reports_the_jacobi_failure():
 @pytest.mark.parametrize("name", ["sl2", "sl2_h3", "sl2_r2"])
 def test_a_lie_file_that_is_not_nilpotent_is_certified_on_its_own_columns(name):
     L = load_file(str(DATA / f"{name}.lie"))
-    assert "_d3" in vars(L)
+    assert L._certified is L
     with pytest.raises(NotNilpotent):
         series_profile(L)
 

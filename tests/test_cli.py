@@ -338,8 +338,9 @@ def test_a_not_nilpotent_file_computes_its_series_once(monkeypatch, capsys, comm
     assert err.endswith(f"stabilises at dimension {NOT_NILPOTENT[stem][1]}\n")
 
 
-SL2 = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}, name="sl2")
-R2 = LieAlgebra(2, {(0, 1): {1: 1}}, name="r2")
+def _sl2_and_r2():  # built in the test, where a series that fails names it
+    return (LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}, name="sl2"),
+            LieAlgebra(2, {(0, 1): {1: 1}}, name="r2"))
 
 
 def _cli(*argv):  # run_cli for a hypothesis test, where capsys spans every example
@@ -356,9 +357,8 @@ def test_a_generated_file_that_is_not_nilpotent(N, data):
     # central series stabilises at sl2^a ⊕ ⟨b⟩^b, of dimension 3a + b
     a = data.draw(st.integers(0, (12 - N.dim) // 3))
     b = data.draw(st.integers(0 if a else 1, (12 - N.dim - 3 * a) // 2))
-    L = N
-    for summand in [SL2] * a + [R2] * b:
-        L = direct_sum(summand, L)
+    sl2, r2 = _sl2_and_r2()
+    L = direct_sum(*[r2] * b, *[sl2] * a, N)
     copy = _change_basis(L, data.draw(unimodular(L.dim)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "nonnil.lie"

@@ -371,6 +371,18 @@ def test_kernel_of_a_dense_copy_builds_the_columns_once(tmp_path, monkeypatch, c
     assert len(builds) == 1
 
 
+def test_multiplier_of_a_triangular_file_computes_no_series(tmp_path, monkeypatch, capsys):
+    # filiform:30's table is triangular, so the parsed file is its own
+    # certificate: the rank reads the columns its check built, with no series
+    path = tmp_path / "filiform30.lie"
+    path.write_text(serialize(build("filiform:30")))
+    _fresh_caches()
+    builds = _column_builds(monkeypatch)
+    lowers = counted_calls(monkeypatch, lie_core, "_lower_series")
+    assert main(["multiplier", f"file:{path}"]) == 0
+    assert len(builds) == 1 and lowers == []
+
+
 @pytest.mark.parametrize("argv", [["verify", "corpus"], ["verify", "corpus", "--max-dim", "8"]])
 def test_verify_corpus_builds_each_algebras_columns_once(argv, monkeypatch, capsys):
     # 187 algebras, since build makes a new one on every call: the 70

@@ -222,14 +222,14 @@ def test_adapted_table_oracle(spec):
 
 @pytest.mark.parametrize("spec", NONABELIAN_CORPUS + ["filiform:12", "freenil:2,5"])
 def test_multiplier_of_a_dense_file_equals_its_sources(spec):
-    # A parsed file is certified, and ranked, on its adapted table; its own
-    # columns are built only when that table is the input itself.  The dense
-    # views below build them, and sympy ranks them on the small copies.
+    # A dense parsed file is not triangular, so it is certified, and ranked,
+    # on its adapted table.  The dense views below build its own columns,
+    # and sympy ranks them on the small copies.
     source = build(spec)
     p = _seeded_unimodular(source.dim, random.Random(1))
     copy = parse_file(serialize(_change_basis(source, p)))
     result = multiplier_dim(copy)
-    assert ("_d3" in vars(copy)) == (series_profile(copy).adapted is copy)
+    assert copy._certified is series_profile(copy).adapted
     assert result == multiplier_dim(source)
     if source.dim <= 7:
         ranks = [sympy.Matrix(m.entries).rank() for m in (d2_matrix(copy), d3_matrix(copy))]

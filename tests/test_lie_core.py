@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,11 @@ from helpers import (
     counted_calls,
     generated_algebras,
     is_zero_vector,
+    reference_jacobi_failure,
     reference_residual,
     span,
+    table_in_basis,
+    unimodular,
 )
 
 from nilmult import lie_core
@@ -32,7 +36,7 @@ from nilmult.lie_core import (
     LieAlgebra,
     NotAnIdeal,
     NotNilpotent,
-    _adapted,
+    _canonical_table,
     _lower_series,
     direct_sum,
     minimal_generators,
@@ -238,14 +242,72 @@ def sparse_perturbed_tables(draw):
                  perturbed_tables(), sparse_perturbed_tables()))
 @settings(max_examples=300, deadline=None)
 def test_jacobi_check_matches_dense_reference(case):
+    # whichever table the constructor certifies, the input's own or its
+    # adapted one, it raises what the input-basis check raises: the same
+    # triple, residual and message
     dim, table = case
     expected = _reference_jacobi(dim, table)
+    assert expected == reference_jacobi_failure(dim, table)
     if expected is None:
-        assert LieAlgebra(dim, table).dim == dim
+        assert LieAlgebra(dim, table).table == {p: e for p, e in _nonzero(table).items() if e}
         return
     with pytest.raises(JacobiViolation) as info:
         LieAlgebra(dim, table)
-    assert (info.value.triple, info.value.residual) == expected
+    triple, residual = expected
+    assert (info.value.triple, info.value.residual, str(info.value)) == (
+        triple, residual, str(JacobiViolation(*triple, residual)))
+
+
+def _nonzero(table):
+    return {pair: {k: c for k, c in entry.items() if c} for pair, entry in table.items()}
+
+
+def _triangular(table):
+    return all(k > j for (_, j), entry in _nonzero(table).items() for k in entry)
+
+
+@st.composite
+def not_nilpotent_tables(draw):
+    """sl2, sl2 ⊕ h3 or sl2 ⊕ r2, in a random unimodular basis."""
+    L = direct_sum(sl2(), *draw(st.sampled_from([(), (h3(),), (r2(),)])))
+    return L.dim, table_in_basis(L.dim, L.table, draw(unimodular(L.dim)))
+
+
+@given(st.one_of(valid_tables(), dense_tables(), rescaled_tables(), not_nilpotent_tables()))
+@settings(max_examples=200, deadline=None)
+def test_an_algebra_is_certified_on_its_own_table_by_the_rule(case):
+    # its own columns exactly when the table is triangular, its adapted
+    # table is L or its series stalls; else the adapted table's
+    dim, table = case
+    L = LieAlgebra(dim, table)
+    profile = L._profile
+    own = _triangular(table) or isinstance(profile, NotNilpotent) or profile.adapted is L
+    assert (L._certified is L) == own
+    assert own or L._certified is profile.adapted
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_certified_algebra_is_no_reference_cycle(dense):
+    # _certified is derived, not stored on L, so dropping the last reference
+    # frees L at once, without the cycle collector
+    L = build("freenil:2,4")
+    if dense:
+        L = _change_basis(L, _seeded_unimodular(L.dim, random.Random(1)))
+    assert (L._certified is L) != dense
+    ref = weakref.ref(L)
+    del L
+    assert ref() is None
+
+
+@pytest.mark.parametrize("spec", ["dirsum:heisenberg:1+filiform:4", "freenil:2,3"])
+def test_a_triangular_table_is_its_own_certificate(spec, monkeypatch):
+    # h3 ⊕ filiform:4 is triangular but its basis is not adapted: its own
+    # columns are checked, and no series is computed to do so
+    series = counted_calls(monkeypatch, lie_core, "_lower_series")
+    L = build(spec)
+    assert series == [] and L._certified is L
+    monkeypatch.undo()
+    assert (series_profile(L).adapted is L) == (spec == "freenil:2,3")
 
 
 def test_bracket_table_entry():
@@ -386,13 +448,17 @@ def test_not_nilpotent_detected():
         upper_series(sl2())
 
 
-@pytest.mark.parametrize("summands, stalls_at", [((), 3), ((h3(),), 3), ((LieAlgebra(2, {(0, 1): {1: 1}}),), 4)])
+def r2():
+    return LieAlgebra(2, {(0, 1): {1: 1}})
+
+
+# the summands are built in the test: r2, like sl2, is not triangular, so
+# its construction computes a series, and a failure there names the test
+@pytest.mark.parametrize("summands, stalls_at", [((), 3), ((h3,), 3), ((r2,), 4)])
 def test_a_stalled_series_raises_within_n_steps(monkeypatch, summands, stalls_at):
     # sl2, sl2 ⊕ h3 and sl2 ⊕ r2: each echelon is one term of the series,
     # and a term that does not shrink raises at once, so n terms at most
-    L = sl2()
-    for summand in summands:
-        L = direct_sum(L, summand)
+    L = direct_sum(sl2(), *(summand() for summand in summands))
     terms, echelon = [], lie_core._echelon
 
     def bounded(rows):
@@ -415,12 +481,34 @@ def test_the_lower_series_brackets_rows_with_their_partners_alone(monkeypatch, s
     assert len(calls) == brackets
 
 
-def test_adapted_refuses_rows_that_are_not_a_basis():
-    # a filtration that is no chain: L ⊃ ⟨e_0, e_1⟩ ⊃ ⟨e_2⟩ ⊃ 0 gives four
-    # rows for three slots, and the sweep would be no change of basis
-    lower = (Subspace.full(3), span(3, [[1, 0, 0], [0, 1, 0]]), span(3, [[0, 0, 1]]), Subspace.zero(3))
-    with pytest.raises(NotNilpotent):
-        _adapted(h3(), lower)
+@st.composite
+def nilpotent_tables(draw):
+    """A random triangular table, Lie or not, so its series ends at 0, in a
+    random unimodular basis."""
+    dim = draw(st.integers(3, 6))
+    table = {(i, j): draw(st.dictionaries(st.integers(j + 1, dim - 1), st.integers(-2, 2), max_size=2))
+             for i, j in itertools.combinations(range(dim - 1), 2)}
+    return dim, table_in_basis(dim, table, draw(unimodular(dim)))
+
+
+@given(st.one_of(valid_tables(), dense_tables(), rescaled_tables(), random_tables(),
+                 perturbed_tables(), nilpotent_tables()))
+@settings(max_examples=300, deadline=None)
+def test_a_series_that_ends_at_zero_yields_a_basis(case):
+    # what _adapted's sweep needs, for any bilinear table: each term lies in
+    # the one before, so where the series ends at 0 the rows of each term
+    # off the next one's pivots are n rows with n distinct pivots
+    dim, table = case
+    L = object.__new__(LieAlgebra)  # uncertified, for the series alone
+    L.dim, L.name = dim, "raw"
+    L._ints, L._scale = _canonical_table(dim, table)
+    try:
+        lower = _lower_series(L)
+    except NotNilpotent:
+        return
+    rows = [row for outer, inner in zip(lower, lower[1:]) for row in outer.quotient_basis_rows(inner)]
+    assert len(rows) == dim
+    assert sorted(min(row) for row in rows) == list(range(dim))
 
 
 def _sympy_rows(rows):
@@ -569,6 +657,37 @@ def test_quotient_ideal_check_matches_product_space(case):
     else:
         with pytest.raises(NotAnIdeal):
             quotient_algebra(L, ideal)
+
+
+@given(candidate_ideals())
+@settings(max_examples=100, deadline=None)
+def test_a_quotient_is_the_projected_table(case):
+    # [e_a, e_b] mod I on the complement, over the least common denominator
+    L, _, ideal = case
+    if not contains_subspace(ideal, product_space(L, Subspace.full(L.dim), ideal)):
+        return
+    Q, project = quotient_algebra(L, ideal)
+    complement = [k for k in range(L.dim) if k not in ideal.pivots]
+    e = functools.partial(basis_vector, L.dim)
+    reference = {(s, t): dict(enumerate(project(L.bracket(e(a), e(b)))))
+                 for (s, a), (t, b) in itertools.combinations(enumerate(complement), 2)}
+    assert Q == LieAlgebra(len(complement), reference)
+
+
+@pytest.mark.parametrize("spec, vectors, table", [
+    ("filiform:7", None, None), ("freenil:2,4", None, None),
+    # [e_0, e_1] = e_2 ≡ −e_3/2 modulo ⟨2e_2 + e_3⟩: a constant over D = 2
+    ("dirsum:heisenberg:1+abelian:1", [[0, 0, 2, 1]], {(0, 1): {2: Fraction(-1, 2)}}),
+])
+def test_an_integer_quotient_makes_no_fraction(spec, vectors, table, monkeypatch):
+    L = build(spec)
+    ideals = [span(L.dim, vectors)] if vectors else series_profile(L).lower[1:] + upper_series(L)[:-1]
+    made = counted_calls(monkeypatch, Fraction, "__new__")
+    quotients = [quotient_algebra(L, ideal)[0] for ideal in ideals]
+    assert made == []
+    monkeypatch.undo()
+    assert [Q.dim for Q in quotients] == [L.dim - ideal.dim for ideal in ideals]
+    assert table is None or quotients[0].table == table
 
 
 def test_quotient_class_drops_by_one():

@@ -79,3 +79,19 @@ def test_src_goes_in_front_of_the_callers_pythonpath(caller, expected, monkeypat
     monkeypatch.setattr(subprocess, "run", fake_run)
     assert mutants.run(*SIGN, timeout=1) == "survived"
     assert seen == [expected]
+
+
+def test_each_mutant_runs_in_a_capped_address_space(monkeypatch):
+    # the cap is set in the child, before pytest starts; here the child's
+    # hook runs against a recording setrlimit, never the real one
+    seen, limits = [], []
+
+    def fake_run(argv, **kwargs):
+        seen.append(kwargs["preexec_fn"])
+        return subprocess.CompletedProcess(argv, 0, "", "")
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert mutants.run(*SIGN, timeout=1) == "survived"
+    monkeypatch.setattr(mutants.resource, "setrlimit", lambda *args: limits.append(args))
+    seen[0]()
+    assert limits == [(mutants.resource.RLIMIT_AS, (mutants.MEMORY_CAP, mutants.MEMORY_CAP))]
+    assert mutants.MEMORY_CAP == 2 << 30

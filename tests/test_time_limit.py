@@ -1,6 +1,8 @@
 """tests/conftest.py's time limit, on a copy of it with a one-second limit
-run by a separate pytest over a module that never ends."""
+run by a separate pytest over a module that never ends; and its report of
+a loop that runs out of memory, in a pytest with a capped address space."""
 
+import resource
 import signal
 import subprocess
 import sys
@@ -56,3 +58,25 @@ def test_a_loop_in_a_fixture_ends_the_run(tmp_path):
 def test_a_loop_at_a_modules_top_level_ends_the_run(tmp_path):
     run = _pytest(tmp_path, "while True:\n    pass\n")
     _stopped_by(run, "collecting test_loops.py")
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (320 << 20, 320 << 20))
+
+
+def test_a_loop_that_runs_out_of_memory_is_named(tmp_path):
+    # its frames still hold every block when the MemoryError reaches pytest,
+    # here as the context of the one pytest.raises meets while it matches;
+    # the conftest clears them, so the quiet report that scripts/mutants.py
+    # reads has room to name the test
+    (tmp_path / "conftest.py").write_text(CONFTEST)
+    (tmp_path / "test_hoards.py").write_text(
+        "import pytest\n"
+        "def test_hoards():\n    held = []\n    with pytest.raises(ValueError):\n"
+        "        while True:\n            held.append([0] * 1024)\n"
+        "def test_next():\n    pass\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory)
+    assert run.returncode == 1, run.stdout
+    assert "FAILED test_hoards.py::test_hoards - MemoryError" in run.stdout.splitlines()
+    assert "1 failed, 1 passed" in run.stdout
