@@ -2,10 +2,11 @@
 
     python3 scripts/bench.py --pair PARENT N LABEL [run.py arguments ...]
 
-Exports the revision PARENT with ``git archive`` and copies this checkout
-(without ``.git``, ``.bench_build`` and the caches) into two sibling
-trees of one temporary directory, and runs each tree's own ``python3
-perfbench/run.py`` N times, by default with ``--workload all --seed 1
+Exports the revision PARENT with ``git archive`` into a staging directory,
+then copies it and this checkout (without ``.git``, ``.bench_build`` and
+the caches) the same way into two sibling trees of one temporary
+directory, so the sides differ only in their files, and runs each tree's
+own ``python3 perfbench/run.py`` N times, by default with ``--workload all --seed 1
 --seconds 8 --trace 0``, the two alternating (pair k starts with the
 parent when k is even), so that both sides see the same drift in host
 load.  It writes ``BENCH_<LABEL>-parent.json`` and ``BENCH_<LABEL>.json``
@@ -18,7 +19,8 @@ lines) to that side's N values in pair order, and ``won`` to the number
 of pairs in which that side read strictly better (lower, or higher for
 the metrics BENCHMARK.json marks ``"better": "higher"``); ties count for
 neither.  ``commit`` is the checked-out commit, with ``+dirty`` when
-tracked files differ from it.  Exits 1, writing nothing, when a verdict
+a tracked file differs from it or an untracked file (which the copy
+takes along) is not ignored.  Exits 1, writing nothing, when a verdict
 is missing or its ``correct`` is not ``true``.  The temporary directory
 is removed afterwards.
 """
@@ -54,7 +56,7 @@ def _git(*args: str) -> str | None:
 
 def _commit() -> str | None:
     head = _git("rev-parse", "HEAD")
-    if head and _git("status", "--porcelain", "--untracked-files=no"):
+    if head and _git("status", "--porcelain"):
         head += "+dirty"
     return head
 
@@ -119,15 +121,17 @@ def pair(parent: str, n: int, label: str, command: list[str]) -> int:
         return 2
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", "--prefix=parent/", sha], cwd=ROOT,
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", "--prefix=archive/", sha], cwd=ROOT,
                                  stdout=subprocess.PIPE, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        shutil.copytree(ROOT, Path(tmp) / "change", ignore=SKIP)
+        for side, source in (("parent", tmp / "archive"), ("change", ROOT)):
+            shutil.copytree(source, tmp / side, ignore=SKIP)
         for k in range(n):
             order = ["parent", "change"]
             for side in order if k % 2 == 0 else order[::-1]:
                 print(f"# pair {k + 1}/{n}: {side}", file=sys.stderr)
-                result = _run(Path(tmp) / side, command)
+                result = _run(tmp / side, command)
                 if result is None:
                     return 1
                 runs[side].append(result)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .exactla import Subspace, _dense, _echelon
+from .exactla import Subspace, _echelon
 from .homology import KernelProfile, KernelRow, RangeError, _quotient_dims, ker_lambda_dims
 from .lie_core import LieAlgebra, SeriesProfile, _upper_step, series_profile
 from .record import Record
@@ -157,12 +157,13 @@ def _eq3_holds(profile: KernelProfile) -> bool:
 # -- kernel witnesses ---------------------------------------------------------
 
 class PsiWitness(Record):
-    """Ψ_i tensors in (L/γ₂) ⊗ (γ_i/γ_{i+1}) and their checks.
+    """Ψ_i tensors in (L/γ₂) ⊗ (γ_i/γ_{i+1}), checked.
 
-    ``y`` and ``z`` hold 1-based positions into minimal_generators(L);
-    tensor coordinates are flattened with the L/γ₂ index major.  Each
-    bracket image is the image of the corresponding tensor under the
-    induced map into γ_{i+1}/γ_{i+2} and must be the zero vector.
+    ``y`` and ``z`` hold 1-based positions into minimal_generators(L).
+    A tensor is an integer row, its (cell, value) pairs with cells a·q + b
+    ascending (L/γ₂ index a major), and Ψ_i is that row over ``scale``.
+    The checks raise, so every record holds nonzero tensors of rank
+    n-m-i that the induced map into γ_{i+1}/γ_{i+2} kills.
 
     Everything is computed on ``series_profile(L).adapted``, whose first
     n-m basis vectors are minimal_generators(L) and whose layer-i vectors
@@ -173,9 +174,9 @@ class PsiWitness(Record):
     i: int
     y: tuple[int, ...]
     z: tuple[int, ...]
-    tensors: tuple[tuple[Fraction, ...], ...]
+    tensors: tuple[tuple[tuple[int, int], ...], ...]
+    scale: int
     independence_rank: int
-    bracket_images: tuple[tuple[Fraction, ...], ...]
 
 
 def _witness_tuple(L: LieAlgebra, i: int, prof: SeriesProfile) -> tuple[int, ...]:
@@ -244,7 +245,7 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
             for k, wb in w_val.items():
                 if lo <= k < mid:
                     tensor[base + k] = tensor.get(base + k, 0) + wb
-        tensor = {cell: x for cell, x in tensor.items() if x}
+        tensor = tuple(sorted((cell, x) for cell, x in tensor.items() if x))
         if not tensor:
             raise VerificationFailure(f"{L.name}: Ψ_{i} tensor for z={zj} is zero")
         tensors.append(tensor)
@@ -256,23 +257,18 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
 
     # β sends u̅ ⊗ w̅ (cell a·q + b) to [w_b, u_a] mod γ_{i+2}, the block
     # mid..hi-1 of [e_{lo+b}, e_a].
-    images = []
     for zj, tensor in zip(z, tensors):
         image: dict[int, int] = {}
-        for cell, x in tensor.items():
+        for cell, x in tensor:
             a, b = divmod(cell, q)
             for k, v in A._bracket({lo + b: x}, {a: 1}).items():
                 if mid <= k < hi:
-                    image[k - mid] = image.get(k - mid, 0) + v
+                    image[k] = image.get(k, 0) + v
         if any(image.values()):
             raise VerificationFailure(
                 f"{L.name}: Ψ_{i} witness for z={zj} escapes the kernel")
-        images.append(image)
-    width = (n - m) * q
-    return PsiWitness(i=i, y=y, z=z,
-                      tensors=tuple(_dense(t, width, A._scale ** (i - 1)) for t in tensors),
-                      independence_rank=independence,
-                      bracket_images=tuple(_dense(im, hi - mid) for im in images))
+    return PsiWitness(i=i, y=y, z=z, tensors=tuple(tensors), scale=A._scale ** (i - 1),
+                      independence_rank=independence)
 
 
 # -- full verification --------------------------------------------------------

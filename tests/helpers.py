@@ -7,6 +7,7 @@ it shares from here, never from another test module."""
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb
@@ -19,7 +20,8 @@ from nilmult.exactla import DimensionMismatch, Subspace, _echelon, _integral, _n
 from nilmult.free_lie import (BracketExpr, FreeLieElement, Word, _lyndonize, _packed,
                               _tensor_add_into, _tensor_bracket, _unpack, _width, br, gen,
                               is_lyndon, std_factorization)
-from nilmult.lie_core import LieAlgebra, _lower_series, product_space, quotient_algebra, upper_series
+from nilmult.lie_core import (LieAlgebra, _lower_series, product_space, quotient_algebra,
+                              series_profile, upper_series)
 
 
 def is_zero_vector(v):
@@ -353,6 +355,36 @@ def _invariants(L):
     return (tuple(S.dim for S in lower), tuple(Z.dim for Z in upper_series(L)),
             product_space(L, derived, derived).dim, L.dim - len(_echelon(rows)),
             tuple(_betti_numbers(L)))
+
+
+def weights(A, prof):
+    """The weight of each basis vector e_k of an adapted table A with
+    series profile ``prof``: i when e_k lies in γ_i/γ_{i+1}, that is
+    n − dim γ_i ≤ k < n − dim γ_{i+1}.  Asserts that A is graded by them:
+    the targets of [e_a, e_b] lie in weight w_a + w_b."""
+    n, w = A.dim, []
+    for i in range(1, prof.nilpotency_class + 1):
+        w += [i] * (prof.gamma(i).dim - prof.gamma(i + 1).dim)
+    assert len(w) == n
+    for (a, b), image in A.table.items():
+        assert all(w[k] == w[a] + w[b] for k in image), (A.name, a, b, image)
+    return w
+
+
+def h2_by_weight(L):
+    """{w: dim H₂ in weight w} of L, read off the d2 and d3 pivots of its
+    adapted table with no new elimination: d2 and d3 preserve weight, so
+    each weight's pivots are that weight's rank.  Holds only weights
+    with a nonzero dimension."""
+    prof = series_profile(L)
+    A = prof.adapted
+    w = weights(A, prof)
+    pair = [w[s] + w[t] for t in range(A.dim) for s in range(t)]  # colex order
+    d2, d3 = A._pivots
+    dims = Counter(pair)
+    dims.subtract(w[p] for p in d2)
+    dims.subtract(pair[p] for p in d3)
+    return {k: x for k, x in sorted(dims.items()) if x}
 
 
 def nilpotent_classes(max_dim):

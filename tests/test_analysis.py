@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from helpers import _change_basis, _seeded_unimodular, counted_calls, is_zero_vector
+from helpers import _change_basis, _seeded_unimodular, counted_calls
 
 from nilmult import lie_core
 from nilmult.catalog import build, default_manifest
@@ -225,8 +225,7 @@ def test_psi_witnesses_heisenberg2():
     w = psi_witnesses(build("heisenberg:2"), 2)
     assert len(w.z) == 2
     assert w.independence_rank == 2
-    assert all(t and not is_zero_vector(t) for t in w.tensors)
-    assert all(is_zero_vector(img) for img in w.bracket_images)
+    assert w.tensors == (((1, 1),), ((3, 1),)) and w.scale == 1
 
 
 def test_psi_witnesses_h3_vacuous():
@@ -264,6 +263,16 @@ def test_psi_with_a_term_dropped_escapes_the_kernel(monkeypatch, dropped):
     with pytest.raises(VerificationFailure,
                        match="^freenil:3,3: Ψ_2 witness for z=3 escapes the kernel$"):
         psi_witnesses(build("freenil:3,3"), 2)
+
+
+def test_psi_with_one_term_in_a_y_slot_has_too_small_a_rank(monkeypatch):
+    # ȳ_1 ⊗ [y_1, y_2] alone: the same nonzero tensor for z = 2 and z = 4,
+    # which heisenberg:2's β (into γ₃ = 0) cannot tell apart
+    w_expr, _ = lemma31_term_pairs(2)[0]
+    monkeypatch.setattr("nilmult.free_lie.lemma31_term_pairs", lambda i: [(w_expr, 1)])
+    with pytest.raises(VerificationFailure,
+                       match="^heisenberg:2: Ψ_2 witnesses have rank 1, expected 2$"):
+        psi_witnesses(build("heisenberg:2"), 2)
 
 
 def test_psi_zs_avoid_ys():

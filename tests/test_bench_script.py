@@ -1,7 +1,9 @@
 """scripts/bench.py: argument checks and the paired-run tally."""
 
 import importlib.util
+import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -62,11 +64,37 @@ def test_pair_runs_two_temporary_sibling_trees(monkeypatch):
         roots.append(root)
         return _verdict(0.1, 0.5)
 
+    # both sides are made by the same copy, the parent's from the exported
+    # archive, so they differ in nothing but their files
+    copies = []
+
+    def copytree(source, target, ignore):
+        copies.append((source, target, ignore))
+        return shutil.copytree(source, target, ignore=ignore)
+
     monkeypatch.setattr(bench, "_run", run)
     monkeypatch.setattr(bench, "_write", lambda label, record: None)
+    monkeypatch.setattr(bench, "shutil", SimpleNamespace(copytree=copytree))
     # HEAD, not HEAD~1: a CI checkout may hold a single commit
     assert bench.main(["--pair", "HEAD", "1", "x"]) == 0
     assert len(roots) == 2 and roots[0] != roots[1] and roots[0].parent == roots[1].parent
+    assert copies == [(roots[0].parent / "archive", roots[0], bench.SKIP),
+                      (bench.ROOT, roots[1], bench.SKIP)]
     assert not roots[0].parent.is_relative_to(bench.ROOT)
     assert not any(root.exists() for root in roots)
     assert bench._git("worktree", "list") == worktrees
+
+
+@pytest.mark.parametrize("status, commit", [("", "abc"), ("?? src/nilmult/new.py", "abc+dirty"),
+                                            (" M src/nilmult/cli.py", "abc+dirty")])
+def test_commit_is_dirty_with_an_untracked_file(monkeypatch, status, commit):
+    # the change tree is a copy of the checkout, untracked files and all
+    calls = []
+
+    def git(*args):
+        calls.append(args)
+        return "abc" if args[0] == "rev-parse" else status
+
+    monkeypatch.setattr(bench, "_git", git)
+    assert bench._commit() == commit
+    assert calls == [("rev-parse", "HEAD"), ("status", "--porcelain")]

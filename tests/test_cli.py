@@ -613,6 +613,12 @@ def test_verify_corpus_loads_the_free_lie_layer_for_its_witnesses():
     assert "nilmult.free_lie" in loaded
 
 
+def test_verify_corpus_loads_no_fractions():
+    # the witnesses are integer rows over their scale, and the corpus integral
+    _, loaded = _loaded_after("verify", "corpus")
+    assert "fractions" not in loaded and "decimal" not in loaded
+
+
 SINGLE_SPEC_COMMANDS = ("info", "multiplier", "bounds", "kernel")
 
 

@@ -16,12 +16,13 @@ from helpers import (
     central_extensions,
     counted_calls,
     generated_algebras,
+    h2_by_weight,
     lyndon_bracketing,
     nilpotent_classes,
     unimodular,
 )
 
-from nilmult import analysis, lie_core
+from nilmult import lie_core
 from nilmult.analysis import verify_theorem
 from nilmult.catalog import DIM_GUARD, build, default_manifest, serialize
 from nilmult.cli import main
@@ -200,6 +201,38 @@ def test_freenil_multiplier_is_witt_number(d, c):
 @pytest.mark.parametrize("k", range(2, 32))
 def test_heisenberg_multiplier_closed_form(k):
     assert multiplier_dim(build(f"heisenberg:{k}")).dim_M == 2 * k * k - k - 1
+
+
+# -- H₂ by weight: each family's adapted table is graded by the lower central
+# series, d2 and d3 preserve the grading, and so H₂ splits by weight ----------
+
+@pytest.mark.parametrize("d,c", FREENIL_WITHIN_GUARD)
+def test_freenil_h2_lies_in_weight_c_plus_one(d, c):
+    # Hopf's formula by weight: M(F/γ_{c+1}F) ≅ γ_{c+1}F/γ_{c+2}F
+    assert h2_by_weight(build(f"freenil:{d},{c}")) == {c + 1: _witt(d, c + 1)}
+
+
+@pytest.mark.parametrize("k", range(1, 32))
+def test_heisenberg_h2_lies_in_weight_two(k):
+    expected = {3: 2} if k == 1 else {2: 2 * k * k - k - 1}
+    assert h2_by_weight(build(f"heisenberg:{k}")) == expected
+
+
+@pytest.mark.parametrize("n", range(3, DIM_GUARD + 1))
+def test_filiform_h2_has_one_class_in_each_odd_weight(n):
+    # and one more in weight n when n is odd: ⌊(n+1)/2⌋ in all
+    expected = dict.fromkeys(range(3, n, 2), 1)
+    expected[n] = 1 if n % 2 == 0 else 2
+    L = build(f"filiform:{n}")
+    assert h2_by_weight(L) == expected
+    assert multiplier_dim(L).dim_M == (n + 1) // 2
+
+
+def test_the_grading_check_refuses_a_dense_copy():
+    # the adapted table of a dense copy of class >= 3 is filtered, not graded
+    L = build("filiform:9")
+    with pytest.raises(AssertionError, match="adapted"):  # names the bracket
+        h2_by_weight(_change_basis(L, _seeded_unimodular(L.dim, random.Random(1))))
 
 
 # -- Hopf's formula: an oracle that shares no code with homology ---------------
@@ -396,27 +429,14 @@ def test_verify_corpus_builds_each_algebras_columns_once(argv, monkeypatch, caps
     assert len(builds) == len({id(L) for L in builds}) == (186 if "--max-dim" in argv else 187)
 
 
-def test_verify_corpus_makes_fractions_only_for_the_witness_vectors(monkeypatch, capsys):
-    # every corpus table is integral, so only the dense PsiWitness fields
-    # hold a Fraction: one per nonzero entry
-    depth, made = [], []
-    witnesses, new = analysis.psi_witnesses, Fraction.__new__
-
-    def counted_witnesses(L, i):
-        depth.append(i)
-        try:
-            return witnesses(L, i)
-        finally:
-            depth.pop()
-
-    def counted_new(cls, *args, **kwargs):
-        made.append(bool(depth))
-        return new(cls, *args, **kwargs)
-    monkeypatch.setattr(analysis, "psi_witnesses", counted_witnesses)
-    monkeypatch.setattr(Fraction, "__new__", counted_new)
+def test_verify_corpus_makes_no_fraction(monkeypatch, capsys):
+    # every corpus table is integral, and the witnesses hold integer rows
+    # over their scale (169 Fractions when they held dense rational tuples)
+    _fresh_caches()
+    made = counted_calls(monkeypatch, Fraction, "__new__")
     assert main(["verify", "corpus"]) == 0
     monkeypatch.undo()
-    assert made.count(False) == 0 and 0 < made.count(True) <= 169
+    assert made == []
 
 
 def test_verify_corpus_computes_each_specs_series_once(monkeypatch, capsys):

@@ -38,7 +38,6 @@ from helpers import (
 )
 
 from nilmult.analysis import (
-    PsiWitness,
     _witness_tuple,
     psi_witnesses,
     rai_bound,
@@ -49,7 +48,7 @@ from nilmult.catalog import build, default_manifest, parse_file, serialize
 from nilmult.exactla import Matrix, Subspace, basis_vector, rref
 from nilmult.free_lie import evaluate_in, lemma31_term_pairs
 from nilmult.homology import _quotient_dims, d2_matrix, d3_matrix, multiplier_dim
-from nilmult.lie_core import _d3_columns, minimal_generators, product_space, quotient_algebra, series_profile
+from nilmult.lie_core import LieAlgebra, _d3_columns, minimal_generators, product_space, quotient_algebra, series_profile
 
 SMALL_CORPUS = default_manifest(max_dim=8)
 NONABELIAN_CORPUS = [spec for spec in default_manifest()
@@ -152,7 +151,8 @@ def _reference_witness_tuple(L, i, prof, gens):
 
 def _reference_psi_witnesses(L, i):
     """Ψ_i on L's own basis: minimal_generators(L) as generators and
-    RREF quotient coordinates for every class."""
+    RREF quotient coordinates for every class.  Returns y, z, the dense
+    rational tensors and their rank, and asserts that β kills each."""
     prof = series_profile(L)
     n, m = L.dim, prof.derived_dim
     gens = minimal_generators(L)
@@ -175,24 +175,38 @@ def _reference_psi_witnesses(L, i):
     lifts = [w for w, p in zip(gi.basis.entries, gi.pivots) if p not in gi1.pivots]
     beta_cols = [_coords_in_quotient(gi1, gi2, L.bracket(w, u))
                  for u in gens for w in lifts]
-    images = tuple(tuple(sum((col[r] * x for col, x in zip(beta_cols, tensor)),
-                             Fraction(0))
-                         for r in range(gi1.dim - gi2.dim))
-                   for tensor in tensors)
+    for tensor in tensors:
+        assert not any(sum((col[r] * x for col, x in zip(beta_cols, tensor)), Fraction(0))
+                       for r in range(gi1.dim - gi2.dim))
     independence = rref(Matrix.from_rows(tensors, cols=(n - m) * q))[1] if tensors else 0
-    return PsiWitness(i=i, y=y, z=z, tensors=tuple(tensors),
-                      independence_rank=independence, bracket_images=images)
+    return y, z, tensors, independence
 
 
 def _check_witnesses(L):
-    """The adapted-table witnesses against the input-basis reference."""
+    """The adapted-table witnesses against the input-basis reference:
+    the reference Ψ_i times ``scale`` is the record's integer tensors."""
     prof = series_profile(L)
     n, m, c = L.dim, prof.derived_dim, prof.nilpotency_class
     gens = minimal_generators(L)
     for i in range(2, c + 1):
         assert _witness_tuple(L, i, prof) == _reference_witness_tuple(L, i, prof, gens)
     for i in range(2, min(n - m, c) + 1):
-        assert psi_witnesses(L, i) == _reference_psi_witnesses(L, i)
+        w = psi_witnesses(L, i)
+        y, z, tensors, independence = _reference_psi_witnesses(L, i)
+        scaled = tuple(tuple((cell, x * w.scale) for cell, x in enumerate(t) if x)
+                       for t in tensors)
+        assert all(x.denominator == 1 for t in scaled for _, x in t)
+        assert (w.y, w.z, w.tensors, w.independence_rank) == (y, z, scaled, independence)
+
+
+def test_witnesses_of_a_table_with_halves_carry_its_scale():
+    # heisenberg:2 with both constants 1/2: Ψ_2 is the integer rows over 2
+    L = build("heisenberg:2")
+    halves = LieAlgebra(5, {pair: {k: Fraction(1, 2) for k in entry}
+                            for pair, entry in L.table.items()}, name="halves")
+    w = psi_witnesses(halves, 2)
+    assert (w.z, w.scale, w.tensors) == ((2, 4), 2, (((1, 1),), ((3, 1),)))
+    _check_witnesses(halves)
 
 
 @given(basis_changes())

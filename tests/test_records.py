@@ -45,8 +45,7 @@ FIELDS = {
                 "ker_lambda_i", "required_lower_bound", "domain_bound",
                 "satisfied"),
     KernelProfile: ("name", "n", "m", "c", "dim_M", "rows"),
-    PsiWitness: ("i", "y", "z", "tensors", "independence_rank",
-                 "bracket_images"),
+    PsiWitness: ("i", "y", "z", "tensors", "scale", "independence_rank"),
     TheoremVerification: ("report", "kernel", "witnesses", "eq3_ok",
                           "yankosky_step_bound", "yankosky_step_ok"),
 }
