@@ -20,7 +20,8 @@ of pairs in which that side read strictly better (lower, or higher for
 the metrics BENCHMARK.json marks ``"better": "higher"``); ties count for
 neither.  ``commit`` is the checked-out commit, with ``+dirty`` when
 a tracked file differs from it or an untracked file (which the copy
-takes along) is not ignored.  Exits 1, writing nothing, when a verdict
+takes along) is not ignored, read before the trees are made, so that
+it names what the copy took.  Exits 1, writing nothing, when a verdict
 is missing or its ``correct`` is not ``true``.  The temporary directory
 is removed afterwards.
 """
@@ -119,6 +120,7 @@ def pair(parent: str, n: int, label: str, command: list[str]) -> int:
     if sha is None:
         print(f"error: {parent!r} names no commit", file=sys.stderr)
         return 2
+    commit = _commit()  # before the copy, and before _write adds the parent's file
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -139,7 +141,7 @@ def pair(parent: str, n: int, label: str, command: list[str]) -> int:
               "cpus": len(os.sched_getaffinity(0)), "argv": command, "pairs": n}
     old, new = tally(runs["parent"], runs["change"], _higher_is_better())
     _write(f"{label}-parent", {"label": f"{label}-parent", "commit": sha, **common, **old})
-    _write(label, {"label": label, "commit": _commit(), **common, **new})
+    _write(label, {"label": label, "commit": commit, **common, **new})
     for metric, values in new["values"].items():
         print(f"{metric:<32} {statistics.median(old['values'][metric]):>12.6g} -> "
               f"{statistics.median(values):<12.6g} won {new['won'][metric]}/{n}",

@@ -10,9 +10,9 @@ are built from the integer table, D times the rational one, which keeps
 their ranks.  The columns of d2 are the table entries; those of d3 are
 ``lie_core._d3_columns``, keyed by triple, with e_s ∧ e_t (s < t) as row
 C(t,2) + s, its colex index, built and checked (d2∘d3 = 0, the Jacobi
-identity) where the algebra is certified, kept as ``_d3`` and read here,
-never modified.  Each is echelonised once per algebra by the integer kernel
-of ``exactla`` (``_pivots``), and each rank is a pivot count of the table
+identity) where the algebra is certified.  Each is echelonised there,
+once per algebra, by the integer kernel of ``exactla``, and only the
+pivots are kept (``_pivots``); each rank is a pivot count of the table
 that was certified (``_certified``: the adapted one of a table that is not
 triangular).  Colex rows make quotients by trailing ideals leading blocks
 (``_quotient_dims``), so the kernel rows (``ker_lambda_dims``: dim ker λ_i,
@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import comb
 
 from .exactla import Matrix, _dense
-from .lie_core import LieAlgebra, series_profile
+from .lie_core import LieAlgebra, _d3_columns, series_profile
 from .record import Record
 
 
@@ -74,7 +74,7 @@ def d3_matrix(L: LieAlgebra) -> Matrix:
     """Boundary Λ³L → Λ²L as a dense matrix; columns follow the triple basis."""
     row = {comb(t, 2) + s: r for r, (s, t) in enumerate(exterior_basis(L.dim, 2))}
     column = {p: c for c, p in enumerate(exterior_basis(L.dim, 3))}
-    columns = {column[c]: {row[r]: x for r, x in col.items()} for c, col in L._d3.items()}
+    columns = {column[c]: {row[r]: x for r, x in col.items()} for c, col in _d3_columns(L).items()}
     return _dense_view(columns, len(row), len(column), L._scale)
 
 

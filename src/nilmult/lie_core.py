@@ -4,20 +4,21 @@ A bracket table stores [e_i, e_j] for i < j only; the diagonal and the
 lower triangle follow from antisymmetry.  Every live ``LieAlgebra`` is
 an actual Lie algebra: the constructor and ``LieAlgebra._of`` call
 ``_certify``, which checks the Jacobi identity as d2∘d3 = 0 on the d3
-columns (``_d3``) of ``_certified``, the table ``homology`` ranks: L if
-its table is triangular, each [e_i, e_j] (i < j) with targets past j
-only, else its adapted table (the Jacobiator is trilinear, so an exact
-change of basis is a Lie algebra exactly when the input is), unless that
-is L or the series stalls.  If the adapted check fails, L's own columns
-name the first failing triple.  The lower central series is computed by
-its definition, gamma_{i+1} = [gamma_i, L]; the echelon pivots and the
-series profile (or the ``NotNilpotent`` of a stalled series) are kept
-from first use (``_pivots``, ``_profile``).  The table is stored once,
-as ``int`` numerators over D, the lcm of the denominators, read by all,
-so ``Fraction`` (and ``fractions``) appears only in rational input,
+columns of ``_certified``, the table ``homology`` ranks: L if its table
+is triangular, each [e_i, e_j] (i < j) with targets past j only, else
+its adapted table (the Jacobiator is trilinear, so an exact change of
+basis is a Lie algebra exactly when the input is), unless that is L or
+the series stalls.  If the adapted check fails, L's own columns name the
+first failing triple.  The columns are built, checked and echelonised
+in one step, and only the d2 and d3 pivots are kept (``_pivots``).  The
+lower central series is computed by its definition, gamma_{i+1} =
+[gamma_i, L]; the series profile (or the ``NotNilpotent`` of a stalled
+series) is kept from first use (``_profile``).  The table is stored
+once, as ``int`` numerators over D, the lcm of the denominators, read by
+all, so ``Fraction`` (and ``fractions``) appears only in rational input,
 non-integral constants of ``table``, ``bracket`` and ``JacobiViolation``;
-``bracket``, ``minimal_generators`` and ``quotient_algebra`` are
-references that no command calls.
+``bracket``, ``product_space``, ``minimal_generators`` and
+``quotient_algebra`` are references that no command calls.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class LieAlgebra:
             certified = self._certified
         except JacobiViolation:  # from the adapted table's own check
             certified = self  # L's own check names the failing triple
-        certified._d3  # building the columns checks them
+        certified._pivots  # building the columns checks them
 
     # Structural identity: the name is a label; entries over the least D fix the table.
     def __eq__(self, other):
@@ -143,10 +144,6 @@ class LieAlgebra:
         return not self._ints
 
     @cached_property
-    def _d3(self) -> _Columns:  # built by _certify on the certified table, else on first use
-        return _d3_columns(self)
-
-    @cached_property
     def _profile(self) -> SeriesProfile | NotNilpotent:  # series_profile raises the error
         try:
             lower = _lower_series(self)
@@ -158,8 +155,9 @@ class LieAlgebra:
 
     @cached_property
     def _pivots(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Pivot columns of the d2 and the d3 echelon, for ``homology``'s ranks."""
-        return tuple(_echelon(self._ints.values())), tuple(_echelon(self._d3.values()))
+        """Pivot columns of the d2 and the d3 echelon, for ``homology``'s ranks;
+        the d3 columns are built (so checked) here and not kept."""
+        return tuple(_echelon(self._ints.values())), tuple(_echelon(_d3_columns(self).values()))
 
     # -- bracket ---------------------------------------------------------
 
@@ -200,8 +198,8 @@ def _d3_columns(L: LieAlgebra) -> _Columns:
     column of i < j < k is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] +
     [[e_k,e_i],e_j] times D², and a triple without a column has no
     nonzero term.  Columns are taken in sorted triple order, so the first
-    failing triple is the one ``JacobiViolation`` reports.  ``L._d3``
-    calls this once and keeps the result.
+    failing triple is the one ``JacobiViolation`` reports.  ``L._pivots``
+    calls this once and keeps only the pivots of the echelon.
     """
     columns: _Columns = {}
     colex = [t * (t - 1) // 2 for t in range(L.dim)]  # C(t, 2)

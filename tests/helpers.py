@@ -20,7 +20,7 @@ from nilmult.exactla import DimensionMismatch, Subspace, _echelon, _integral, _n
 from nilmult.free_lie import (BracketExpr, FreeLieElement, Word, _lyndonize, _packed,
                               _tensor_add_into, _tensor_bracket, _unpack, _width, br, gen,
                               is_lyndon, std_factorization)
-from nilmult.lie_core import (LieAlgebra, _lower_series, product_space, quotient_algebra,
+from nilmult.lie_core import (LieAlgebra, _d3_columns, _lower_series, product_space, quotient_algebra,
                               series_profile, upper_series)
 
 
@@ -405,7 +405,7 @@ def nilpotent_classes(max_dim):
         kept = {}
         for L in classes[-1]:
             pairs = [(s, t) for t in range(n) for s in range(t)]  # colex order
-            basis = _null_rows(L._d3.values(), len(pairs))
+            basis = _null_rows(_d3_columns(L).values(), len(pairs))
             for coeffs in itertools.product((0, 1, -1), repeat=len(basis)):
                 table = L.table
                 for phi, c in zip(basis, coeffs):

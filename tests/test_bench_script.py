@@ -98,3 +98,23 @@ def test_commit_is_dirty_with_an_untracked_file(monkeypatch, status, commit):
     monkeypatch.setattr(bench, "_git", git)
     assert bench._commit() == commit
     assert calls == [("rev-parse", "HEAD"), ("status", "--porcelain")]
+
+
+def test_pair_records_the_commit_the_copy_took(monkeypatch):
+    # the parent's record lands in the checkout before the change's is
+    # written, so a status read then would call a clean checkout dirty
+    head = bench._git("rev-parse", "--verify", "HEAD")
+    if head is None:
+        pytest.skip("the checkout is not a git work tree")
+    records = {}
+
+    def git(*args):
+        if args[0] == "status":
+            return "?? BENCH_x-parent.json" if "x-parent" in records else ""
+        return head  # rev-parse, of the parent or of HEAD
+
+    monkeypatch.setattr(bench, "_run", lambda root, command: _verdict(0.1, 0.5))
+    monkeypatch.setattr(bench, "_write", records.__setitem__)
+    monkeypatch.setattr(bench, "_git", git)
+    assert bench.main(["--pair", "HEAD", "1", "x"]) == 0
+    assert records["x-parent"]["commit"] == records["x"]["commit"] == head

@@ -1,5 +1,7 @@
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -26,7 +28,7 @@ from nilmult import lie_core
 from nilmult.analysis import verify_theorem
 from nilmult.catalog import DIM_GUARD, build, default_manifest, serialize
 from nilmult.cli import main
-from nilmult.exactla import basis_vector
+from nilmult.exactla import _echelon, basis_vector
 from nilmult.free_lie import evaluate_in, free_nilpotent, lyndon_words
 from nilmult.homology import d2_matrix, d3_matrix, exterior_basis, multiplier_dim
 from nilmult.lie_core import JacobiViolation, LieAlgebra, direct_sum, series_profile
@@ -160,12 +162,16 @@ def test_nonabelian_strictly_below_abelian_value():
                                  for spec in default_manifest() if spec.startswith("dirsum:")])
 def test_direct_sum_multiplier_formula(a, b):
     # Künneth on all 49 corpus dirsum: specs, 29 of them past HOPF_CORPUS:
-    # dim M(A+B) = dim M(A) + dim M(B) + gen(A)*gen(B), both sides computed
-    L1, L2 = build(a), build(b)
-    total = multiplier_dim(build(f"dirsum:{a}+{b}")).dim_M
+    # dim M(A+B) = dim M(A) + dim M(B) + gen(A)*gen(B), both sides computed,
+    # and by weight, H₂(A+B) = H₂A ⊕ (H₁A ⊗ H₁B) ⊕ H₂B, the middle term in weight 2
+    L1, L2, L = build(a), build(b), build(f"dirsum:{a}+{b}")
+    total = multiplier_dim(L).dim_M
     g1 = series_profile(L1).gen_count
     g2 = series_profile(L2).gen_count
     assert total == multiplier_dim(L1).dim_M + multiplier_dim(L2).dim_M + g1 * g2
+    expected = Counter(h2_by_weight(L1)) + Counter(h2_by_weight(L2))
+    expected[2] += g1 * g2
+    assert h2_by_weight(L) == dict(expected)
 
 
 @given(generated_algebras(), generated_algebras())
@@ -371,7 +377,8 @@ def test_every_nilpotent_algebra_through_dimension_five():
             verify_theorem(L)  # raises on any failed check
 
 
-# -- The d3 columns, the pivots and the profile: built once per algebra ---------
+# -- The d3 columns, the pivots and the profile: built once per algebra, the
+# columns not kept ---------------------------------------------------------------
 
 def _fresh_caches():
     # build makes new algebras, but this cache is keyed by structure, so an
@@ -385,7 +392,7 @@ def _column_builds(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["filiform:30", "heisenberg:15", "freenil:3,4", "freenil:2,7"])
 def test_multiplier_builds_the_columns_once(spec, monkeypatch, capsys):
-    # the constructor's Jacobi check builds them, and the rank reads L._d3
+    # the constructor's Jacobi check builds them, and the rank reads the pivots it kept
     _fresh_caches()
     builds = _column_builds(monkeypatch)
     assert main(["multiplier", spec]) == 0
@@ -406,7 +413,7 @@ def test_kernel_of_a_dense_copy_builds_the_columns_once(tmp_path, monkeypatch, c
 
 def test_multiplier_of_a_triangular_file_computes_no_series(tmp_path, monkeypatch, capsys):
     # filiform:30's table is triangular, so the parsed file is its own
-    # certificate: the rank reads the columns its check built, with no series
+    # certificate: the rank reads the pivots its check kept, with no series
     path = tmp_path / "filiform30.lie"
     path.write_text(serialize(build("filiform:30")))
     _fresh_caches()
@@ -520,15 +527,33 @@ def test_a_failed_check_is_not_memoised():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_ranking_leaves_the_shared_columns_as_built(seed, monkeypatch):
-    # a dense copy, so the echelon cancels inside the columns it is given
+def test_ranking_leaves_the_columns_as_built(seed):
+    # _echelon does not modify its input rows; a dense copy, so the echelon
+    # cancels inside the columns it is given
     source = build("freenil:2,4")
     L = _change_basis(source, _seeded_unimodular(source.dim, random.Random(seed)))
-    shared = L._d3
-    builds = _column_builds(monkeypatch)
-    L._pivots  # echelonises d2 and d3
-    d3_matrix(L)
-    assert builds == []
-    assert L._d3 is shared
-    monkeypatch.undo()
-    assert shared == lie_core._d3_columns(L)
+    columns = lie_core._d3_columns(L)
+    ranked = _echelon(columns.values())
+    assert columns == lie_core._d3_columns(L)
+    assert tuple(ranked) == L._pivots[1]
+
+
+def test_an_algebra_keeps_its_pivots_not_its_columns():
+    _fresh_caches()
+    L = build("filiform:64")
+    multiplier_dim(L)
+    assert sorted(vars(L)) == ["_ints", "_pivots", "_scale", "dim", "name"]
+
+
+def test_a_ranked_algebra_holds_under_half_a_megabyte():
+    # freenil:2,7 (dimension 41) held 0.69 MB while it kept its d3 columns
+    build("freenil:2,2")  # the family's first build loads what it imports
+    _fresh_caches()
+    tracemalloc.start()
+    try:
+        L = build("freenil:2,7")
+        multiplier_dim(L)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5e6
