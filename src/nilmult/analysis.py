@@ -34,10 +34,6 @@ from .record import Record
 class VerificationFailure(Exception):
     """A checked property failed; signals an implementation bug."""
 
-    def __init__(self, message: str, payload=None):
-        super().__init__(message)
-        self.payload = payload
-
 
 # -- bound formulas ----------------------------------------------------------
 
@@ -146,6 +142,10 @@ def eq3_consistency(L: LieAlgebra) -> bool:
 
 
 def _eq3_holds(profile: KernelProfile) -> bool:
+    """eq3 on ``ker_lambda_dims`` rows.  Those define each kernel by the
+    telescoping formula, so Σ_i ker λ_i = dim M(L/γ₂) − dim M(L) + (n-m-1)m
+    identically, and the test reduces to dim M(L/γ₂) = C(n-m, 2).  Only a
+    direct computation of the λ_i would give the sum test content."""
     n, m = profile.n, profile.m
     total_ker = sum(row.ker_lambda_i for row in profile.rows)
     abelian_part = comb(n - m, 2)
@@ -163,7 +163,8 @@ class PsiWitness(Record):
     A tensor is an integer row, its (cell, value) pairs with cells a·q + b
     ascending (L/γ₂ index a major), and Ψ_i is that row over ``scale``.
     The checks raise, so every record holds nonzero tensors of rank
-    n-m-i that the induced map into γ_{i+1}/γ_{i+2} kills.
+    len(z) = n-m-i that the induced map into γ_{i+1}/γ_{i+2} kills; the
+    rank is checked, not stored.
 
     Everything is computed on ``series_profile(L).adapted``, whose first
     n-m basis vectors are minimal_generators(L) and whose layer-i vectors
@@ -176,7 +177,6 @@ class PsiWitness(Record):
     z: tuple[int, ...]
     tensors: tuple[tuple[tuple[int, int], ...], ...]
     scale: int
-    independence_rank: int
 
 
 def _witness_tuple(L: LieAlgebra, i: int, prof: SeriesProfile) -> tuple[int, ...]:
@@ -267,32 +267,30 @@ def psi_witnesses(L: LieAlgebra, i: int) -> PsiWitness:
         if any(image.values()):
             raise VerificationFailure(
                 f"{L.name}: Ψ_{i} witness for z={zj} escapes the kernel")
-    return PsiWitness(i=i, y=y, z=z, tensors=tuple(tensors), scale=A._scale ** (i - 1),
-                      independence_rank=independence)
+    return PsiWitness(i=i, y=y, z=z, tensors=tuple(tensors), scale=A._scale ** (i - 1))
 
 
 # -- full verification --------------------------------------------------------
 
 class TheoremVerification(Record):
-    """Everything checked for one algebra, for reporting."""
+    """What ``verify_theorem`` computed for one algebra; built only once every check passed."""
 
     report: BoundReport
     kernel: KernelProfile
     witnesses: tuple[PsiWitness, ...]
-    eq3_ok: bool
     yankosky_step_bound: int
-    yankosky_step_ok: bool
 
 
 def verify_theorem(L: LieAlgebra,
                    report: BoundReport | None = None) -> TheoremVerification:
     """Check every asserted property on one nonabelian algebra.
 
-    Raises VerificationFailure if dim M(L) exceeds the rai bound, a
-    kernel row misses its required range, eq3 fails, the class-c
-    quotient inequality fails, or a witness check fails.  A violated
-    refined bound is recorded in the report, never raised.  ``report``
-    is ``bound_report(L)`` when the caller already holds it.
+    Returns only when every check holds.  Raises VerificationFailure if
+    a witness check fails, dim M(L) exceeds the rai bound, a kernel row
+    misses its required range, eq3 fails, or the class-c quotient
+    inequality fails, checked in that order.  A violated refined bound
+    is recorded in the report, never raised.  ``report`` is
+    ``bound_report(L)`` when the caller already holds it.
     """
     prof = series_profile(L)
     if prof.derived_dim == 0:
@@ -307,25 +305,19 @@ def verify_theorem(L: LieAlgebra,
     dim_gc = prof.gamma(c).dim
     step = (kernel.rows[-1].dim_M_of_L_mod_gamma_i
             + (n - dim_gc) * dim_gc - dim_gc)
-    verification = TheoremVerification(
-        report=report, kernel=kernel, witnesses=witnesses,
-        eq3_ok=_eq3_holds(kernel),
-        yankosky_step_bound=step,
-        yankosky_step_ok=report.dim_M <= step)
 
     if not report.theorem_holds:
         raise VerificationFailure(
-            f"{L.name}: dim M = {report.dim_M} exceeds bound {report.rai}",
-            verification)
+            f"{L.name}: dim M = {report.dim_M} exceeds bound {report.rai}")
     if not kernel.all_satisfied:
         bad = [row.i for row in kernel.rows if not row.satisfied]
         raise VerificationFailure(
-            f"{L.name}: kernel dimension check fails at i = {bad}", verification)
-    if not verification.eq3_ok:
-        raise VerificationFailure(f"{L.name}: telescoping identity fails",
-                                  verification)
-    if not verification.yankosky_step_ok:
+            f"{L.name}: kernel dimension check fails at i = {bad}")
+    if not _eq3_holds(kernel):
+        raise VerificationFailure(f"{L.name}: telescoping identity fails")
+    if report.dim_M > step:
         raise VerificationFailure(
             f"{L.name}: class-c quotient inequality fails "
-            f"({report.dim_M} > {step})", verification)
-    return verification
+            f"({report.dim_M} > {step})")
+    return TheoremVerification(report=report, kernel=kernel, witnesses=witnesses,
+                               yankosky_step_bound=step)

@@ -25,6 +25,7 @@ from nilmult.analysis import (
     verify_theorem,
     yankosky_closed,
 )
+from nilmult.exactla import _echelon
 from nilmult.free_lie import lemma31_term_pairs
 from nilmult.homology import multiplier_dim
 from nilmult.lie_core import LieAlgebra, SeriesProfile, quotient_algebra, series_profile
@@ -224,7 +225,7 @@ def test_witness_search_brackets_each_prefix_once(monkeypatch):
 def test_psi_witnesses_heisenberg2():
     w = psi_witnesses(build("heisenberg:2"), 2)
     assert len(w.z) == 2
-    assert w.independence_rank == 2
+    assert len(_echelon(w.tensors)) == 2
     assert w.tensors == (((1, 1),), ((3, 1),)) and w.scale == 1
 
 
@@ -232,13 +233,12 @@ def test_psi_witnesses_h3_vacuous():
     w = psi_witnesses(build("heisenberg:1"), 2)
     assert w.z == ()
     assert w.tensors == ()
-    assert w.independence_rank == 0
 
 
 def test_psi_witnesses_freenil32():
     w = psi_witnesses(build("freenil:3,2"), 2)
     assert len(w.z) == 1
-    assert w.independence_rank == 1
+    assert len(_echelon(w.tensors)) == 1
 
 
 def test_psi_witnesses_range_checks():
@@ -284,8 +284,7 @@ def test_psi_zs_avoid_ys():
 def test_verify_theorem_h3_equality():
     verification = verify_theorem(build("heisenberg:1"))
     assert verification.report.dim_M == verification.report.rai == 2
-    assert verification.eq3_ok
-    assert verification.yankosky_step_ok
+    assert verification.report.dim_M <= verification.yankosky_step_bound
 
 
 def test_verify_theorem_rejects_abelian():
@@ -304,9 +303,9 @@ def test_verify_theorem_small_corpus(spec):
     report = verification.report
     assert report.dim_M <= report.rai, spec
     assert verification.kernel.all_satisfied, spec
-    assert verification.yankosky_step_ok, spec
+    assert report.dim_M <= verification.yankosky_step_bound, spec
     for w in verification.witnesses:
-        assert w.independence_rank == len(w.z), spec
+        assert len(_echelon(w.tensors)) == len(w.z), spec
 
 
 def test_yankosky_step_value_h3():
@@ -320,7 +319,7 @@ def test_yankosky_step_value_h3():
 def test_verify_theorem_reuses_kernel_rows(spec):
     L = build(spec)
     verification = verify_theorem(L)
-    assert verification.eq3_ok == eq3_consistency(L), spec
+    assert eq3_consistency(L), spec
     prof = series_profile(L)
     gamma_c = prof.gamma(prof.nilpotency_class)
     quotient, _ = quotient_algebra(L, gamma_c)

@@ -24,7 +24,14 @@ from helpers import (
 )
 
 from nilmult import analysis, cli, free_lie, homology, lie_core
-from nilmult.analysis import VerificationFailure, bound_report
+from nilmult.analysis import (
+    BoundReport,
+    KernelProfile,
+    KernelRow,
+    VerificationFailure,
+    bound_report,
+    ker_lambda_dims,
+)
 from nilmult.catalog import build, default_manifest, serialize
 from nilmult.cli import main
 from nilmult.lie_core import LieAlgebra, direct_sum
@@ -285,15 +292,31 @@ def _raise_witness_failure(L, i):
     raise VerificationFailure(f"{L.name}: Ψ_{i} witness for z=1 escapes the kernel")
 
 
+def _unsatisfied_kernel(L):
+    profile = ker_lambda_dims(L)
+    rows = tuple(KernelRow(**dict(vars(row), satisfied=False)) for row in profile.rows)
+    return KernelProfile(**dict(vars(profile), rows=rows))
+
+
+def _raised_dim_M(L):
+    # within the rai bound, above heisenberg:2's class-c quotient value 9
+    return BoundReport(**dict(vars(bound_report(L)), dim_M=10, rai=10))
+
+
 @pytest.mark.parametrize("target,patch,failure", [
-    ("_eq3_holds", lambda profile: False, "heisenberg:2: telescoping identity fails"),
     ("psi_witnesses", _raise_witness_failure,
      "heisenberg:2: Ψ_2 witness for z=1 escapes the kernel"),
+    ("rai_bound", lambda n, m, c: 4, "heisenberg:2: dim M = 5 exceeds bound 4"),
+    ("ker_lambda_dims", _unsatisfied_kernel,
+     "heisenberg:2: kernel dimension check fails at i = [2]"),
+    ("_eq3_holds", lambda profile: False, "heisenberg:2: telescoping identity fails"),
+    ("bound_report", _raised_dim_M,
+     "heisenberg:2: class-c quotient inequality fails (10 > 9)"),
 ])
 def test_verify_corpus_failure_record(capsys, monkeypatch, target, patch, failure):
-    # one check made to fail, with and without a verification payload
-    report = bound_report(build("heisenberg:2"))
+    # each of verify_theorem's checks made to fail in turn
     monkeypatch.setattr(analysis, target, patch)
+    report = analysis.bound_report(build("heisenberg:2"))
     expected = {"name": "heisenberg:2", "abelian": False, "ok": False,
                 "failure": failure, "report": report.to_dict(), "kernel": [],
                 "witness_ranks": [], "eq3_ok": None, "yankosky_step_ok": None,

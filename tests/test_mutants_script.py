@@ -20,6 +20,17 @@ def test_mutate_replaces_the_one_occurrence():
     assert mutants.mutate("a = 1\nb = 2\n", "b = 2", "b = 3") == "a = 1\nb = 3\n"
 
 
+def test_the_checked_in_audit_applies_to_the_checkout():
+    # MUTANTS.json at the root: a refactor that moves a mutated text
+    # breaks this test rather than orphaning the audit
+    root = SCRIPT.parent.parent
+    audit = json.loads((root / "MUTANTS.json").read_text())
+    assert audit and all(len(m) == 3 for m in audit)
+    for file, old, new in audit:
+        text = (root / file).read_text()
+        assert mutants.mutate(text, old, new) != text
+
+
 @pytest.mark.parametrize("text", ["a = 1\n", "b = 2\nb = 2\n"])
 def test_mutate_refuses_an_absent_or_repeated_text(text):
     with pytest.raises(ValueError, match="not once"):

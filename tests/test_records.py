@@ -45,9 +45,8 @@ FIELDS = {
                 "ker_lambda_i", "required_lower_bound", "domain_bound",
                 "satisfied"),
     KernelProfile: ("name", "n", "m", "c", "dim_M", "rows"),
-    PsiWitness: ("i", "y", "z", "tensors", "scale", "independence_rank"),
-    TheoremVerification: ("report", "kernel", "witnesses", "eq3_ok",
-                          "yankosky_step_bound", "yankosky_step_ok"),
+    PsiWitness: ("i", "y", "z", "tensors", "scale"),
+    TheoremVerification: ("report", "kernel", "witnesses", "yankosky_step_bound"),
 }
 
 # BoundReport holds its slacks in a dict, so it and the verification
