@@ -2,7 +2,8 @@
 membership, the free-Lie references (normed brackets, tensor expansion,
 x_1-initial words, Lyndon bracketing and normal form), basis changes,
 generated algebras, the input-basis Jacobi check, the Witt numbers, the
-Betti numbers of the whole complex and the small nilpotent algebras.  Every test module imports what
+Betti numbers of the whole complex, H₂ and d3 by weight, the maps λ_i
+computed directly and the small nilpotent algebras.  Every test module imports what
 it shares from here, never from another test module."""
 
 import itertools
@@ -385,6 +386,58 @@ def h2_by_weight(L):
     dims.subtract(w[p] for p in d2)
     dims.subtract(pair[p] for p in d3)
     return {k: x for k, x in sorted(dims.items()) if x}
+
+
+def d3_weight_blocks(L):
+    """{w: the d3 columns of weight w} of L's adapted table, each column a
+    dense list over the colex pairs of weight w: d3 preserves weight, so
+    rank d3 is the sum of the blocks' ranks."""
+    prof = series_profile(L)
+    A = prof.adapted
+    w = weights(A, prof)
+    pair = [w[s] + w[t] for t in range(A.dim) for s in range(t)]  # colex order
+    blocks = {}
+    for triple, column in _d3_columns(A).items():
+        weight = sum(w[k] for k in triple)
+        assert all(pair[r] == weight for r in column), (A.name, triple)
+        blocks.setdefault(weight, []).append(column)
+    rows = {weight: [r for r, v in enumerate(pair) if v == weight] for weight in blocks}
+    return {weight: [[col.get(r, 0) for r in rows[weight]] for col in cols]
+            for weight, cols in blocks.items()}
+
+
+def lambda_boundaries(L, i):
+    """(lo, mid, B): on L's adapted table γ_i/γ_{i+1} is the coordinate
+    block lo..mid−1, and B spans the boundaries of L/γ_{i+1}, where λ_i
+    lands: the d3 columns whose triples lie below mid, cut to the rows
+    below C(mid, 2), the colex pairs of L/γ_{i+1}."""
+    prof = series_profile(L)
+    lo, mid = (L.dim - prof.gamma(k).dim for k in (i, i + 1))
+    cut = comb(mid, 2)
+    columns = ({r: x for r, x in column.items() if r < cut}
+               for triple, column in _d3_columns(prof.adapted).items() if triple[-1] < mid)
+    return lo, mid, Subspace.from_rows(cut, (column for column in columns if column))
+
+
+def lambda_image(tensor, lo, mid):
+    """λ_i of a tensor over the cells a·q + b, q = mid − lo, that stand for
+    u̅_a ⊗ w̅_b (a ``PsiWitness`` tensor): Σ x·e_a ∧ e_{lo+b}, as a row over
+    the colex pairs, where e_a ∧ e_{lo+b} is row C(lo+b, 2) + a (a < lo)."""
+    image = {}
+    for cell, x in tensor:
+        a, b = divmod(cell, mid - lo)
+        image[comb(lo + b, 2) + a] = x
+    return image
+
+
+def ker_lambda_direct(L, i):
+    """dim ker λ_i, λ_i : L/γ₂ ⊗ γ_i/γ_{i+1} → M(L/γ_{i+1}), u̅ ⊗ w̅ ↦ [u ∧ w],
+    computed on the map itself: the domain's dimension less the rank of the
+    images of its basis u̅_a ⊗ w̅_b modulo the boundaries of L/γ_{i+1}."""
+    lo, mid, B = lambda_boundaries(L, i)
+    cells = (L.dim - series_profile(L).derived_dim) * (mid - lo)
+    images = [lambda_image([(cell, 1)], lo, mid) for cell in range(cells)]
+    return cells - (len(_echelon([*B.rows, *images])) - B.dim)
 
 
 def nilpotent_classes(max_dim):

@@ -261,10 +261,10 @@ def test_criterion_09_locked_values(capsys):
 
 
 def test_criterion_10_refined_value_probe(capsys):
-    code = main(["verify", "corpus", "--json"])
+    code = main(["verify", "corpus", "--format", "json"])
     captured = capsys.readouterr()
     records = json.loads(captured.out)
-    violators = [r["name"] for r in records if r["refined_ok"] is False]
+    violators = [r["name"] for r in records if r["report"].get("refined_holds") is False]
     strict_code = main(["verify", "corpus", "--strict-remark"])
     strict_err = capsys.readouterr().err
     ok = (code == 0 and "refined" in captured.err and violators

@@ -1,11 +1,20 @@
 import gc
+import itertools
 import random
 import tracemalloc
 import weakref
 
 import pytest
 
-from helpers import _change_basis, _seeded_unimodular, counted_calls
+from helpers import (
+    _change_basis,
+    _seeded_unimodular,
+    counted_calls,
+    ker_lambda_direct,
+    lambda_boundaries,
+    lambda_image,
+    nilpotent_classes,
+)
 
 from nilmult import lie_core
 from nilmult.catalog import build, default_manifest
@@ -279,6 +288,41 @@ def test_psi_zs_avoid_ys():
     w = psi_witnesses(build("freenil:2,4"), 2)
     assert not set(w.z) & set(w.y)
     assert len(w.z) == len(set(w.z))
+
+
+# -- λ_i itself: the kernel rows and the witnesses against a direct reference ---
+
+def _check_against_lambda(L):
+    # dim ker λ_i from the map equals the telescoped kernel row, so eq3 sums
+    # kernels of λ_i, and each Ψ_i tensor maps to a boundary of L/γ_{i+1}
+    profile = ker_lambda_dims(L)
+    assert [ker_lambda_direct(L, row.i) for row in profile.rows] == [
+        row.ker_lambda_i for row in profile.rows], L.name
+    for i in range(2, min(profile.n - profile.m, profile.c) + 1):
+        lo, mid, boundaries = lambda_boundaries(L, i)
+        for tensor in psi_witnesses(L, i).tensors:
+            assert not boundaries.residual(lambda_image(tensor, lo, mid)), (L.name, i)
+
+
+@pytest.mark.parametrize("spec", NONABELIAN_CORPUS)
+def test_kernel_rows_and_witnesses_on_lambda_itself(spec):
+    _check_against_lambda(build(spec))
+
+
+def test_kernel_rows_and_witnesses_on_lambda_itself_through_dimension_five():
+    for L in itertools.chain(*nilpotent_classes(5)):
+        if not L.is_abelian:
+            _check_against_lambda(L)
+
+
+def test_lambda_reference_sees_a_tensor_outside_the_kernel():
+    # heisenberg:1 at i = 2: L/γ₃ = h3 has no boundaries, so λ_2 is injective
+    # and e_1 ⊗ e_3 (cell 0) maps to the cycle e_1 ∧ e_3, not a boundary
+    L = build("heisenberg:1")
+    lo, mid, boundaries = lambda_boundaries(L, 2)
+    assert (lo, mid, boundaries.dim) == (2, 3, 0)
+    assert ker_lambda_direct(L, 2) == 0
+    assert boundaries.residual(lambda_image([(0, 1)], lo, mid))
 
 
 def test_verify_theorem_h3_equality():

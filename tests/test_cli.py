@@ -240,36 +240,42 @@ def test_verify_corpus_small(capsys):
 
 
 def test_verify_corpus_json_schema(capsys):
-    code, out, _ = run_cli(capsys, "verify", "corpus", "--max-dim", "4", "--json")
+    code, out, _ = run_cli(capsys, "verify", "corpus", "--max-dim", "4", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     names = [r["name"] for r in payload]
     assert names == sorted(names)
+    assert all(list(r) == ["name", "abelian", "ok", "failure", "report", "kernel"]
+               for r in payload)
     nonabelian = [r for r in payload if not r["abelian"]]
     assert nonabelian, "corpus slice should have nonabelian members"
     for record in nonabelian:
         assert record["ok"] is True
-        assert record["eq3_ok"] is True
-        assert record["yankosky_step_ok"] is True
-        for key in ("name", "n", "m", "c", "dim_M", "batten",
-                    "hardy_stitzinger", "yankosky_closed", "niroomand_russo",
-                    "rai", "rai_refined", "slack", "theorem_holds",
-                    "refined_holds"):
-            assert key in record["report"], key
+        assert list(record["report"]) == [
+            "name", "n", "m", "c", "dim_M", "batten", "hardy_stitzinger",
+            "yankosky_closed", "niroomand_russo", "rai", "rai_refined", "slack",
+            "theorem_holds", "refined_holds"]
+        # one entry per kernel row i = 2..c, each as verify_theorem checked it
+        assert [row["i"] for row in record["kernel"]] == list(range(2, record["report"]["c"] + 1))
         for row in record["kernel"]:
-            assert row["satisfied"]
+            assert list(row) == ["i", "ker_lambda_i", "required_lower_bound", "domain_bound"]
+            assert row["required_lower_bound"] <= row["ker_lambda_i"] <= row["domain_bound"]
 
 
 def test_verify_corpus_strict_remark(capsys):
     code, _, err = run_cli(capsys, "verify", "corpus", "--max-dim", "4",
                            "--strict-remark")
     assert code == 1
-    assert "refined" in err
+    # the warning names exactly the members whose refined value fails
+    violators = [spec for spec in default_manifest(4)
+                 if bound_report(build(spec)).refined_holds is False]
+    assert violators
+    assert f"warning: refined value below dim M for: {', '.join(violators)}\n" in err
 
 
 def test_verify_corpus_parallel_matches_serial(capsys):
     # --parallel is accepted for compatibility and changes nothing.
-    for flags, code in (((), 0), (("--json",), 0), (("--strict-remark",), 1)):
+    for flags, code in (((), 0), (("--format", "json"), 0), (("--strict-remark",), 1)):
         serial = run_cli(capsys, "verify", "corpus", *flags)
         assert serial[0] == code
         assert run_cli(capsys, "verify", "corpus", *flags, "--parallel") == serial
@@ -318,11 +324,9 @@ def test_verify_corpus_failure_record(capsys, monkeypatch, target, patch, failur
     monkeypatch.setattr(analysis, target, patch)
     report = analysis.bound_report(build("heisenberg:2"))
     expected = {"name": "heisenberg:2", "abelian": False, "ok": False,
-                "failure": failure, "report": report.to_dict(), "kernel": [],
-                "witness_ranks": [], "eq3_ok": None, "yankosky_step_ok": None,
-                "refined_ok": report.refined_holds}
+                "failure": failure, "report": report.to_dict(), "kernel": []}
     assert json.dumps(cli._verify_spec("heisenberg:2")) == json.dumps(expected)
-    code, out, err = run_cli(capsys, "verify", "corpus", "--max-dim", "5", "--json")
+    code, out, err = run_cli(capsys, "verify", "corpus", "--max-dim", "5", "--format", "json")
     assert code == 1
     assert expected in json.loads(out)
     assert f"check failed: {failure}" in err
@@ -665,8 +669,29 @@ def test_help_lists_subcommands_in_order(capsys):
     assert listed == [*SINGLE_SPEC_COMMANDS, "verify"]
     for command, text in zip(listed, helps):
         assert [command, *text.split()] in lines
-    # The four single-spec commands take the same arguments; the usage
-    # line wraps after the command name, so whitespace is normalised.
-    texts = {" ".join(_help(capsys, command).replace(command, "<command>").split())
+    # The single-spec commands take the same arguments, and bounds also
+    # --strict-remark; the usage line wraps after the command name, so
+    # whitespace is normalised.
+    texts = {command: " ".join(_help(capsys, command).replace(command, "<command>").split())
              for command in SINGLE_SPEC_COMMANDS}
-    assert len(texts) == 1
+    bounds = texts.pop("bounds")
+    (text,) = set(texts.values())
+    assert bounds == (text.replace("] spec", "] [--strict-remark] spec", 1)
+                      + " --strict-remark exit 1 when the refined value fails")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "corpus", "--json"], ["verify", "corpus", "--json", "--parallel"],
+    ["info", "heisenberg:1", "--strict-remark"], ["multiplier", "heisenberg:1", "--strict-remark"],
+    ["kernel", "heisenberg:1", "--strict-remark"], ["verify", "lemma", "--strict-remark"]])
+def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
+    # --format json is the one spelling of json output, and only bounds
+    # and verify corpus check the refined value
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    flag = "--json" if "--json" in argv else "--strict-remark"
+    assert (out, err.splitlines()) == ("", [
+        "usage: nilmult [-h] {info,multiplier,bounds,kernel,verify} ...",
+        f"nilmult: error: unrecognized arguments: {flag}"])

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from helpers import (
     _witt,
     central_extensions,
     counted_calls,
+    d3_weight_blocks,
     generated_algebras,
     h2_by_weight,
     lyndon_bracketing,
@@ -232,6 +234,16 @@ def test_filiform_h2_has_one_class_in_each_odd_weight(n):
     L = build(f"filiform:{n}")
     assert h2_by_weight(L) == expected
     assert multiplier_dim(L).dim_M == (n + 1) // 2
+
+
+@pytest.mark.parametrize("spec", ["filiform:30", "heisenberg:15", "freenil:3,4", "freenil:2,7",
+                                  "filiform:64"])
+def test_sympy_ranks_d3_weight_block_by_weight_block(spec):
+    # sympy as an oracle at scale: no block is larger than 522 × 153, and
+    # the blocks' exact ranks sum to the rank the kept d3 pivots count
+    L = build(spec)
+    blocks = d3_weight_blocks(L).values()
+    assert sum(DomainMatrix.from_list(block, sympy.ZZ).rank() for block in blocks) == len(L._pivots[1])
 
 
 def test_the_grading_check_refuses_a_dense_copy():

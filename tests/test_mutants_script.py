@@ -25,10 +25,13 @@ def test_the_checked_in_audit_applies_to_the_checkout():
     # breaks this test rather than orphaning the audit
     root = SCRIPT.parent.parent
     audit = json.loads((root / "MUTANTS.json").read_text())
-    assert audit and all(len(m) == 3 for m in audit)
-    for file, old, new in audit:
+    assert audit and all(len(m) == 4 for m in audit)
+    for file, old, new, test in audit:
         text = (root / file).read_text()
         assert mutants.mutate(text, old, new) != text
+        # each names its killing test, which the replay runs alone
+        path, _, name = test.partition("::")
+        assert f"def {name.partition('[')[0]}(" in (root / path).read_text(), test
 
 
 @pytest.mark.parametrize("text", ["a = 1\n", "b = 2\nb = 2\n"])
@@ -40,7 +43,7 @@ def test_mutate_refuses_an_absent_or_repeated_text(text):
 @pytest.mark.parametrize("content, extra", [
     (None, []), ("not json", []), ("[[1, 2]]", []), ('{"a": 1}', []),
     (json.dumps([SIGN]), ["0"]), (json.dumps([SIGN]), ["-1"]), (json.dumps([SIGN]), ["x"]),
-    (json.dumps([SIGN]), ["1", "2"]),
+    (json.dumps([SIGN]), ["1", "2"]), (json.dumps([[*SIGN, "tests/test_x.py::test_y", "extra"]]), []),
     (json.dumps([["src/nilmult/no_such_module.py", "a", "b"]]), []),
     # the text must apply to the checkout: here it does not occur
     (json.dumps([[SIGN[0], "sign = 2", "sign = 1"]]), []),
@@ -74,6 +77,30 @@ def test_a_mutant_runs_on_a_copy_and_leaves_the_checkout_alone():
 def test_a_run_is_judged_by_its_failure_lines(code, stdout, verdict, monkeypatch):
     monkeypatch.setattr(subprocess, "run", lambda *a, **k: subprocess.CompletedProcess(a, code, stdout, ""))
     assert mutants.run(*SIGN, timeout=1) == verdict
+
+
+@pytest.mark.parametrize("outcomes, code", [
+    ([(1, "FAILED tests/test_x.py::test_y - AssertionError\n")] * 2, 0),
+    ([(1, "FAILED tests/test_x.py::test_y - AssertionError\n"), (0, "1 passed\n")], 1),
+    ([(1, "FAILED tests/test_x.py::test_y - AssertionError\n"), "timeout"], 1),
+    ([(4, "ERROR: not found: tests/test_x.py::test_z\n"), (1, "")], 1),
+])
+def test_the_replay_exits_one_unless_every_mutant_is_killed(outcomes, code, tmp_path, monkeypatch, capsys):
+    # two mutants, the first with its killing test named: it runs alone
+    audit = [[*SIGN, "tests/test_x.py::test_y"], SIGN]
+    (tmp_path / "mutants.json").write_text(json.dumps(audit))
+    runs, results = [], iter(outcomes)
+
+    def fake_run(argv, **kwargs):
+        runs.append(argv[argv.index("no:cacheprovider") + 1:])
+        result = next(results)
+        if result == "timeout":
+            raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+        return subprocess.CompletedProcess(argv, result[0], result[1], "")
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert mutants.main([str(tmp_path / "mutants.json"), "5"]) == code
+    assert runs == [["tests/test_x.py::test_y"], []]
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 @pytest.mark.parametrize("caller, expected", [(None, "src"), ("", "src"), ("/deps", f"src{os.pathsep}/deps")])

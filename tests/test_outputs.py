@@ -5,9 +5,12 @@ The commands are ``info``, ``multiplier``, ``bounds`` and ``kernel`` in
 every format over the corpus, the four large ``ladder`` specs, the
 ``.lie`` files in ``data``, a file with ``p/q`` coefficients and seeded
 dense basis changes (most of whose adapted tables have non-integral
-entries), ``verify corpus`` at every ``--max-dim`` and with ``--json``
-and ``--parallel``, and ``verify lemma`` at arities 3 to 13.  Every
-command runs in this process through ``cli.main``.
+entries), ``verify corpus`` at every ``--max-dim`` and with
+``--parallel`` and ``--strict-remark``, ``verify lemma`` at arities 3 to
+13, and flags that a command refuses (``verify corpus --json``, and
+``--strict-remark`` on the commands that do not check the refined value),
+whose digest holds argparse's exit 2 and usage message.  Every command
+runs in this process through ``cli.main``.
 
 A change meant to alter an output re-records the digests with
 
@@ -80,12 +83,19 @@ def _commands(files: dict[str, Path]):
         for fmt in FORMATS:
             argv = ["verify", "lemma", "--arity-max", str(arity), "--format", fmt]
             yield " ".join(argv), argv
+    for argv in (["info", "heisenberg:1"], ["multiplier", "heisenberg:1"],
+                 ["kernel", "heisenberg:1"], ["verify", "lemma"]):
+        argv.append("--strict-remark")  # refused: only bounds and verify corpus take it
+        yield " ".join(argv), argv
 
 
 def _digest(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
     text = f"exit {code}\0{out.getvalue()}\0{err.getvalue()}"
     return hashlib.sha256(text.encode()).hexdigest()
 
