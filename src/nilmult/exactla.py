@@ -6,8 +6,8 @@ fraction-free kernel, ``_echelon``, on ``int`` rows held as ``{column:
 value}`` dicts: rows are cross-multiplied (Bareiss style) and kept
 primitive, so the cost follows the nonzeros rather than the matrix shape.
 ``Fraction`` values (and ``fractions``) appear only at the edges, the
-nonzero entries of ``Matrix``, ``Subspace.basis`` and ``reduce``; a
-residual is an integer row times the subspace's ``scale``.  Matrices and
+nonzero entries of ``Matrix`` and of ``reduce``; a residual is an
+integer row times the subspace's ``scale``.  Matrices and
 subspaces are immutable; a subspace is stored as the primitive integer
 rows of its span's reduced row-echelon basis, which makes equality,
 membership and quotient lifts canonical.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cached_property
 
 from .record import Record
 
@@ -42,10 +41,6 @@ def vector(xs: Iterable) -> tuple[Fraction, ...]:
 
 def basis_vector(n: int, k: int) -> tuple[Fraction, ...]:
     return _dense({k: 1}, n)
-
-
-def zero_vector(n: int) -> tuple[Fraction, ...]:
-    return _dense({}, n)
 
 
 class Matrix(Record):
@@ -170,7 +165,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     """
     reduced = _reduced(_echelon(_integral(_sparse(r)) for r in m.entries))
     rows = [_dense(row, m.cols, row[p]) for p, row in reduced]
-    rows += [zero_vector(m.cols)] * (m.rows - len(rows))
+    rows += [_dense({}, m.cols)] * (m.rows - len(rows))
     return Matrix(m.rows, m.cols, tuple(rows)), len(reduced)
 
 
@@ -181,8 +176,7 @@ class Subspace(Record):
     ``{column: int}`` dicts without zero values, one per pivot, in
     ascending pivot order: each leads with a positive entry and is zero
     on the other pivots.  They are shared, not copied, so callers must
-    not modify them.  ``basis`` is their dense view, each row divided by
-    its leading entry.
+    not modify them.
     """
 
     ambient_dim: int
@@ -207,17 +201,6 @@ class Subspace(Record):
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, (), ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple({k: 1} for k in range(ambient_dim)),
-                   tuple(range(ambient_dim)))
-
-    @cached_property
-    def basis(self) -> Matrix:
-        return Matrix(self.dim, self.ambient_dim,
-                      tuple(_dense(row, self.ambient_dim, row[p])
-                            for p, row in zip(self.pivots, self.rows)))
 
     @property
     def dim(self) -> int:

@@ -16,9 +16,10 @@ lower central series is computed by its definition, gamma_{i+1} =
 series) is kept from first use (``_profile``).  The table is stored
 once, as ``int`` numerators over D, the lcm of the denominators, read by
 all, so ``Fraction`` (and ``fractions``) appears only in rational input,
-non-integral constants of ``table``, ``bracket`` and ``JacobiViolation``;
-``bracket``, ``product_space``, ``minimal_generators`` and
-``quotient_algebra`` are references that no command calls.
+non-integral constants of ``table`` and ``JacobiViolation``; brackets of
+vectors are ``_bracket``'s, on sparse integer rows.  ``product_space``,
+``minimal_generators`` and ``quotient_algebra`` are references that no
+command calls.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .exactla import (
     _dense,
     _echelon,
     _null_rows,
-    _sparse,
     basis_vector,
     rational,
 )
@@ -71,22 +71,22 @@ def _ratio(x: int, d: int) -> int | Fraction:
 
 
 def _canonical_table(dim: int, table) -> tuple[dict, int]:
-    """The nonzero entries of a rational table, checked, summed and sorted
-    by target, in ints times D, the lcm of their denominators; and D."""
+    """The nonzero entries of a rational table of {target: constant}
+    mappings, checked and sorted by target, in ints times D, the lcm of
+    their denominators; and D."""
     out: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]] = {}
     for (i, j), entry in table.items():
         if not (0 <= i < j < dim):
             raise DimensionMismatch(f"bracket pair ({i},{j}) outside 0 <= i < j < {dim}")
-        summed: dict[int, int | Fraction] = {}
-        for k, c in (entry.items() if isinstance(entry, Mapping) else entry):
+        cleaned = []
+        for k, c in entry.items():
             if not 0 <= k < dim:
                 raise DimensionMismatch(f"bracket target index {k} outside basis")
             c = c if isinstance(c, int) else rational(c)
-            # Only a pair list can repeat a target; a first sight needs no sum.
-            summed[k] = summed[k] + c if k in summed else c
-        cleaned = sorted((k, c) for k, c in summed.items() if c)
+            if c:
+                cleaned.append((k, c))
         if cleaned:
-            out[(i, j)] = tuple(cleaned)
+            out[(i, j)] = tuple(sorted(cleaned))
     scale = math.lcm(*(c.denominator for e in out.values() for _, c in e))
     return {pair: tuple((k, c.numerator * (scale // c.denominator)) for k, c in e)
             for pair, e in out.items()}, scale
@@ -174,12 +174,6 @@ class LieAlgebra:
                     for k, c in entry:
                         acc[k] = acc.get(k, 0) + f * c
         return {k: c for k, c in acc.items() if c}
-
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Bilinear antisymmetric extension of the table, dense."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("vector length does not match algebra dimension")
-        return _dense(self._bracket(_sparse(x), _sparse(y)), self.dim, self._scale)
 
 
 _Columns = dict[tuple[int, int, int], dict[int, int]]

@@ -1,6 +1,7 @@
-"""Helpers that only the tests use: spans of dense vectors and
-membership, the free-Lie references (normed brackets, tensor expansion,
-x_1-initial words, Lyndon bracketing and normal form), basis changes,
+"""Helpers that only the tests use: spans of dense vectors, membership,
+dense RREF bases, the whole-table bracket walk, the free-Lie references
+(normed brackets, tensor expansion, x_1-initial words, Lyndon bracketing
+and normal form), basis changes,
 generated algebras, the input-basis Jacobi check, the Witt numbers, the
 Betti numbers of the whole complex, H₂ and d3 by weight, the maps λ_i
 computed directly and the small nilpotent algebras.  Every test module imports what
@@ -50,10 +51,34 @@ def reference_residual(space, row):
     the dense RREF basis: row[p] times the basis row of each pivot p is
     taken off, since each basis row is zero on the other pivots."""
     out = [rational(row.get(c, 0)) for c in range(space.ambient_dim)]
-    for p, basis_row in zip(space.pivots, space.basis.entries):
+    for p, basis_row in zip(space.pivots, basis(space)):
         f = rational(row.get(p, 0))
         out = [x - f * y for x, y in zip(out, basis_row)]
     return out
+
+
+def full_space(n):
+    """Q^n as a Subspace."""
+    return Subspace.from_rows(n, ({k: 1} for k in range(n)))
+
+
+def basis(space):
+    """The dense RREF basis of ``space``: each row divided by its leading entry."""
+    return tuple(tuple(Fraction(row.get(c, 0), row[p]) for c in range(space.ambient_dim))
+                 for p, row in zip(space.pivots, space.rows))
+
+
+def _reference_bracket(L, x, y):
+    """The whole-table walk: sum over (i, j), i < j, of (x_i y_j - x_j y_i) [e_i, e_j]."""
+    if len(x) != L.dim or len(y) != L.dim:
+        raise DimensionMismatch("vector length does not match algebra dimension")
+    acc = [Fraction(0)] * L.dim
+    for (i, j), entry in L.table.items():
+        w = x[i] * y[j] - x[j] * y[i]
+        if w:
+            for k, c in entry.items():
+                acc[k] += w * c
+    return tuple(acc)
 
 
 # -- free-Lie references ------------------------------------------------------
@@ -256,7 +281,7 @@ def _central_vectors(draw, L, count):
     combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=center.dim,
                                     max_size=center.dim),
                            min_size=count, max_size=count))
-    return [[sum(a * row[k] for a, row in zip(combo, center.basis.entries))
+    return [[sum(a * row[k] for a, row in zip(combo, basis(center)))
              for k in range(L.dim)] for combo in combos]
 
 

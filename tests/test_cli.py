@@ -338,6 +338,21 @@ def test_info_malformed_file_exit_two(capsys):
     assert "line 4" in err
 
 
+# File stem -> the Jacobiator of its first failing triple.  not_lie is
+# triangular, so its own columns are checked; its dense copy is not, and
+# its adapted table fails too, so the message falls back to its own check.
+NOT_LIE = {"not_lie": "(0, 0, 0, 0, 1)", "not_lie_dense": "(0, -1, -1, 0, 1)"}
+
+
+@pytest.mark.parametrize("stem", NOT_LIE)
+@pytest.mark.parametrize("command", ["info", "multiplier", "bounds", "kernel"])
+def test_not_lie_file_exit_two(capsys, command, stem):
+    code, out, err = run_cli(capsys, command, f"file:{DATA / f'{stem}.lie'}")
+    assert (code, out) == (2, "")
+    assert err == ("error: Jacobi identity fails on basis triple (1,2,3); "
+                   f"residual {NOT_LIE[stem]}\n")
+
+
 # File stem -> (algebra name, dimension where [γ_i, L] stops shrinking).
 # In sl2 ⊕ h3 and sl2 ⊕ r2 the brackets with the generator lifts alone
 # reach 0 (h3's x, y) or stop at dimension 1 (r2's a), so these pin the

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import (
     _betti_numbers,
     _change_basis,
+    _reference_bracket,
     _seeded_unimodular,
     _witt,
     central_extensions,
@@ -100,11 +102,11 @@ def _reference_boundaries(L):
     e = [basis_vector(n, k) for k in range(n)]
     pairs, triples = exterior_basis(n, 2), exterior_basis(n, 3)
     pair_index = {p: t for t, p in enumerate(pairs)}
-    d2 = [[L.bracket(e[i], e[j])[r] for i, j in pairs] for r in range(n)]
+    d2 = [[_reference_bracket(L, e[i], e[j])[r] for i, j in pairs] for r in range(n)]
     d3 = [[0] * len(triples) for _ in pairs]
     for col, (i, j, k) in enumerate(triples):
         for (a, b), t, sign in (((i, j), k, 1), ((i, k), j, -1), ((j, k), i, 1)):
-            for s, x in enumerate(L.bracket(e[a], e[b])):
+            for s, x in enumerate(_reference_bracket(L, e[a], e[b])):
                 if x and s != t:
                     row, value = (pair_index[(s, t)], sign * x) if s < t \
                         else (pair_index[(t, s)], -sign * x)
@@ -293,12 +295,12 @@ def _hopf_dim_M(L):
     gens = {j + 1: basis_vector(n, j) for j in range(d)}
     rows = []
     for t, w in enumerate(lyndon_words(d, c + 1)):
-        image = evaluate_in(lyndon_bracketing(w), A.bracket, gens)
+        image = evaluate_in(lyndon_bracketing(w), functools.partial(_reference_bracket, A), gens)
         rows.append({**{k: x for k, x in enumerate(image) if x}, n + t: 1})
     rank, kernel = _eliminate(rows, n)
     assert rank == n  # the generators generate A
     R = [tuple(row.get(n + t, 0) for t in range(F.dim)) for row in kernel]
-    brackets = (F.bracket(basis_vector(F.dim, j), r) for j in range(d) for r in R)
+    brackets = (_reference_bracket(F, basis_vector(F.dim, j), r) for j in range(d) for r in R)
     rank_FR, _ = _eliminate(({k: x for k, x in enumerate(v) if x} for v in brackets), F.dim)
     return len(R) - rank_FR
 

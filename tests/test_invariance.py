@@ -17,6 +17,7 @@ random basis, give that path non-graded tables with pivots in general
 position.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -28,11 +29,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     _change_basis,
+    _reference_bracket,
     _seeded_unimodular,
     _sympy_ads,
+    basis,
     central_extensions,
     contains,
     contains_subspace,
+    full_space,
     generated_algebras,
     unimodular,
 )
@@ -45,7 +49,7 @@ from nilmult.analysis import (
     verify_theorem,
 )
 from nilmult.catalog import build, default_manifest, parse_file, serialize
-from nilmult.exactla import Matrix, Subspace, basis_vector, rref
+from nilmult.exactla import Matrix, basis_vector, rref
 from nilmult.free_lie import evaluate_in, lemma31_term_pairs
 from nilmult.homology import _quotient_dims, d2_matrix, d3_matrix, multiplier_dim
 from nilmult.lie_core import LieAlgebra, _d3_columns, minimal_generators, product_space, quotient_algebra, series_profile
@@ -83,7 +87,7 @@ def _invariants(L):
 def _check_lower_series(L):
     """series_profile's lower series against gamma_{i+1} = [gamma_i, L],
     every gamma_i bracketed with the whole algebra."""
-    full = Subspace.full(L.dim)
+    full = full_space(L.dim)
     reference = [full]
     while reference[-1].dim:
         reference.append(product_space(L, reference[-1], full))
@@ -121,7 +125,7 @@ def _check_adapted(L):
         gamma = aprof.gamma(i)
         trailing = range(n - prof.gamma(i).dim, n)
         assert gamma.pivots == tuple(trailing)
-        assert gamma.basis.entries == tuple(basis_vector(n, k) for k in trailing)
+        assert basis(gamma) == tuple(basis_vector(n, k) for k in trailing)
     reference = [multiplier_dim(quotient_algebra(L, prof.gamma(i))[0]).dim_M
                  for i in range(2, c + 2)]
     cuts = [n - prof.gamma(i).dim for i in range(2, c + 2)]
@@ -143,7 +147,7 @@ def _reference_witness_tuple(L, i, prof, gens):
     for tup in itertools.product(range(1, len(gens) + 1), repeat=i):
         value = gens[tup[0] - 1]
         for t in tup[1:]:
-            value = L.bracket(value, gens[t - 1])
+            value = _reference_bracket(L, value, gens[t - 1])
         if not contains(prof.gamma(i + 1), value):
             return tup
     raise AssertionError(f"{L.name}: no weight-{i} witness commutator")
@@ -167,13 +171,13 @@ def _reference_psi_witnesses(L, i):
         values = {k: gens[g - 1] for k, g in slots.items()}
         tensor = [Fraction(0)] * ((n - m) * q)
         for w_expr, t_sym in lemma31_term_pairs(i):
-            w_val = evaluate_in(w_expr, L.bracket, values)
+            w_val = evaluate_in(w_expr, functools.partial(_reference_bracket, L), values)
             base = (slots[t_sym] - 1) * q
             for b, wb in enumerate(_coords_in_quotient(gi, gi1, w_val)):
                 tensor[base + b] += wb
         tensors.append(tuple(tensor))
-    lifts = [w for w, p in zip(gi.basis.entries, gi.pivots) if p not in gi1.pivots]
-    beta_cols = [_coords_in_quotient(gi1, gi2, L.bracket(w, u))
+    lifts = [w for w, p in zip(basis(gi), gi.pivots) if p not in gi1.pivots]
+    beta_cols = [_coords_in_quotient(gi1, gi2, _reference_bracket(L, w, u))
                  for u in gens for w in lifts]
     for tensor in tensors:
         assert not any(sum((col[r] * x for col, x in zip(beta_cols, tensor)), Fraction(0))

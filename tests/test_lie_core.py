@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 from helpers import (
     _central_vectors,
     _change_basis,
+    _reference_bracket,
     _seeded_unimodular,
     _sympy_ads,
+    basis,
     contains,
     contains_subspace,
     counted_calls,
+    full_space,
     generated_algebras,
     is_zero_vector,
     reference_jacobi_failure,
@@ -29,8 +32,7 @@ from helpers import (
 from nilmult import lie_core
 from nilmult.analysis import rai_bound, rai_refined
 from nilmult.catalog import build, default_manifest
-from nilmult.exactla import DimensionMismatch, Subspace, basis_vector, vector
-from nilmult.homology import d2_matrix, d3_matrix
+from nilmult.exactla import DimensionMismatch, Subspace, _dense, _sparse, basis_vector, vector
 from nilmult.lie_core import (
     JacobiViolation,
     LieAlgebra,
@@ -73,7 +75,7 @@ def test_abelian_table_is_valid():
 def test_heisenberg_is_valid():
     L = h3()
     assert not L.is_abelian
-    assert L.bracket(basis_vector(3, 0), basis_vector(3, 1)) == vector([0, 0, 1])
+    assert L._bracket({0: 1}, {1: 1}) == {2: 1}
 
 
 def test_jacobi_violation_detected():
@@ -111,30 +113,29 @@ def test_jacobi_residual_keeps_its_denominator():
     assert str(info.value).endswith("residual (0, 0, -1/6)")
 
 
-def test_pair_list_sums_repeated_targets():
-    listed = LieAlgebra(4, {(0, 1): [(2, 1), (3, 2), (2, Fraction(1, 2))], (0, 2): [(3, 1)]})
-    summed = LieAlgebra(4, {(0, 1): {2: Fraction(3, 2), 3: 2}, (0, 2): {3: 1}})
-    assert listed == summed and hash(listed) == hash(summed)
-    assert listed.table == summed.table
-    assert listed.bracket(basis_vector(4, 0), basis_vector(4, 1)) == vector(
-        [0, 0, Fraction(3, 2), 2])
-    assert d2_matrix(listed) == d2_matrix(summed)
-    assert d3_matrix(listed) == d3_matrix(summed)
+def test_a_pair_list_entry_raises():
+    # an entry is a {target: constant} mapping; a list of pairs is not read
+    for entry in ([(2, 1)], [(2, 1), (2, -1)], []):
+        with pytest.raises(AttributeError):
+            LieAlgebra(3, {(0, 1): entry})
 
 
-def test_pair_list_cancelling_to_abelian():
-    L = LieAlgebra(3, {(0, 1): [(2, 1), (2, -1)]})
-    assert L.is_abelian and L.table == {}
-    assert L == LieAlgebra(3, {}) and hash(L) == hash(LieAlgebra(3, {}))
-    assert L.bracket(basis_vector(3, 0), basis_vector(3, 1)) == vector([0, 0, 0])
-    assert d2_matrix(L) == d2_matrix(LieAlgebra(3, {}))
+def test_a_table_entry_keeps_its_checks():
+    with pytest.raises(DimensionMismatch):
+        LieAlgebra(3, {(1, 0): {2: 1}})
+    with pytest.raises(DimensionMismatch):
+        LieAlgebra(3, {(0, 1): {3: 1}})
+    with pytest.raises(DimensionMismatch):
+        LieAlgebra(3, {(0, 1): {3: 0}})  # checked before zero entries are dropped
+    L = LieAlgebra(3, {(0, 1): {2: 0, 1: Fraction(0)}, (0, 2): {}})
+    assert L.is_abelian and L == LieAlgebra(3, {})
 
 
 def test_float_coefficients_are_refused():
     with pytest.raises(TypeError):
         LieAlgebra(3, {(0, 1): {2: 0.5}})
     with pytest.raises(TypeError):
-        LieAlgebra(3, {(0, 1): [(2, 1.0)]})
+        LieAlgebra(3, {(0, 1): {2: 0.0}})  # refused before zero entries are dropped
 
 
 def _reference_jacobi(dim, table):
@@ -311,36 +312,21 @@ def test_a_triangular_table_is_its_own_certificate(spec, monkeypatch):
 
 
 def test_bracket_table_entry():
-    assert h3().bracket(basis_vector(3, 0), basis_vector(3, 1)) == vector([0, 0, 1])
+    assert h3()._bracket({0: 1}, {1: 1}) == {2: 1}
 
 
 def test_bracket_absent_entry():
-    assert is_zero_vector(h3().bracket(basis_vector(3, 0), basis_vector(3, 2)))
+    assert h3()._bracket({0: 1}, {2: 1}) == {}
 
 
 def test_bracket_alternating_on_random_vectors():
     rng = random.Random(7)
     L = filiform4()
     for _ in range(20):
-        x = vector([Fraction(rng.randint(-3, 3)) for _ in range(4)])
-        y = vector([Fraction(rng.randint(-3, 3)) for _ in range(4)])
-        assert is_zero_vector(L.bracket(x, x))
-        xy = L.bracket(x, y)
-        yx = L.bracket(y, x)
-        assert all(a == -b for a, b in zip(xy, yx))
-
-
-def _reference_bracket(L, x, y):
-    """The whole-table walk: sum over (i, j), i < j, of (x_i y_j - x_j y_i) [e_i, e_j]."""
-    if len(x) != L.dim or len(y) != L.dim:
-        raise DimensionMismatch("vector length does not match algebra dimension")
-    acc = [Fraction(0)] * L.dim
-    for (i, j), entry in L.table.items():
-        w = x[i] * y[j] - x[j] * y[i]
-        if w:
-            for k, c in entry.items():
-                acc[k] += w * c
-    return tuple(acc)
+        x = {k: rng.randint(-3, 3) for k in range(4)}
+        y = {k: rng.randint(-3, 3) for k in range(4)}
+        assert L._bracket(x, x) == {}
+        assert L._bracket(y, x) == {k: -c for k, c in L._bracket(x, y).items()}
 
 
 def vectors(n):
@@ -363,35 +349,37 @@ def _corpus_algebra(spec, reverse):
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_bracket_matches_table_walk(spec, reverse, data):
+    # _bracket returns D·[x, y] on the sparse support of dense vectors
     L = _corpus_algebra(spec, reverse)
+
+    def bracket(x, y):
+        return _dense(L._bracket(_sparse(x), _sparse(y)), L.dim, L._scale)
+
     x = data.draw(vectors(L.dim), label="x")
     y = data.draw(vectors(L.dim), label="y")
-    assert L.bracket(x, y) == _reference_bracket(L, x, y)
+    assert bracket(x, y) == _reference_bracket(L, x, y)
     i = data.draw(st.integers(0, L.dim - 1), label="i")
     j = data.draw(st.integers(0, L.dim - 1), label="j")
     e = functools.partial(basis_vector, L.dim)
-    assert L.bracket(x, e(j)) == _reference_bracket(L, x, e(j))
+    assert bracket(x, e(j)) == _reference_bracket(L, x, e(j))
     for a, b in ((i, j), (j, i), (i, i)):
-        assert L.bracket(e(a), e(b)) == _reference_bracket(L, e(a), e(b))
-    for bad in ((x[:-1], y), (x, y + (Fraction(1),))):
-        with pytest.raises(DimensionMismatch):
-            L.bracket(*bad)
+        assert bracket(e(a), e(b)) == _reference_bracket(L, e(a), e(b))
 
 
 def test_product_space_of_h3():
     L = h3()
-    full = Subspace.full(3)
+    full = full_space(3)
     assert product_space(L, full, full) == span(3, [[0, 0, 1]])
 
 
 def test_product_space_with_zero():
     L = h3()
-    assert product_space(L, Subspace.zero(3), Subspace.full(3)).dim == 0
+    assert product_space(L, Subspace.zero(3), full_space(3)).dim == 0
 
 
 def test_product_space_abelian():
     L = LieAlgebra(3, {})
-    full = Subspace.full(3)
+    full = full_space(3)
     assert product_space(L, full, full).dim == 0
 
 
@@ -544,14 +532,14 @@ def _check_upper_series(L):
     ads = _sympy_ads(L)
     for k in range(c):
         zk, znext = upper[k], upper[k + 1]
-        for x in znext.basis.entries:
+        for x in basis(znext):
             for j in range(n):
-                assert contains(zk, L.bracket(x, basis_vector(n, j))), (L.name, k, j)
+                assert contains(zk, _reference_bracket(L, x, basis_vector(n, j))), (L.name, k, j)
         # x is in Z_{k+1} iff every functional vanishing on Z_k kills each [x, e_j]
         if zk.dim == 0:
             ann = sympy.eye(n)
         else:
-            ann = sympy.Matrix.hstack(*_sympy_rows(zk.basis.entries).nullspace()).T
+            ann = sympy.Matrix.hstack(*_sympy_rows(basis(zk)).nullspace()).T
         stacked = sympy.Matrix.vstack(*(ann * ad for ad in ads))
         assert znext.dim == n - stacked.rank(), (L.name, k)
     for k in range(c + 1):
@@ -568,8 +556,8 @@ def _reference_upper_series(L):
     while series[-1].dim < n:
         Z, equations = series[-1], []
         for j in range(n):
-            images = [reference_residual(Z, dict(enumerate(L.bracket(basis_vector(n, l),
-                                                                      basis_vector(n, j)))))
+            images = [reference_residual(Z, dict(enumerate(_reference_bracket(
+                          L, basis_vector(n, l), basis_vector(n, j)))))
                       for l in range(n)]
             equations += [[image[r] for image in images] for r in range(n)]
         solutions = _sympy_rows(equations).nullspace()
@@ -639,7 +627,7 @@ def candidate_ideals(draw):
         vecs = _central_vectors(draw, L, draw(st.integers(0, 3)))
     elif kind == "series":
         term = draw(st.sampled_from(prof.lower + upper_series(L)))
-        vecs = list(term.basis.entries) + draw(st.lists(ints, max_size=2))
+        vecs = list(basis(term)) + draw(st.lists(ints, max_size=2))
     else:
         vecs = draw(st.lists(ints, min_size=1, max_size=L.dim))
     return L, kind, span(L.dim, vecs)
@@ -649,7 +637,7 @@ def candidate_ideals(draw):
 @settings(max_examples=300, deadline=None)
 def test_quotient_ideal_check_matches_product_space(case):
     L, kind, ideal = case
-    is_ideal = contains_subspace(ideal, product_space(L, Subspace.full(L.dim), ideal))
+    is_ideal = contains_subspace(ideal, product_space(L, full_space(L.dim), ideal))
     assert is_ideal or kind != "central"
     if is_ideal:
         Q, _ = quotient_algebra(L, ideal)
@@ -664,12 +652,12 @@ def test_quotient_ideal_check_matches_product_space(case):
 def test_a_quotient_is_the_projected_table(case):
     # [e_a, e_b] mod I on the complement, over the least common denominator
     L, _, ideal = case
-    if not contains_subspace(ideal, product_space(L, Subspace.full(L.dim), ideal)):
+    if not contains_subspace(ideal, product_space(L, full_space(L.dim), ideal)):
         return
     Q, project = quotient_algebra(L, ideal)
     complement = [k for k in range(L.dim) if k not in ideal.pivots]
     e = functools.partial(basis_vector, L.dim)
-    reference = {(s, t): dict(enumerate(project(L.bracket(e(a), e(b)))))
+    reference = {(s, t): dict(enumerate(project(_reference_bracket(L, e(a), e(b)))))
                  for (s, a), (t, b) in itertools.combinations(enumerate(complement), 2)}
     assert Q == LieAlgebra(len(complement), reference)
 
@@ -717,7 +705,7 @@ def test_minimal_generators_filiform():
 @pytest.mark.parametrize("spec", default_manifest())
 def test_minimal_generators_match_product_space(spec, reverse):
     L = _reversed_basis(build(spec)) if reverse else build(spec)
-    full = Subspace.full(L.dim)
+    full = full_space(L.dim)
     taken = set(product_space(L, full, full).pivots)
     assert minimal_generators(L) == [basis_vector(L.dim, k)
                                      for k in range(L.dim) if k not in taken]
@@ -737,7 +725,7 @@ def test_minimal_generators_regenerate():
         current = list(gens)
         spanning = list(gens)
         for _ in range(prof.nilpotency_class):
-            current = [L.bracket(x, g) for x in current for g in gens]
+            current = [_reference_bracket(L, x, g) for x in current for g in gens]
             spanning += current
         assert span(L.dim, spanning).dim == L.dim
 
@@ -764,7 +752,7 @@ def test_direct_sum_blocks_commute():
     S = direct_sum(h3(), filiform4())
     left = basis_vector(7, 0)
     right = basis_vector(7, 3)
-    assert is_zero_vector(S.bracket(left, right))
+    assert is_zero_vector(_reference_bracket(S, left, right))
 
 
 def test_structural_equality_ignores_name():
@@ -775,8 +763,7 @@ def test_structural_equality_ignores_name():
     assert a != LieAlgebra(3, {(0, 1): {2: 2}})
     # The same numerators over another D are another algebra.
     assert LieAlgebra(3, {(0, 1): {2: Fraction(1, 2)}}) != a
-    halves = [LieAlgebra(3, {(0, 1): entry}) for entry in (
-        {2: "2/4"}, {2: Fraction(1, 2)}, [(2, Fraction(1, 4)), (2, Fraction(1, 4))])]
+    halves = [LieAlgebra(3, {(0, 1): entry}) for entry in ({2: "2/4"}, {2: Fraction(1, 2)})]
     assert len(set(halves)) == 1 and len({hash(h) for h in halves}) == 1
     pairs = [((0, 1), {3: 1}), ((1, 2), {3: Fraction(1, 3)})]
     forward, backward = (LieAlgebra(4, dict(order)) for order in (pairs, pairs[::-1]))
@@ -794,11 +781,11 @@ def test_structural_equality_ignores_name():
 
 def test_all_jacobi_triples_vanish():
     # construction already validates; recheck explicitly on one algebra
-    L = filiform4()
+    bracket = functools.partial(_reference_bracket, filiform4())
     e = [basis_vector(4, k) for k in range(4)]
     for i, j, k in itertools.combinations(range(4), 3):
         total = [a + b + c for a, b, c in zip(
-            L.bracket(L.bracket(e[i], e[j]), e[k]),
-            L.bracket(L.bracket(e[j], e[k]), e[i]),
-            L.bracket(L.bracket(e[k], e[i]), e[j]))]
+            bracket(bracket(e[i], e[j]), e[k]),
+            bracket(bracket(e[j], e[k]), e[i]),
+            bracket(bracket(e[k], e[i]), e[j]))]
         assert is_zero_vector(total)

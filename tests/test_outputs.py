@@ -3,7 +3,10 @@ stderr, checked against ``data/outputs.json``.
 
 The commands are ``info``, ``multiplier``, ``bounds`` and ``kernel`` in
 every format over the corpus, the four large ``ladder`` specs, the
-``.lie`` files in ``data``, a file with ``p/q`` coefficients and seeded
+``.lie`` files in ``data`` (among them malformed, non-nilpotent and
+non-Lie tables, whose digests hold exit 2 and the error message; the
+dense non-Lie copy fails on its adapted table too, so its message comes
+from its own), a file with ``p/q`` coefficients and seeded
 dense basis changes (most of whose adapted tables have non-integral
 entries), ``verify corpus`` at every ``--max-dim`` and with
 ``--parallel`` and ``--strict-remark``, ``verify lemma`` at arities 3 to

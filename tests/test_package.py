@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import importlib.util
 import types
@@ -75,7 +76,8 @@ def test_every_name_the_benchmark_traces_exists():
     assert not missing, "perfbench needs " + ", ".join(missing)
 
 
-# Public names that nothing in src/ references, each with its reason.
+# Public names that nothing in src/ references, and public members (Class.member)
+# that nothing in src/ reads, each with its reason.
 KEPT = {
     "rref": "perfbench/tracer.py wraps it; the exact RREF of a Matrix",
     "kernel_basis": "perfbench/tracer.py wraps it; the null space of a Matrix",
@@ -112,12 +114,31 @@ def _private_functions():
             and not node.name.startswith("__")}
 
 
+def _attributes():
+    """Every attribute name in src/nilmult."""
+    return {sub.attr for path in SRC.glob("*.py")
+            for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(sub, ast.Attribute)}
+
+
+def _public_members():
+    """Class.member for each public method, property and classmethod of a public class."""
+    kinds = (types.FunctionType, property, functools.cached_property, classmethod, staticmethod)
+    return {f"{name}.{member}" for name in nilmult.__all__
+            if isinstance(cls := getattr(nilmult, name), type)
+            for member, value in vars(cls).items()
+            if not member.startswith("_") and isinstance(value, kinds)}
+
+
 def test_every_public_name_is_reached_or_kept_for_a_reason():
-    references = _references()
-    unreached = sorted(set(nilmult.__all__) - references - set(KEPT))
-    assert not unreached, "public but referenced nowhere in src/: " + ", ".join(unreached)
-    stale = sorted(name for name in KEPT
-                   if name not in nilmult.__all__ or name in references)
+    references, attributes = _references(), _attributes()
+    unused = set(nilmult.__all__) - references
+    # a member counts as read when any attribute of its name is, whatever
+    # the class: Subspace.from_rows reads as Matrix.from_rows too
+    unused |= {m for m in _public_members() if m.rpartition(".")[2] not in attributes}
+    unreached = sorted(unused - set(KEPT))
+    assert not unreached, "public but read nowhere in src/: " + ", ".join(unreached)
+    stale = sorted(set(KEPT) - unused)
     assert not stale, "kept without need: " + ", ".join(stale)
     # a private function that only tests call belongs in tests/helpers.py
     unreached = sorted(_private_functions() - references)
